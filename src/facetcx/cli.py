@@ -9,6 +9,7 @@ machine-readable object with a ``schema`` version field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .complexes import (
     skeleton,
     underlying_graph,
 )
-from .complexity import INFINITY, BoundReport, ComplexityQuery, bounds, compute
+from .complexity import INFINITY, ComplexityQuery, bounds, compute
 from .homsearch import SearchLimits, SearchProblem, UndecidedError, find_map
 from .maps import classify
 from .oracle import (
@@ -34,13 +35,13 @@ from .oracle import (
     brute_force_cover_complexity,
     brute_force_map_search,
 )
-from .scx import ScxError, parse_map, parse_scx, serialize_map, serialize_scx
+from .scx import ScxError, parse_map, parse_scx, serialize_scx
 from .verify import VerifyConfig, replay_bundle, run_verify
 
 SCHEMA = 1
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -60,14 +61,6 @@ def _read_complex(path: str) -> Complex:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _num(x) -> object:
     if x is None:
         return None
@@ -78,14 +71,84 @@ def _num(x) -> object:
     return x
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "-"
-    if x == INFINITY:
-        return "infinity"
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return str(x)
+def _emit(args, payload: dict, text: list[str] | None = None) -> None:
+    """Print a command's schema-1 payload, as JSON or as text.
+
+    The text is rendered from the payload by :func:`_render`; only a
+    ``verify`` run passes its own, the library's report, whose settings
+    the payload does not carry.
+    """
+    command = args.command
+    if command == "oracle":
+        command += " " + args.oracle_command
+    payload = {"schema": SCHEMA, "command": command, **payload}
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    for line in _render(payload) if text is None else text:
+        print(line)
+
+
+def _text(x) -> str:
+    """A payload number as text, with ``-`` for an absent bound."""
+    return "-" if x is None else str(x)
+
+
+def _render(p: dict) -> list[str]:
+    """The text form of a schema-1 payload."""
+    command = p["command"]
+    if command == "info":
+        return [
+            f"name:        {p['name'] or '-'}",
+            f"vertices:    {len(p['vertices'])} ({' '.join(p['vertices'])})",
+            f"facets:      {p['facet_count']}",
+            *(f"  {' '.join(f)}" for f in p["facets"]),
+            f"dim:         {p['dim']}",
+            f"pure:        {p['pure']}",
+            f"isolated:    {' '.join(p['isolated']) or '-'}",
+        ]
+    if command == "chromatic":
+        lines = [f"chromatic number ({p['mode']}): {p['value']}"]
+        w = p["witness"]
+        if w:
+            lines.append("witness: " + " ".join(f"{v}={w[v]}" for v in sorted(w)))
+        return lines
+    if command == "oracle chromatic":
+        return [f"chromatic number (exhaustive): {p['value']}"]
+    if command == "oracle complexity":
+        return [f"value (exhaustive): {_text(p['value'])}"]
+    if p.get("mode") == "replay":
+        return [p["detail"]]
+    if p.get("mode") == "classify":
+        lines = ["classes: " + " ".join(k for k, flag in p["classes"].items() if flag)]
+        if p["witness"]:
+            lines.append(
+                "first-violation witness (earliest failed class): " + " ".join(p["witness"])
+            )
+        lines.append(f"satisfies requested kind: {'yes' if p['satisfies'] else 'no'}")
+        return lines
+    if "undecided" in (p.get("found"), p.get("value")):
+        return [f"UNDECIDED after {p['nodes']} nodes"]
+    if "found" in p:  # map-check and oracle map-search: a map listing
+        if not p["found"]:
+            return ["NONE"]
+        return [f"m {src} {tgt}" for src, tgt in sorted(p["map"].items())]
+    if "value" not in p:  # complexity --bounds-only and bounds
+        b = p["bounds"]
+        return [
+            f"finite:             {b['finite']}",
+            f"eta upper:          {_text(b['eta_upper'])}",
+            f"chromatic lower:    {_text(b['chromatic_lower'])}",
+            f"graph lower:        {_text(b['graph_lower'])}",
+            f"complete-target ic: {_text(b['complete_target_ic'])}",
+            f"exact:              {_text(b['exact'])}",
+        ]
+    lines = [f"value: {_text(p['value'])}"]
+    for i, g in enumerate(p["cover"] or (), start=1):
+        assign = " ".join(f"{k}->{v}" for k, v in sorted(g["map"].items()))
+        lines.append(f"group {i}: " + " + ".join("{" + " ".join(f) + "}" for f in g["facets"]))
+        lines.append(f"  map: {assign or '(empty)'}")
+    return lines
 
 
 def _limits(args) -> SearchLimits:
@@ -96,7 +159,7 @@ def _limits(args) -> SearchLimits:
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-budget", type=int, default=50_000_000,
+    p.add_argument("--node-budget", type=int, default=SearchLimits.max_nodes,
                    help="search node budget before reporting undecided")
     p.add_argument("--time-budget", type=float, default=0,
                    help="wall-clock budget in seconds (0 = unlimited)")
@@ -116,14 +179,12 @@ def _kind_of(args) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its payload and hands it to _emit
 
 def _cmd_info(args) -> int:
     c = _read_complex(args.complex)
     m = metrics(c)
-    payload = {
-        "schema": SCHEMA,
-        "command": "info",
+    _emit(args, {
         "name": c.name,
         "vertices": list(c.labels),
         "facets": c.facet_lists(),
@@ -133,19 +194,7 @@ def _cmd_info(args) -> int:
         "isolated": list(m.isolated),
         "degree": m.degree,
         "min_facet_size": m.min_facet_size,
-    }
-    lines = [
-        f"name:        {c.name or '-'}",
-        f"vertices:    {c.n} ({' '.join(c.labels)})",
-        f"facets:      {len(c.facets)}",
-    ]
-    lines += [f"  {' '.join(f)}" for f in c.facet_lists()]
-    lines += [
-        f"dim:         {m.dim}",
-        f"pure:        {m.pure}",
-        f"isolated:    {' '.join(m.isolated) or '-'}",
-    ]
-    _emit(args, payload, lines)
+    })
     return 0
 
 
@@ -158,17 +207,7 @@ def _cmd_chromatic(args) -> int:
     else:
         res, mode = chromatic_number(c), "complex"
     witness = res.witness.as_dict() if res.witness else None
-    payload = {
-        "schema": SCHEMA,
-        "command": "chromatic",
-        "mode": mode,
-        "value": res.value,
-        "witness": witness,
-    }
-    lines = [f"chromatic number ({mode}): {res.value}"]
-    if witness:
-        lines.append("witness: " + " ".join(f"{v}={witness[v]}" for v in sorted(witness)))
-    _emit(args, payload, lines)
+    _emit(args, {"mode": mode, "value": res.value, "witness": witness})
     return 0
 
 
@@ -176,6 +215,7 @@ def _cmd_map_check(args) -> int:
     source = _read_complex(args.source)
     target = _read_complex(args.target)
     kind = _kind_of(args)
+    payload = {"kind": kind, "injective": args.injective}
     if args.map:
         try:
             m = parse_map(Path(args.map).read_text(), source, target)
@@ -187,11 +227,7 @@ def _cmd_map_check(args) -> int:
         ok = (cls.facet if kind == "facet" else cls.strict) and (
             cls.injective or not args.injective
         )
-        payload = {
-            "schema": SCHEMA,
-            "command": "map-check",
-            "kind": kind,
-            "injective": args.injective,
+        payload.update({
             "mode": "classify",
             "map": m.as_dict(),
             "classes": {
@@ -202,102 +238,52 @@ def _cmd_map_check(args) -> int:
             },
             "witness": sorted(cls.witness) if cls.witness else None,
             "satisfies": ok,
-        }
-        lines = [
-            "classes: "
-            + " ".join(
-                name
-                for name, flag in (
-                    ("simplicial", cls.simplicial),
-                    ("strict", cls.strict),
-                    ("facet", cls.facet),
-                    ("injective", cls.injective),
-                )
-                if flag
-            ),
-        ]
-        if cls.witness:
-            lines.append(
-                "first-violation witness (earliest failed class): "
-                + " ".join(sorted(cls.witness))
-            )
-        lines.append(f"satisfies requested kind: {'yes' if ok else 'no'}")
-        _emit(args, payload, lines)
+        })
+        _emit(args, payload)
         return 0
     try:
         res = find_map(SearchProblem(source, target, kind, args.injective, _limits(args)))
     except UndecidedError as exc:
-        payload = {
-            "schema": SCHEMA,
-            "command": "map-check",
-            "kind": kind,
-            "injective": args.injective,
-            "found": "undecided",
-            "nodes": exc.nodes,
-        }
-        _emit(args, payload, [f"UNDECIDED after {exc.nodes} nodes"])
+        payload.update({"found": "undecided", "nodes": exc.nodes})
+        _emit(args, payload)
         return 4
-    payload = {
-        "schema": SCHEMA,
-        "command": "map-check",
-        "kind": kind,
-        "injective": args.injective,
+    payload.update({
         "found": res.found,
         "map": res.map.as_dict() if res.found else None,
         "nodes": res.nodes,
-    }
-    if res.found:
-        _emit(args, payload, [serialize_map(res.map).rstrip("\n")])
-        return 0
-    _emit(args, payload, ["NONE"])
-    return 3
-
-
-def _bounds_payload(b: BoundReport) -> dict:
-    return {
-        "finite": b.finite,
-        "eta_upper": _num(b.eta_upper),
-        "chromatic_lower": _num(b.chromatic_lower),
-        "graph_lower": _num(b.graph_lower),
-        "complete_target_ic": _num(b.complete_target_ic),
-        "exact": _num(b.exact),
-        "lower": _num(b.lower),
-        "upper": _num(b.upper),
-    }
-
-
-def _bounds_lines(b: BoundReport) -> list[str]:
-    return [
-        f"finite:             {b.finite}",
-        f"eta upper:          {_fmt(b.eta_upper)}",
-        f"chromatic lower:    {_fmt(b.chromatic_lower)}",
-        f"graph lower:        {_fmt(b.graph_lower)}",
-        f"complete-target ic: {_fmt(b.complete_target_ic)}",
-        f"exact:              {_fmt(b.exact)}",
-    ]
+    })
+    _emit(args, payload)
+    return 0 if res.found else 3
 
 
 def _cmd_complexity(args) -> int:
+    """``complexity``, and ``bounds`` as ``complexity --bounds-only``."""
     source = _read_complex(args.source)
     target = _read_complex(args.target)
     q = ComplexityQuery(source, target, _kind_of(args), args.injective, _limits(args))
     b = bounds(q, facet_cap=args.facet_cap)
     payload = {
-        "schema": SCHEMA,
-        "command": "complexity",
         "kind": q.kind,
         "injective": q.injective,
-        "bounds": _bounds_payload(b),
+        "bounds": {
+            "finite": b.finite,
+            "eta_upper": _num(b.eta_upper),
+            "chromatic_lower": _num(b.chromatic_lower),
+            "graph_lower": _num(b.graph_lower),
+            "complete_target_ic": _num(b.complete_target_ic),
+            "exact": _num(b.exact),
+            "lower": _num(b.lower),
+            "upper": _num(b.upper),
+        },
     }
     if args.bounds_only:
-        _emit(args, payload, _bounds_lines(b))
+        _emit(args, payload)
         return 0
     try:
         res = compute(q, facet_cap=args.facet_cap)
     except UndecidedError as exc:
-        payload["value"] = "undecided"
-        payload["nodes"] = exc.nodes
-        _emit(args, payload, [f"UNDECIDED after {exc.nodes} nodes"])
+        payload.update({"value": "undecided", "nodes": exc.nodes})
+        _emit(args, payload)
         return 4
     payload["value"] = _num(res.value)
     payload["nodes"] = res.nodes
@@ -309,30 +295,7 @@ def _cmd_complexity(args) -> int:
         if res.cover
         else None
     )
-    lines = [f"value: {_fmt(res.value)}"]
-    if res.cover:
-        for i, g in enumerate(res.cover.groups, start=1):
-            facets = " + ".join("{" + " ".join(sorted(f)) + "}" for f in g.facets)
-            assign = " ".join(f"{k}->{v}" for k, v in sorted(g.map.as_dict().items()))
-            lines.append(f"group {i}: {facets}")
-            lines.append(f"  map: {assign or '(empty)'}")
-    _emit(args, payload, lines)
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    source = _read_complex(args.source)
-    target = _read_complex(args.target)
-    q = ComplexityQuery(source, target, _kind_of(args), args.injective)
-    b = bounds(q, facet_cap=args.facet_cap)
-    payload = {
-        "schema": SCHEMA,
-        "command": "bounds",
-        "kind": q.kind,
-        "injective": q.injective,
-        "bounds": _bounds_payload(b),
-    }
-    _emit(args, payload, _bounds_lines(b))
+    _emit(args, payload)
     return 0
 
 
@@ -356,20 +319,18 @@ def _cmd_gen(args) -> int:
                 "max_facet_size": args.max_facet_size,
             },
         )
-    text = serialize_scx(c)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_scx(args, c)
 
 
 def _cmd_skeleton(args) -> int:
     c = _read_complex(args.complex)
     if args.q < 0:
         raise _UsageError("the skeleton dimension must be nonnegative")
-    out = skeleton(c, args.q)
-    text = serialize_scx(out)
+    return _write_scx(args, skeleton(c, args.q))
+
+
+def _write_scx(args, c: Complex) -> int:
+    text = serialize_scx(c)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -384,21 +345,10 @@ def _cmd_verify(args) -> int:
         except OSError as exc:
             raise _UsageError(f"cannot read {args.replay}: {exc.strerror or exc}") from exc
         ok, detail = replay_bundle(text)
-        payload = {
-            "schema": SCHEMA,
-            "command": "verify",
-            "mode": "replay",
-            "passed": ok,
-            "detail": detail,
-        }
-        _emit(args, payload, [detail])
+        _emit(args, {"mode": "replay", "passed": ok, "detail": detail})
         return 0 if ok else 5
     suites = tuple(args.suites.split(",")) if args.suites else None
-    cfg = VerifyConfig(seed=args.seed, trials=args.trials, suites=suites)
-    try:
-        report = run_verify(cfg)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = run_verify(VerifyConfig(seed=args.seed, trials=args.trials, suites=suites))
     bundle_paths = []
     if not report.ok:
         out_dir = Path(args.output or ".")
@@ -408,8 +358,6 @@ def _cmd_verify(args) -> int:
             path.write_text(f.bundle + "\n")
             bundle_paths.append(str(path))
     payload = {
-        "schema": SCHEMA,
-        "command": "verify",
         "passed": report.ok,
         "suites": report.passed,
         "failures": [
@@ -419,10 +367,9 @@ def _cmd_verify(args) -> int:
         "observations": report.observations,
         "bundles": bundle_paths,
     }
-    lines = [report.text().rstrip("\n")]
-    for p in bundle_paths:
-        lines.append(f"counterexample bundle: {p}")
-    _emit(args, payload, lines)
+    text = [report.text().rstrip("\n")]
+    text += [f"counterexample bundle: {p}" for p in bundle_paths]
+    _emit(args, payload, text)
     return 0 if report.ok else 5
 
 
@@ -430,58 +377,28 @@ def _cmd_oracle(args) -> int:
     lims = OracleLimits()
     if args.oracle_command == "chromatic":
         c = _read_complex(args.complex)
-        try:
-            value = brute_force_chromatic(c, lims)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-        _emit(
-            args,
-            {"schema": SCHEMA, "command": "oracle chromatic", "value": value},
-            [f"chromatic number (exhaustive): {value}"],
-        )
+        _emit(args, {"value": brute_force_chromatic(c, lims)})
         return 0
     source = _read_complex(args.source)
     target = _read_complex(args.target)
     kind = _kind_of(args)
+    payload = {"kind": kind, "injective": args.injective}
     if args.oracle_command == "map-search":
-        try:
-            m = brute_force_map_search(source, target, kind, args.injective, lims)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-        payload = {
-            "schema": SCHEMA,
-            "command": "oracle map-search",
-            "kind": kind,
-            "injective": args.injective,
-            "found": m is not None,
-            "map": m.as_dict() if m else None,
-        }
-        if m is None:
-            _emit(args, payload, ["NONE"])
-            return 3
-        _emit(args, payload, [serialize_map(m).rstrip("\n")])
-        return 0
-    try:
-        value = brute_force_cover_complexity(source, target, kind, args.injective, lims)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    _emit(
-        args,
-        {
-            "schema": SCHEMA,
-            "command": "oracle complexity",
-            "kind": kind,
-            "injective": args.injective,
-            "value": _num(value),
-        },
-        [f"value (exhaustive): {_fmt(value)}"],
-    )
+        m = brute_force_map_search(source, target, kind, args.injective, lims)
+        payload.update({"found": m is not None, "map": m.as_dict() if m else None})
+        _emit(args, payload)
+        return 0 if m else 3
+    value = brute_force_cover_complexity(source, target, kind, args.injective, lims)
+    payload["value"] = _num(value)
+    _emit(args, payload)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every ``run``."""
     parser = _Parser(
         prog="facetcx",
         description="Exact cover-complexity solver for abstract simplicial complexes.",
@@ -528,7 +445,8 @@ def _build_parser() -> _Parser:
     _add_kind_flags(p)
     p.add_argument("--facet-cap", type=int, default=20)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_bounds)
+    p.set_defaults(fn=_cmd_complexity, bounds_only=True,
+                   node_budget=SearchLimits.max_nodes, time_budget=0)
 
     p = sub.add_parser("gen", help="generate an .scx file")
     gsub = p.add_subparsers(dest="generator", required=True)
@@ -601,10 +519,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except (ScxError, ValueError) as exc:
+    except ValueError as exc:  # usage, file and parse errors, input rejected by the library
         print(str(exc), file=sys.stderr)
         return 2
 

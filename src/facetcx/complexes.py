@@ -168,16 +168,15 @@ def build_complex(
     Non-maximal faces are absorbed; vertices listed in
     ``explicit_vertices`` but covered by no face become singleton facets.
     An empty face is rejected with its position in the input; so are
-    distinct labels that coincide after stripping surrounding whitespace,
-    and empty labels.
+    empty labels and labels containing whitespace or ``#``, which the
+    ``.scx`` format could not write back.
     """
     face_list = [tuple(f) for f in faces]
     extra = tuple(explicit_vertices)
-    seen: dict[str, str] = {}
     for lab in (v for face in face_list for v in face):
-        _check_label(lab, seen)
+        _check_label(lab)
     for lab in extra:
-        _check_label(lab, seen)
+        _check_label(lab)
     for pos, face in enumerate(face_list):
         if not face:
             raise ValueError(f"face {pos} is empty")
@@ -207,15 +206,12 @@ def build_complex(
     return Complex(labels, tuple(maximal), name)
 
 
-def _check_label(lab: str, seen: dict[str, str]) -> None:
+def _check_label(lab: str) -> None:
+    """Reject labels the whitespace-separated ``.scx`` text cannot carry."""
     if lab == "":
         raise ValueError("empty vertex label")
-    core = lab.strip()
-    other = seen.setdefault(core, lab)
-    if other != lab:
-        raise ValueError(
-            f"labels {other!r} and {lab!r} differ only by surrounding whitespace"
-        )
+    if "#" in lab or any(ch.isspace() for ch in lab):
+        raise ValueError(f"vertex label {lab!r} contains whitespace or '#'")
 
 
 # -- generators --------------------------------------------------------

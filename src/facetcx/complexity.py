@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .complexes import Complex, _bits, _key, closure, facet_graph, graph_as_complex, metrics
 from .coloring import chromatic_number
-from .homsearch import FeasibilityCache, SearchLimits, SearchProblem, find_map
+from .homsearch import FeasibilityCache, SearchLimits, SearchProblem, UndecidedError, find_map
 from .maps import VertexMap, classify
 
 INFINITY = math.inf
@@ -254,6 +254,8 @@ class BoundReport:
     finite cover exists.  ``complete_target_ic`` is a lower bound
     available when the target is complete and the query is injective;
     ``exact`` carries the value when a theorem pins it down.
+    ``graph_lower`` is also ``None`` when its derived cover problem has
+    more constrained facets than the cap or runs out of search budget.
     """
 
     finite: bool
@@ -321,7 +323,9 @@ def bounds(q: ComplexityQuery, facet_cap: int = 20) -> BoundReport:
     The one exception is ``graph_lower``, which solves the smaller
     derived cover problem between the two edge-facet graphs; it is
     reported only when the target has no isolated vertices, where a
-    part's witness map restricts to a graph homomorphism between them.
+    part's witness map restricts to a graph homomorphism between them,
+    and only when that problem stays within ``facet_cap`` and the
+    query's search limits; otherwise it is skipped, never raised.
     """
     finite = _is_finite_query(q)
     required = required_facet_indices(q)
@@ -341,7 +345,10 @@ def bounds(q: ComplexityQuery, facet_cap: int = 20) -> BoundReport:
                 False,
                 q.limits,
             )
-            graph_lower = compute(gq, facet_cap).value
+            try:
+                graph_lower = compute(gq, facet_cap).value
+            except (FacetCapError, UndecidedError):
+                pass  # a bound, not an answer: skip it rather than fail
 
     complete_target_ic = None
     exact = None

@@ -3,9 +3,10 @@
 An .scx file is line oriented.  ``#`` starts a comment, ``name <text>``
 gives the complex a display name, ``v <labels...>`` declares vertices
 (useful for isolated ones) and ``f <labels...>`` declares a face.
-Labels are whitespace-separated opaque tokens.  Serialization is
-canonical: one ``v`` line with the sorted vertex set, then one ``f``
-line per facet in canonical order, so parse/serialize round-trips.
+Labels are whitespace-separated opaque tokens without ``#``.
+Serialization is canonical: one ``v`` line with the sorted vertex set,
+then one ``f`` line per facet in canonical order, so parse/serialize
+round-trips.
 
 A map listing is one ``m <source-label> <target-label>`` line per
 source vertex.
@@ -52,9 +53,16 @@ def parse_scx(text: str, name: str | None = None) -> Complex:
 
 
 def serialize_scx(c: Complex) -> str:
+    """Canonical ``.scx`` text that :func:`parse_scx` reads back as ``c``.
+
+    The display name is written as far as one ``name`` line carries it:
+    up to any ``#``, with each run of whitespace (line breaks included)
+    as one space, and left out when nothing remains.
+    """
     lines = []
-    if c.name:
-        lines.append(f"name {c.name}")
+    name = " ".join((c.name or "").split("#", 1)[0].split())
+    if name:
+        lines.append(f"name {name}")
     if c.labels:
         lines.append("v " + " ".join(c.labels))
     for facet in c.facet_lists():

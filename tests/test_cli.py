@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from facetcx import cli, samples
+from facetcx import build_complex, cli, complete_complex, samples, skeleton
 from facetcx.scx import serialize_scx
 from facetcx.verify import Failure, VerifyConfig, VerifyReport
 
@@ -116,6 +116,47 @@ def test_bounds_command(capsys, fixture_files):
     data = json.loads(out)
     assert data["bounds"]["graph_lower"] == 2
     assert data["bounds"]["eta_upper"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["complexity", "k6", "k2", "--node-budget", "10"], 4),
+        (["complexity", "k6", "k2", "--node-budget", "10", "--bounds-only"], 0),
+        (["complexity", "bowtie", "tailed", "--node-budget", "1"], 4),
+        (["complexity", "bowtie", "tailed", "--node-budget", "1", "--bounds-only"], 0),
+        (["complexity", "m21", "tailed", "--bounds-only"], 0),
+        (["bounds", "m21", "tailed"], 0),
+    ],
+    ids=["k6-budget", "k6-budget-bounds-only", "bowtie-budget",
+         "bowtie-budget-bounds-only", "m21-bounds-only", "m21-bounds"],
+)
+def test_bounds_survive_failed_graph_lower(capsys, tmp_path, argv, code):
+    """The graph_lower sub-solve runs out of budget or exceeds the cap."""
+    complexes = {
+        "k6": skeleton(complete_complex(6), 1),
+        "k2": complete_complex(2),
+        "bowtie": samples.load("shaded_bowtie"),
+        "tailed": samples.load("tailed_triangle"),
+        "m21": build_complex([(f"u{i}", f"v{i}") for i in range(21)]),
+    }
+    for name in argv[1:3]:
+        (tmp_path / name).write_text(serialize_scx(complexes[name]))
+    argv = [argv[0], *(str(tmp_path / n) for n in argv[1:3]), *argv[3:], "--json"]
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    data = json.loads(out)
+    assert data.get("value") == ("undecided" if code == 4 else None)
+    assert data["bounds"]["finite"] is True
+
+
+def test_parser_built_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.run(["gen", "gamma", "2"]) == 0
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_chromatic_command(capsys, fixture_files):

@@ -122,6 +122,9 @@ def test_facet_cap(tailed):
     # bounds still work above the cap
     b = bounds(q(big, tailed), facet_cap=25)
     assert b.finite
+    # at the default cap the graph_lower sub-solve is skipped, not fatal
+    b = bounds(q(big, tailed))
+    assert b.finite and b.graph_lower is None and b.upper == 21
 
 
 def test_explicit_cache_is_honored(bowtie, tailed):

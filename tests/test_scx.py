@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facetcx import (
@@ -90,4 +90,38 @@ LABELS = st.sampled_from(["a", "b", "c", "x'", "y2", "zz"])
 )
 def test_roundtrip_property(faces, extra):
     c = build_complex(faces, explicit_vertices=extra)
+    assert parse_scx(serialize_scx(c)) == c
+
+
+@pytest.mark.parametrize("label", ["a#b", "a b", "x\n", " a", "\u2028"])
+def test_labels_scx_cannot_carry_are_rejected(label):
+    with pytest.raises(ValueError, match="whitespace or '#'"):
+        build_complex([(label, "c")])
+    with pytest.raises(ValueError, match="whitespace or '#'"):
+        build_complex([("c",)], explicit_vertices=[label])
+
+
+@pytest.mark.parametrize(
+    "name, read_back",
+    [("x\nf q r", "x f q r"), ("p#q", "p"), ("#x", None), (" \t", None)],
+)
+def test_name_is_written_as_one_name_line(name, read_back):
+    c = build_complex([("a", "b")], name=name)
+    d = parse_scx(serialize_scx(c))
+    assert (d, d.name) == (c, read_back)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.frozensets(st.one_of(LABELS, st.text(max_size=3)), min_size=1, max_size=4),
+        max_size=6,
+    ),
+    st.one_of(st.none(), st.text(max_size=6)),
+)
+def test_accepted_complexes_roundtrip(faces, name):
+    try:
+        c = build_complex(faces, name=name)
+    except ValueError:
+        assume(False)
     assert parse_scx(serialize_scx(c)) == c
