@@ -261,7 +261,13 @@ def _cmd_complexity(args) -> int:
     source = _read_complex(args.source)
     target = _read_complex(args.target)
     q = ComplexityQuery(source, target, _kind_of(args), args.injective, _limits(args))
-    b = bounds(q, facet_cap=args.facet_cap)
+    res = undecided = None
+    if not args.bounds_only:
+        try:
+            res = compute(q, facet_cap=args.facet_cap)
+        except UndecidedError as exc:
+            undecided = exc
+    b = bounds(q, facet_cap=args.facet_cap, solved=res)
     payload = {
         "kind": q.kind,
         "injective": q.injective,
@@ -276,27 +282,21 @@ def _cmd_complexity(args) -> int:
             "upper": _num(b.upper),
         },
     }
-    if args.bounds_only:
-        _emit(args, payload)
-        return 0
-    try:
-        res = compute(q, facet_cap=args.facet_cap)
-    except UndecidedError as exc:
-        payload.update({"value": "undecided", "nodes": exc.nodes})
-        _emit(args, payload)
-        return 4
-    payload["value"] = _num(res.value)
-    payload["nodes"] = res.nodes
-    payload["cover"] = (
-        [
-            {"facets": [sorted(f) for f in g.facets], "map": g.map.as_dict()}
-            for g in res.cover.groups
-        ]
-        if res.cover
-        else None
-    )
+    if undecided is not None:
+        payload.update({"value": "undecided", "nodes": undecided.nodes})
+    elif res is not None:
+        payload["value"] = _num(res.value)
+        payload["nodes"] = res.nodes
+        payload["cover"] = (
+            [
+                {"facets": [sorted(f) for f in g.facets], "map": g.map.as_dict()}
+                for g in res.cover.groups
+            ]
+            if res.cover
+            else None
+        )
     _emit(args, payload)
-    return 0
+    return 0 if undecided is None else 4
 
 
 def _cmd_gen(args) -> int:

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .complexes import Complex, _bits, _key, closure, facet_graph, graph_as_complex, metrics
+from .complexes import Complex, _bits, _key, closure, facet_graph, graph_as_complex
 from .coloring import chromatic_number
-from .homsearch import FeasibilityCache, SearchLimits, SearchProblem, UndecidedError, find_map
+from .homsearch import FeasibilityCache, SearchLimits, UndecidedError
 from .maps import VertexMap, classify
 
 INFINITY = math.inf
@@ -96,15 +96,6 @@ def _group_labels(source: Complex, masks: tuple[int, ...]) -> tuple[frozenset[st
     return tuple(frozenset(source.members(m)) for m in masks)
 
 
-def _single_group_cover(q: ComplexityQuery) -> ComplexityResult:
-    """Cover by one part containing every facet (witness found by search)."""
-    res = find_map(SearchProblem(q.source, q.target, q.kind, q.injective, q.limits))
-    if not res.found:  # pragma: no cover - callers guarantee feasibility
-        raise AssertionError("single-group cover expected to be feasible")
-    group = CoverGroup(_group_labels(q.source, q.source.facets), res.map)
-    return ComplexityResult(1, Cover((group,)), res.nodes)
-
-
 def compute(
     q: ComplexityQuery,
     facet_cap: int = 20,
@@ -118,8 +109,8 @@ def compute(
     facet indices) among the optimal choices at its step.  Passing a
     ``cache`` shares feasibility results across related queries; it
     must have been built for the same source, target, kind, injective
-    flag, and the facet index set returned by
-    :func:`required_facet_indices`.
+    flag, and the facets picked by :func:`required_facet_indices`;
+    any other cache is rejected with ``ValueError``.
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
@@ -131,8 +122,6 @@ def compute(
         return ComplexityResult(INFINITY, None)
 
     required = required_facet_indices(q)
-    if not required:
-        return _single_group_cover(q)
     if len(required) > facet_cap:
         raise FacetCapError(
             f"{len(required)} constrained facets exceed the cap of {facet_cap}"
@@ -140,6 +129,7 @@ def compute(
     req_masks = tuple(source.facets[i] for i in required)
     if cache is None:
         cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
+    cache._check(source, target, q.kind, q.injective, req_masks)
 
     n_req = len(required)
     full = (1 << n_req) - 1
@@ -166,8 +156,6 @@ def compute(
             sub = (sub - 1) & rest
         return out
 
-    value = best(full)
-
     # Reconstruct the canonical optimal cover.
     chosen: list[int] = []
     uncovered = full
@@ -188,24 +176,24 @@ def compute(
         chosen.append(pick)
         uncovered &= ~pick
 
-    groups = []
+    # Without injectivity the isolated vertices join the first group (an
+    # empty one when no facet is required) and go to target vertex 0; a
+    # lone vertex constrains no map kind.
     extra = () if q.injective else tuple(
         f for i, f in enumerate(source.facets) if i not in required
     )
-    for pos, mask in enumerate(chosen):
+    groups = []
+    for pos, mask in enumerate(chosen or [0]):
         masks = tuple(req_masks[i] for i in _bits(mask))
+        witness = cache.certificate(mask)
         if pos == 0 and extra:
             masks = tuple(sorted(masks + extra, key=_key))
             sub = closure(source, [source.members(m) for m in masks])
-            res = find_map(SearchProblem(sub, target, q.kind, q.injective, q.limits))
-            if not res.found:  # pragma: no cover - singleton absorption
-                raise AssertionError("absorbing isolated vertices broke feasibility")
-            witness = res.map
-        else:
-            witness = cache.certificate(mask)
+            image = dict(zip(witness.source.labels, witness.assignment))
+            witness = VertexMap(sub, target, tuple(image.get(lab, 0) for lab in sub.labels))
         groups.append(CoverGroup(_group_labels(source, masks), witness))
 
-    result = ComplexityResult(value, Cover(tuple(groups)), _cache_nodes(cache))
+    result = ComplexityResult(len(groups), Cover(tuple(groups)), _cache_nodes(cache))
     check_cover(q, result.cover)
     return result
 
@@ -290,18 +278,13 @@ def _is_finite_query(q: ComplexityQuery) -> bool:
         return True
     if target.n == 0:
         return False
-    ms, mt = metrics(source), metrics(target)
-    s_sizes = sorted({f.bit_count() for f in source.facets if f.bit_count() >= 2})
-    t_sizes = {f.bit_count() for f in target.facets if f.bit_count() >= 2}
     if q.kind == "strict":
-        return ms.dim <= mt.dim
+        return source.dim <= target.dim
+    s_sizes = {f.bit_count() for f in source.facets if f.bit_count() >= 2}
+    t_sizes = {f.bit_count() for f in target.facets if f.bit_count() >= 2}
     if q.injective:
-        return all(s in t_sizes for s in s_sizes)
-    if ms.min_nonunitary_facet_size is None:
-        return True
-    if mt.min_nonunitary_facet_size is None:
-        return False
-    return mt.min_nonunitary_facet_size <= ms.min_nonunitary_facet_size
+        return s_sizes <= t_sizes
+    return not s_sizes or bool(t_sizes) and min(t_sizes) <= min(s_sizes)
 
 
 def _chromatic_floor(chi_source: int, chi_target: int) -> float:
@@ -317,7 +300,9 @@ def _chromatic_floor(chi_source: int, chi_target: int) -> float:
     return m
 
 
-def bounds(q: ComplexityQuery, facet_cap: int = 20) -> BoundReport:
+def bounds(
+    q: ComplexityQuery, facet_cap: int = 20, solved: ComplexityResult | None = None
+) -> BoundReport:
     """Theorem-backed bounds without running the exact cover search.
 
     The one exception is ``graph_lower``, which solves the smaller
@@ -326,6 +311,8 @@ def bounds(q: ComplexityQuery, facet_cap: int = 20) -> BoundReport:
     part's witness map restricts to a graph homomorphism between them,
     and only when that problem stays within ``facet_cap`` and the
     query's search limits; otherwise it is skipped, never raised.
+    ``solved``, a result of ``compute(q)``, answers that problem
+    without a second solve when it is the query itself.
     """
     finite = _is_finite_query(q)
     required = required_facet_indices(q)
@@ -337,7 +324,8 @@ def bounds(q: ComplexityQuery, facet_cap: int = 20) -> BoundReport:
         chromatic_lower = _chromatic_floor(
             chromatic_number(q.source).value, chromatic_number(q.target).value
         )
-        if not metrics(q.target).isolated and q.source.n > 0:
+        no_isolated = all(f.bit_count() >= 2 for f in q.target.facets)
+        if q.source.n > 0 and no_isolated:
             gq = ComplexityQuery(
                 graph_as_complex(facet_graph(q.source)),
                 graph_as_complex(facet_graph(q.target)),
@@ -346,26 +334,19 @@ def bounds(q: ComplexityQuery, facet_cap: int = 20) -> BoundReport:
                 q.limits,
             )
             try:
-                graph_lower = compute(gq, facet_cap).value
+                res = solved if solved is not None and gq == q else compute(gq, facet_cap)
+                graph_lower = res.value
             except (FacetCapError, UndecidedError):
                 pass  # a bound, not an answer: skip it rather than fail
 
     complete_target_ic = None
     exact = None
-    if q.kind == "facet" and q.injective and q.target.n >= 2:
-        tm = metrics(q.target)
-        is_complete = len(q.target.facets) == 1 and q.target.facets[0].bit_count() == q.target.n
-        if is_complete:
-            nonunit = sum(1 for f in q.source.facets if f.bit_count() >= 2)
-            complete_target_ic = max(1, nonunit)
-            sm = metrics(q.source)
-            if (
-                q.source.n > 0
-                and sm.pure
-                and sm.dim == tm.dim
-                and not sm.isolated
-            ):
-                exact = complete_target_ic
+    n = q.target.n
+    if q.kind == "facet" and q.injective and n >= 2 and q.target.facets == ((1 << n) - 1,):
+        sizes = [f.bit_count() for f in q.source.facets]
+        complete_target_ic = max(1, sum(1 for s in sizes if s >= 2))
+        if sizes and all(s == n for s in sizes):  # pure, full dimension
+            exact = complete_target_ic
 
     return BoundReport(
         finite=finite,

@@ -296,6 +296,13 @@ class FeasibilityCache:
         self._feasible_max: list[int] = []
         self._infeasible_min: list[int] = []
 
+    def _check(self, source, target, kind, injective, facets) -> None:
+        """Reject use of this cache for a query it was not built for."""
+        if (self.source, self.target, self.kind, self.injective, self.facets) != (
+            source, target, kind, injective, tuple(facets)
+        ):
+            raise ValueError("the cache was built for a different query")
+
     def _sub(self, mask: int) -> Complex:
         chosen = [self.source.members(self.facets[i]) for i in _bits(mask)]
         return closure(self.source, chosen)
@@ -352,8 +359,9 @@ def group_feasible(
     """Can the subcomplex generated by ``group`` map to ``target``?
 
     ``group`` must consist of facets of ``c``; the empty group is
-    trivially feasible.  With a cache (keyed over ``c``'s canonical
-    facet order) repeated queries cost one lookup.
+    trivially feasible.  A ``cache`` must have been built for ``c``'s
+    facets, ``target``, ``kind`` and ``injective`` (anything else is
+    rejected with ``ValueError``); repeated queries then cost one lookup.
     """
     facet_index = {f: i for i, f in enumerate(c.facets)}
     mask = 0
@@ -362,11 +370,7 @@ def group_feasible(
         if m not in facet_index:
             raise ValueError(f"{sorted(g)!r} is not a facet of the complex")
         mask |= 1 << facet_index[m]
-    if mask == 0:
-        return True
-    if cache is not None:
-        return cache.feasible(mask)
-    sub = closure(c, [c.members(c.facets[i]) for i in _bits(mask)])
-    return find_map(
-        SearchProblem(sub, target, kind, injective, limits or SearchLimits())
-    ).found
+    if cache is None:
+        cache = FeasibilityCache(c, target, kind, injective, limits=limits)
+    cache._check(c, target, kind, injective, c.facets)
+    return cache.feasible(mask)

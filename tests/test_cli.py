@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from facetcx import build_complex, cli, complete_complex, samples, skeleton
+from facetcx import build_complex, cli, complete_complex, complexity, samples, skeleton
 from facetcx.scx import serialize_scx
 from facetcx.verify import Failure, VerifyConfig, VerifyReport
 
@@ -148,6 +148,26 @@ def test_bounds_survive_failed_graph_lower(capsys, tmp_path, argv, code):
     data = json.loads(out)
     assert data.get("value") == ("undecided" if code == 4 else None)
     assert data["bounds"]["finite"] is True
+
+
+def test_complexity_solves_once(capsys, tmp_path, monkeypatch):
+    """For K4 edges onto an edge the graph_lower query is the query itself."""
+    real, calls = complexity.compute, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "compute", counting)
+    monkeypatch.setattr(cli, "compute", counting)
+    paths = []
+    for name, c in (("k4", skeleton(complete_complex(4), 1)), ("k2", complete_complex(2))):
+        (tmp_path / name).write_text(serialize_scx(c))
+        paths.append(str(tmp_path / name))
+    code, out, _ = run(capsys, "complexity", *paths, "--json")
+    data = json.loads(out)
+    assert code == 0 and len(calls) == 1
+    assert data["value"] == data["bounds"]["graph_lower"] == 2
 
 
 def test_parser_built_once(capsys):

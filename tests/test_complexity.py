@@ -16,8 +16,10 @@ from facetcx import (
     disjoint_decompose,
     relabel,
     required_facet_indices,
+    samples,
     union,
 )
+from facetcx.verify import KINDS, VerifyConfig, _instances
 
 
 def q(source, target, kind="facet", injective=False):
@@ -70,6 +72,48 @@ def test_isolated_vertex_sensitivity():
     assert compute(q(plus, k3, injective=True)).value == 2
     assert compute(q(k3, k3, injective=True)).value == 1
     assert compute(q(plus, k3)).value == compute(q(k3, k3)).value == 1
+
+
+HOLLOW_PLUS_POINT = samples.load("hollow_triangle_plus_point")
+LONE_VERTICES = build_complex([("a",), ("b",), ("c",)])
+
+
+def _cover(res):
+    return [
+        (["".join(sorted(f)) for f in g.facets], g.map.as_dict())
+        for g in res.cover.groups
+    ]
+
+
+@pytest.mark.parametrize("kind", ["facet", "strict"])
+@pytest.mark.parametrize(
+    "source, target, expected",
+    [
+        (HOLLOW_PLUS_POINT, complete_complex(2), [
+            (["*", "12"], {"*": "1", "1": "1", "2": "2"}),
+            (["13", "23"], {"1": "2", "2": "2", "3": "1"}),
+        ]),
+        (HOLLOW_PLUS_POINT, boundary_complex(3), [
+            (["*", "12", "13", "23"], {"*": "1", "1": "1", "2": "2", "3": "3"}),
+        ]),
+        (LONE_VERTICES, complete_complex(2), [
+            (["a", "b", "c"], {"a": "1", "b": "1", "c": "1"}),
+        ]),
+    ],
+    ids=["plus-point-to-edge", "plus-point-to-hollow", "lone-vertices"],
+)
+def test_isolated_vertices_canonical_cover(source, target, expected, kind):
+    """Isolated vertices join the first group and go to target vertex 0."""
+    query = q(source, target, kind)
+    res = compute(query)
+    assert res.value == len(expected)
+    assert _cover(res) == expected
+    check_cover(query, res.cover)
+
+
+@pytest.mark.parametrize("kind", ["facet", "strict"])
+def test_lone_vertices_need_no_search(kind):
+    assert compute(q(LONE_VERTICES, complete_complex(2), kind)).nodes == 0
 
 
 def test_two_isolated_points_into_one_vertex():
@@ -137,6 +181,27 @@ def test_explicit_cache_is_honored(bowtie, tailed):
     assert len(cache._results) == warm  # nothing new searched on reuse
 
 
+def test_cache_for_another_target_is_rejected():
+    query = q(HOLLOW_PLUS_POINT, complete_complex(2))
+    masks = tuple(HOLLOW_PLUS_POINT.facets[i] for i in required_facet_indices(query))
+    wrong = FeasibilityCache(HOLLOW_PLUS_POINT, complete_complex(3), "facet", False, masks)
+    with pytest.raises(ValueError, match="cache"):
+        compute(query, cache=wrong)
+    right = FeasibilityCache(HOLLOW_PLUS_POINT, complete_complex(2), "facet", False, masks)
+    assert compute(query, cache=right).value == 2
+
+
+@pytest.mark.parametrize(
+    "kind, injective, drop_first",
+    [("strict", False, False), ("facet", True, False), ("facet", False, True)],
+    ids=["kind", "injective", "facet-list"],
+)
+def test_cache_for_another_query_is_rejected(bowtie, tailed, kind, injective, drop_first):
+    masks = bowtie.facets[1:] if drop_first else None
+    with pytest.raises(ValueError, match="cache"):
+        compute(q(bowtie, tailed), cache=FeasibilityCache(bowtie, tailed, kind, injective, masks))
+
+
 def test_results_independent_across_calls(bowtie, tailed):
     # no hidden cross-call state: same value from fresh computations
     a = compute(q(bowtie, tailed)).value
@@ -151,6 +216,17 @@ def test_bounds_fixture(bowtie, tailed):
     assert b.graph_lower == 2
     assert b.eta_upper == 4
     assert b.lower == 2 and b.upper == 4
+
+
+@pytest.mark.parametrize("kind, injective", KINDS)
+def test_bounds_reuse_solved_result(kind, injective):
+    """Passing the query's own result never changes the bound report."""
+    cfg = VerifyConfig()
+    for trial in range(cfg.trials):
+        inst = _instances(cfg, trial)
+        for a, b in (("L", "H"), ("L", "K"), ("H", "K")):
+            query = q(inst[a], inst[b], kind, injective)
+            assert bounds(query, solved=compute(query)) == bounds(query)
 
 
 def test_bounds_strict_suppresses_chromatic():

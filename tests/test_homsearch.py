@@ -76,6 +76,15 @@ def test_group_feasibility(bowtie, tailed):
     assert not group_feasible(bowtie, bowtie.facet_lists(), tailed)
 
 
+def test_group_feasible_rejects_cache_of_another_kind(bowtie, tailed):
+    wheel = [("c", "d"), ("c", "e"), ("d", "e")]
+    strict = FeasibilityCache(bowtie, tailed, "strict", False)
+    assert not group_feasible(bowtie, wheel, tailed)
+    with pytest.raises(ValueError, match="cache"):
+        group_feasible(bowtie, wheel, tailed, cache=strict)
+    assert group_feasible(bowtie, wheel, tailed, "strict", cache=strict)
+
+
 def test_feasibility_cache_hereditary(bowtie, tailed):
     cache = FeasibilityCache(bowtie, tailed, "facet", False)
     sub = 1 | (1 << 1)  # facets abc and cd in canonical order
