@@ -13,7 +13,6 @@ from .coloring import (
     Coloring,
     block_coloring,
     chromatic_number,
-    graph_chromatic_number,
     product_coloring,
     pullback_coloring,
     strict_chromatic_number,
@@ -21,7 +20,6 @@ from .coloring import (
 from .complexes import (
     EMPTY,
     Complex,
-    GraphView,
     Metrics,
     boundary_complex,
     build_complex,
@@ -29,11 +27,9 @@ from .complexes import (
     complete_complex,
     facet_graph,
     generate,
-    graph_as_complex,
     metrics,
     relabel,
     skeleton,
-    underlying_graph,
     union,
 )
 from .complexity import (
@@ -85,7 +81,6 @@ __all__ = [
     "EMPTY",
     "FacetCapError",
     "FeasibilityCache",
-    "GraphView",
     "INFINITY",
     "MapClass",
     "Metrics",
@@ -116,8 +111,6 @@ __all__ = [
     "facet_graph",
     "find_map",
     "generate",
-    "graph_as_complex",
-    "graph_chromatic_number",
     "group_feasible",
     "image_inverse",
     "metrics",
@@ -133,6 +126,5 @@ __all__ = [
     "serialize_scx",
     "skeleton",
     "strict_chromatic_number",
-    "underlying_graph",
     "union",
 ]

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import samples
-from .coloring import chromatic_number, graph_chromatic_number, strict_chromatic_number
+from .coloring import chromatic_number, strict_chromatic_number
 from .complexes import (
     Complex,
     boundary_complex,
@@ -24,7 +24,6 @@ from .complexes import (
     generate,
     metrics,
     skeleton,
-    underlying_graph,
 )
 from .complexity import INFINITY, ComplexityQuery, bounds, compute
 from .homsearch import SearchLimits, SearchProblem, UndecidedError, find_map
@@ -201,7 +200,7 @@ def _cmd_info(args) -> int:
 def _cmd_chromatic(args) -> int:
     c = _read_complex(args.complex)
     if args.graph:
-        res, mode = graph_chromatic_number(underlying_graph(c)), "graph"
+        res, mode = chromatic_number(skeleton(c, 1)), "graph"
     elif args.strict:
         res, mode = strict_chromatic_number(c), "strict"
     else:
@@ -261,12 +260,12 @@ def _cmd_complexity(args) -> int:
     source = _read_complex(args.source)
     target = _read_complex(args.target)
     q = ComplexityQuery(source, target, _kind_of(args), args.injective, _limits(args))
-    res = undecided = None
+    res = None
     if not args.bounds_only:
         try:
             res = compute(q, facet_cap=args.facet_cap)
         except UndecidedError as exc:
-            undecided = exc
+            res = exc
     b = bounds(q, facet_cap=args.facet_cap, solved=res)
     payload = {
         "kind": q.kind,
@@ -282,8 +281,8 @@ def _cmd_complexity(args) -> int:
             "upper": _num(b.upper),
         },
     }
-    if undecided is not None:
-        payload.update({"value": "undecided", "nodes": undecided.nodes})
+    if isinstance(res, UndecidedError):
+        payload.update({"value": "undecided", "nodes": res.nodes})
     elif res is not None:
         payload["value"] = _num(res.value)
         payload["nodes"] = res.nodes
@@ -296,7 +295,7 @@ def _cmd_complexity(args) -> int:
             else None
         )
     _emit(args, payload)
-    return 0 if undecided is None else 4
+    return 4 if isinstance(res, UndecidedError) else 0
 
 
 def _cmd_gen(args) -> int:

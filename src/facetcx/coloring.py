@@ -1,9 +1,11 @@
-"""Chromatic numbers of complexes and graphs, with coloring combinators.
+"""Chromatic numbers of complexes, with coloring combinators.
 
 A coloring of a complex is valid when no facet of size >= 2 is
-monochromatic; a coloring of a graph is a proper coloring.  The empty
-subject has chromatic number 0; a complex whose facets are all
-singletons has chromatic number 1 (one color offends nothing).
+monochromatic.  A graph is a complex of dimension <= 1, so there this
+is a proper coloring, and the strict chromatic number of a complex is
+the chromatic number of its 1-skeleton.  The empty complex has
+chromatic number 0; a complex whose facets are all singletons has
+chromatic number 1 (one color offends nothing).
 
 Solvers are exact branch-and-bound searches over the canonical vertex
 order with symmetry breaking (the first vertex takes color 1 and color
@@ -15,24 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Mapping, Union
 
-from .complexes import Complex, GraphView, _bits, metrics, underlying_graph
+from .complexes import Complex, _bits, metrics, skeleton
 from .maps import VertexMap, classify
-
-Subject = Union[Complex, GraphView]
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """A validated color assignment on a complex or graph.
+    """A validated color assignment on a complex.
 
     ``assignment`` is aligned with the subject's canonical vertex order
     and uses colors 1..k.  Construction re-checks validity and rejects
     an invalid assignment.
     """
 
-    subject: Subject
+    subject: Complex
     k: int
     assignment: tuple[int, ...]
 
@@ -51,7 +50,7 @@ class Coloring:
 
     @classmethod
     def from_dict(
-        cls, subject: Subject, colors: dict[str, int], k: int | None = None
+        cls, subject: Complex, colors: dict[str, int], k: int | None = None
     ) -> "Coloring":
         missing = [lab for lab in subject.labels if lab not in colors]
         if missing:
@@ -75,17 +74,11 @@ class Coloring:
         return dict(zip(self.subject.labels, self.assignment))
 
 
-def _violation(subject: Subject, colors: tuple[int, ...]) -> tuple[str, ...] | None:
-    if isinstance(subject, Complex):
-        for f in subject.facets:
-            mem = list(_bits(f))
-            if len(mem) >= 2 and len({colors[i] for i in mem}) == 1:
-                return subject.members(f)
-    else:
-        idx = {lab: i for i, lab in enumerate(subject.labels)}
-        for u, v in subject.edges:
-            if colors[idx[u]] == colors[idx[v]]:
-                return (u, v)
+def _violation(subject: Complex, colors: tuple[int, ...]) -> tuple[str, ...] | None:
+    for f in subject.facets:
+        mem = list(_bits(f))
+        if len(mem) >= 2 and len({colors[i] for i in mem}) == 1:
+            return subject.members(f)
     return None
 
 
@@ -95,19 +88,18 @@ class ChromaticResult:
     witness: Coloring
 
 
-def _search(n: int, k: int, last_checks: list[list[tuple[list[int], bool]]]):
+def _search(n: int, k: int, last_checks: list[list[list[int]]]):
     """First valid assignment with colors <= k under symmetry breaking.
 
-    ``last_checks[v]`` lists constraints completed by coloring vertex v:
-    ``(member_indices, is_edge)`` where members excludes v itself.  A
-    complex facet fails when all members share v's color; a graph edge
-    fails when its other endpoint shares it.
+    ``last_checks[v]`` lists the facets completed by coloring vertex v,
+    each as its other members' indices; a facet fails when all of them
+    share v's color.
     """
     colors = [0] * n
 
     def admissible(v: int, col: int) -> bool:
-        for members, _ in last_checks[v]:
-            if members and all(colors[u] == col for u in members):
+        for members in last_checks[v]:
+            if all(colors[u] == col for u in members):
                 return False
         return True
 
@@ -128,65 +120,40 @@ def _search(n: int, k: int, last_checks: list[list[tuple[list[int], bool]]]):
     return None
 
 
-def _constraints(subject: Subject) -> tuple[int, list[list[tuple[list[int], bool]]], bool]:
-    if isinstance(subject, Complex):
-        n = subject.n
-        checks: list[list[tuple[list[int], bool]]] = [[] for _ in range(n)]
-        constrained = False
-        for f in subject.facets:
-            mem = list(_bits(f))
-            if len(mem) < 2:
-                continue
-            constrained = True
-            last = max(mem)
-            checks[last].append(([i for i in mem if i != last], False))
-        return n, checks, constrained
-    n = subject.n
-    idx = {lab: i for i, lab in enumerate(subject.labels)}
-    checks = [[] for _ in range(n)]
-    constrained = False
-    for u, v in subject.edges:
-        constrained = True
-        a, b = sorted((idx[u], idx[v]))
-        checks[b].append(([a], True))
-    return n, checks, constrained
+def chromatic_number(c: Complex) -> ChromaticResult:
+    """Least k such that no facet of size >= 2 is monochromatic.
 
-
-def _chromatic(subject: Subject) -> ChromaticResult:
-    n, checks, constrained = _constraints(subject)
+    For a complex of dimension <= 1 (a graph) this is the least k
+    admitting a proper coloring.
+    """
+    n = c.n
+    checks: list[list[list[int]]] = [[] for _ in range(n)]
+    for f in c.facets:
+        mem = list(_bits(f))
+        if len(mem) >= 2:
+            checks[mem[-1]].append(mem[:-1])
     if n == 0:
-        return ChromaticResult(0, Coloring(subject, 0, ()))
-    if not constrained:
-        return ChromaticResult(1, Coloring(subject, 1, (1,) * n))
+        return ChromaticResult(0, Coloring(c, 0, ()))
+    if not any(checks):
+        return ChromaticResult(1, Coloring(c, 1, (1,) * n))
     for k in range(2, n + 1):
         found = _search(n, k, checks)
         if found is not None:
-            return ChromaticResult(k, Coloring(subject, k, found))
+            return ChromaticResult(k, Coloring(c, k, found))
     raise AssertionError("n colors always suffice")  # pragma: no cover
-
-
-def chromatic_number(c: Complex) -> ChromaticResult:
-    """Least k such that no facet of size >= 2 is monochromatic."""
-    return _chromatic(c)
-
-
-def graph_chromatic_number(g: GraphView) -> ChromaticResult:
-    """Least k admitting a proper coloring of ``g``."""
-    return _chromatic(g)
 
 
 def strict_chromatic_number(c: Complex) -> ChromaticResult:
     """Least k admitting a coloring injective on every simplex.
 
-    Equals the chromatic number of the underlying graph, computed as
-    such.
+    Equals the chromatic number of the 1-skeleton, computed as such.
     """
-    return graph_chromatic_number(underlying_graph(c))
+    return chromatic_number(skeleton(c, 1))
 
 
 def block_coloring(c: Complex, graph_witness: Coloring) -> Coloring:
     """Coloring of ``c`` with ceil(n/d) colors from a proper n-coloring
-    of the underlying graph, where d is the least facet dimension.
+    of the 1-skeleton, where d is the least facet dimension.
 
     Grouping the graph colors into blocks of d keeps every facet
     polychromatic: a facet has more than d vertices, so a monochromatic
@@ -196,8 +163,8 @@ def block_coloring(c: Complex, graph_witness: Coloring) -> Coloring:
     m = metrics(c)
     if m.min_facet_size is None or m.min_facet_size < 2:
         raise ValueError("block_coloring requires every facet dimension > 0")
-    if graph_witness.subject != underlying_graph(c):
-        raise ValueError("witness must color the underlying graph")
+    if graph_witness.subject != skeleton(c, 1):
+        raise ValueError("witness must color the 1-skeleton")
     d = m.min_facet_size - 1
     blocks = ceil(graph_witness.k / d)
     assignment = tuple((col - 1) // d + 1 for col in graph_witness.assignment)

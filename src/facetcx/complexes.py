@@ -7,6 +7,8 @@ hashing and every derived artefact deterministic.  Face membership is
 derived rather than stored: a set of vertices is a simplex exactly when
 it is a non-empty subset of some facet.  Isolated vertices are the
 singleton facets; the vertex set is always the union of the facets.
+A graph is a complex of dimension <= 1: its edges and isolated vertices
+are its facets, and its 1-skeleton is itself.
 
 Functions
 ---------
@@ -16,12 +18,10 @@ complete_complex    the complex with a single all-vertex facet
 boundary_complex    all subsets of size <= n-1 of an n-set
 metrics             dimension, facet count, degrees, purity, ...
 skeleton            the subcomplex of faces up to a given dimension
-underlying_graph    graph on all 1-simplices
-facet_graph         graph on the facets of size exactly two
+facet_graph         the subcomplex generated by the facets of size two
 union               combine complexes, optionally checking disjointness
 closure             the subcomplex generated by a subset of facets
 relabel             rename vertices along a bijection
-graph_as_complex    view a graph as a complex of dimension <= 1
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def metrics(c: Complex) -> Metrics:
     )
 
 
-# -- derived complexes and graphs --------------------------------------
+# -- derived complexes -------------------------------------------------
 
 
 def skeleton(c: Complex, q: int) -> Complex:
@@ -359,63 +359,13 @@ def skeleton(c: Complex, q: int) -> Complex:
     return build_complex(faces, explicit_vertices=c.labels)
 
 
-@dataclass(frozen=True)
-class GraphView:
-    """A finite simple graph with canonically sorted vertices and edges."""
+def facet_graph(c: Complex) -> Complex:
+    """The subcomplex generated by the facets of size exactly two.
 
-    labels: tuple[str, ...] = ()
-    edges: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        if list(self.labels) != sorted(set(self.labels)):
-            raise ValueError("labels must be sorted and unique")
-        known = set(self.labels)
-        for u, v in self.edges:
-            if u >= v:
-                raise ValueError("edge endpoints must be sorted and distinct")
-            if u not in known or v not in known:
-                raise ValueError(f"edge ({u}, {v}) uses an unknown vertex")
-        if list(self.edges) != sorted(set(self.edges)):
-            raise ValueError("edges must be sorted and unique")
-
-    @classmethod
-    def build(
-        cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]
-    ) -> "GraphView":
-        vs = set(vertices)
-        es = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at {u!r}")
-            vs.add(u)
-            vs.add(v)
-            es.add((min(u, v), max(u, v)))
-        return cls(tuple(sorted(vs)), tuple(sorted(es)))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-def underlying_graph(c: Complex) -> GraphView:
-    """The graph whose edges are all 1-simplices of ``c``."""
-    edges = set()
-    for m in c.facets:
-        mem = c.members(m)
-        edges.update(combinations(mem, 2))
-    return GraphView.build(c.labels, edges)
-
-
-def facet_graph(c: Complex) -> GraphView:
-    """The graph whose edges are the facets of size exactly two."""
-    edges = [c.members(m) for m in c.facets if m.bit_count() == 2]
-    verts = set(v for e in edges for v in e)
-    return GraphView.build(verts, [(a, b) for a, b in edges])
-
-
-def graph_as_complex(g: GraphView, name: str | None = None) -> Complex:
-    """View a graph as the complex of its edges plus isolated vertices."""
-    return build_complex(g.edges, explicit_vertices=g.labels, name=name)
+    A graph is a complex of dimension <= 1; this one has no isolated
+    vertices, only the endpoints of those edges.
+    """
+    return closure(c, [c.members(m) for m in c.facets if m.bit_count() == 2])
 
 
 def union(parts: Iterable[Complex], disjoint: bool = False) -> Complex:

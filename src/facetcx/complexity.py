@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .complexes import Complex, _bits, _key, closure, facet_graph, graph_as_complex
+from .complexes import Complex, _bits, _key, closure, facet_graph
 from .coloring import chromatic_number
 from .homsearch import FeasibilityCache, SearchLimits, UndecidedError
 from .maps import VertexMap, classify
@@ -301,7 +301,9 @@ def _chromatic_floor(chi_source: int, chi_target: int) -> float:
 
 
 def bounds(
-    q: ComplexityQuery, facet_cap: int = 20, solved: ComplexityResult | None = None
+    q: ComplexityQuery,
+    facet_cap: int = 20,
+    solved: ComplexityResult | UndecidedError | None = None,
 ) -> BoundReport:
     """Theorem-backed bounds without running the exact cover search.
 
@@ -311,8 +313,9 @@ def bounds(
     part's witness map restricts to a graph homomorphism between them,
     and only when that problem stays within ``facet_cap`` and the
     query's search limits; otherwise it is skipped, never raised.
-    ``solved``, a result of ``compute(q)``, answers that problem
-    without a second solve when it is the query itself.
+    ``solved``, the outcome of ``compute(q)`` (its result, or the
+    ``UndecidedError`` it raised), answers that problem without a
+    second solve when it is the query itself.
     """
     finite = _is_finite_query(q)
     required = required_facet_indices(q)
@@ -327,17 +330,16 @@ def bounds(
         no_isolated = all(f.bit_count() >= 2 for f in q.target.facets)
         if q.source.n > 0 and no_isolated:
             gq = ComplexityQuery(
-                graph_as_complex(facet_graph(q.source)),
-                graph_as_complex(facet_graph(q.target)),
-                "facet",
-                False,
-                q.limits,
+                facet_graph(q.source), facet_graph(q.target), "facet", False, q.limits
             )
-            try:
-                res = solved if solved is not None and gq == q else compute(gq, facet_cap)
+            res = solved if gq == q else None
+            if res is None:
+                try:
+                    res = compute(gq, facet_cap)
+                except (FacetCapError, UndecidedError):
+                    pass  # a bound, not an answer: skip it rather than fail
+            if isinstance(res, ComplexityResult):
                 graph_lower = res.value
-            except (FacetCapError, UndecidedError):
-                pass  # a bound, not an answer: skip it rather than fail
 
     complete_target_ic = None
     exact = None

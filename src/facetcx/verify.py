@@ -25,7 +25,6 @@ from .coloring import (
     Coloring,
     block_coloring,
     chromatic_number,
-    graph_chromatic_number,
     product_coloring,
     pullback_coloring,
     strict_chromatic_number,
@@ -37,16 +36,13 @@ from .complexes import (
     closure,
     complete_complex,
     facet_graph,
-    graph_as_complex,
     metrics,
     relabel,
     skeleton,
-    underlying_graph,
     union,
 )
 from .complexity import (
     INFINITY,
-    BoundReport,
     ComplexityQuery,
     bounds,
     check_cover,
@@ -219,11 +215,6 @@ def check_structure(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     m = metrics(L)
     _need(m.dim == L.dim, "metrics dim disagrees with complex dim")
     if L.facets:
-        sub = skeleton(L, 1)
-        _need(
-            sub == graph_as_complex(underlying_graph(L)),
-            "1-skeleton differs from the underlying graph viewed as a complex",
-        )
         some = [L.members(f) for f in L.facets[: max(1, len(L.facets) // 2)]]
         cl = closure(L, some)
         _need(
@@ -291,14 +282,13 @@ def check_chromatic(ctx: _Ctx, inst: dict[str, Complex]) -> None:
             res.value == brute_force_chromatic(L),
             f"chromatic value {res.value} disagrees with exhaustive search",
         )
-    gl = underlying_graph(L)
-    chi_g = graph_chromatic_number(gl).value
+    chi_g = chromatic_number(skeleton(L, 1)).value
     _need(
         strict_chromatic_number(L).value == chi_g,
-        "rainbow chromatic number must equal the underlying graph's",
+        "rainbow chromatic number must equal the 1-skeleton's",
     )
-    _need(res.value <= chi_g, "complex chromatic number exceeds the graph's")
-    chi_f = graph_chromatic_number(facet_graph(L)).value
+    _need(res.value <= chi_g, "complex chromatic number exceeds the 1-skeleton's")
+    chi_f = chromatic_number(facet_graph(L)).value
     _need(chi_f <= res.value, "edge-facet graph needs more colors than the complex")
 
 
@@ -306,7 +296,7 @@ def check_coloring_builders(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     L = inst["L"]
     m = metrics(L)
     if m.min_facet_size is not None and m.min_facet_size >= 2:
-        gw = graph_chromatic_number(underlying_graph(L)).witness
+        gw = chromatic_number(skeleton(L, 1)).witness
         col = block_coloring(L, gw)
         _need(isinstance(col, Coloring), "block construction must return a coloring")
         d = m.min_facet_size - 1
@@ -507,10 +497,8 @@ def check_graph_bound(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     L, H = inst["L"], inst["H"]
     if metrics(H).isolated or L.n == 0:
         return
-    gl = graph_as_complex(facet_graph(L))
-    gh = graph_as_complex(facet_graph(H))
     _need(
-        ctx.value(gl, gh) <= ctx.value(L, H),
+        ctx.value(facet_graph(L), facet_graph(H)) <= ctx.value(L, H),
         "edge-facet graph value exceeds the complex value",
     )
 
@@ -571,28 +559,16 @@ def check_skeleton_chain(ctx: _Ctx, inst: dict[str, Complex]) -> None:
         tail = ctx.value(skeleton(L, L.dim), skeleton(H, L.dim), "strict")
         full = ctx.value(L, skeleton(H, L.dim), "strict")
         _need(tail == full, "full-dimension skeleton changed the source value")
-    # 1-skeleton values agree with the underlying-graph values
-    gl = graph_as_complex(underlying_graph(L))
-    gh = graph_as_complex(underlying_graph(H))
+    # on the 1-skeleta (graphs) the rainbow and facet values agree
+    gl, gh = skeleton(L, 1), skeleton(H, 1)
     _need(
-        ctx.value(skeleton(L, 1), skeleton(H, 1), "strict") == ctx.value(gl, gh),
+        ctx.value(gl, gh, "strict") == ctx.value(gl, gh),
         "1-skeleton rainbow value differs from the graph value",
     )
     _need(
-        ctx.value(skeleton(L, 1), skeleton(H, 1), "strict", True)
-        == ctx.value(gl, gh, "facet", True),
+        ctx.value(gl, gh, "strict", True) == ctx.value(gl, gh, "facet", True),
         "injective 1-skeleton rainbow value differs from the graph value",
     )
-    _need(
-        ctx.value(skeleton(L, 1), skeleton(H, 1), "facet", True)
-        == ctx.value(gl, gh, "facet", True),
-        "injective 1-skeleton value differs from the graph value",
-    )
-    if not metrics(H).isolated:
-        _need(
-            ctx.value(skeleton(L, 1), skeleton(H, 1)) == ctx.value(gl, gh),
-            "1-skeleton value differs from the graph value",
-        )
 
 
 def check_complete_target_chain(ctx: _Ctx, inst: dict[str, Complex]) -> None:
@@ -608,9 +584,9 @@ def check_complete_target_chain(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     L = inst["L"]
     if L.n == 0 or L.n > 5:
         return
-    gl = graph_as_complex(underlying_graph(L))
+    gl = skeleton(L, 1)
     for n in (2, 3):
-        gk = graph_as_complex(underlying_graph(complete_complex(n)))
+        gk = skeleton(complete_complex(n), 1)
         graph_v = ctx.value(gl, gk)
         full_v = ctx.value(L, complete_complex(n), "strict")
         _need(graph_v <= full_v, "graph value exceeds the rainbow value")
@@ -711,8 +687,8 @@ def check_fixture_values(ctx: _Ctx, inst: dict[str, Complex]) -> None:
 def check_dense_gap_fixture(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     """The documented dense counterexample to unscoped chain equality."""
     two_skel = skeleton(complete_complex(5), 2)
-    g5 = graph_as_complex(underlying_graph(complete_complex(5)))
-    g3 = graph_as_complex(underlying_graph(complete_complex(3)))
+    g5 = skeleton(complete_complex(5), 1)
+    g3 = skeleton(complete_complex(3), 1)
     graph_v = ctx.value(g5, g3)
     _need(graph_v == 2, "edge cover of the 5-clique by 3-colorable graphs")
     full_v = ctx.value(two_skel, complete_complex(3), "strict")

@@ -28,11 +28,9 @@ from facetcx import (
     compute,
     find_map,
     generate,
-    graph_chromatic_number,
     metrics,
     samples,
     skeleton,
-    underlying_graph,
     union,
 )
 from facetcx.maps import VertexMap
@@ -101,7 +99,7 @@ def test_criterion_05_skeleton_reduction():
 
 def test_criterion_06_block_bound_regression():
     with budget(6, "ceil(graph number / dim) undercuts the true value", 1.0):
-        graph_res = graph_chromatic_number(underlying_graph(L))
+        graph_res = chromatic_number(skeleton(L, 1))
         d = L.dim
         claimed = -(-graph_res.value // d)  # ceil(3 / 2)
         assert claimed == 2

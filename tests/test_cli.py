@@ -150,8 +150,8 @@ def test_bounds_survive_failed_graph_lower(capsys, tmp_path, argv, code):
     assert data["bounds"]["finite"] is True
 
 
-def test_complexity_solves_once(capsys, tmp_path, monkeypatch):
-    """For K4 edges onto an edge the graph_lower query is the query itself."""
+def _count_compute(monkeypatch, tmp_path, n):
+    """Calls to ``complexity.compute`` for K_n edges onto an edge, and the paths."""
     real, calls = complexity.compute, []
 
     def counting(*args, **kwargs):
@@ -161,13 +161,29 @@ def test_complexity_solves_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(complexity, "compute", counting)
     monkeypatch.setattr(cli, "compute", counting)
     paths = []
-    for name, c in (("k4", skeleton(complete_complex(4), 1)), ("k2", complete_complex(2))):
+    for name, c in ((f"k{n}", skeleton(complete_complex(n), 1)), ("k2", complete_complex(2))):
         (tmp_path / name).write_text(serialize_scx(c))
         paths.append(str(tmp_path / name))
+    return calls, paths
+
+
+def test_complexity_solves_once(capsys, tmp_path, monkeypatch):
+    """For K4 edges onto an edge the graph_lower query is the query itself."""
+    calls, paths = _count_compute(monkeypatch, tmp_path, 4)
     code, out, _ = run(capsys, "complexity", *paths, "--json")
     data = json.loads(out)
     assert code == 0 and len(calls) == 1
     assert data["value"] == data["bounds"]["graph_lower"] == 2
+
+
+def test_undecided_complexity_solves_once(capsys, tmp_path, monkeypatch):
+    """An undecided run does not exhaust the budget again for graph_lower."""
+    calls, paths = _count_compute(monkeypatch, tmp_path, 6)
+    code, out, _ = run(capsys, "complexity", *paths, "--node-budget", "10", "--json")
+    data = json.loads(out)
+    assert code == 4 and len(calls) == 1
+    assert data["value"] == "undecided"
+    assert data["bounds"]["graph_lower"] is None
 
 
 def test_parser_built_once(capsys):

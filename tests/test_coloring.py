@@ -1,19 +1,23 @@
+import random
+
 import pytest
 
 from facetcx import (
     Coloring,
     block_coloring,
     boundary_complex,
+    brute_force_chromatic,
     build_complex,
     chromatic_number,
+    closure,
     complete_complex,
-    graph_chromatic_number,
+    facet_graph,
     metrics,
     product_coloring,
     pullback_coloring,
     samples,
+    skeleton,
     strict_chromatic_number,
-    underlying_graph,
 )
 
 
@@ -21,7 +25,7 @@ def test_fixture_chromatic_numbers(bowtie, tailed):
     assert chromatic_number(bowtie).value == 3
     assert chromatic_number(tailed).value == 2
     assert strict_chromatic_number(bowtie).value == 3
-    assert graph_chromatic_number(underlying_graph(bowtie)).value == 3
+    assert chromatic_number(skeleton(bowtie, 1)).value == 3
 
 
 def test_witness_is_valid(bowtie):
@@ -56,7 +60,7 @@ def test_strict_equals_underlying_graph(bowtie, tailed):
     for c in (bowtie, tailed, boundary_complex(4)):
         assert (
             strict_chromatic_number(c).value
-            == graph_chromatic_number(underlying_graph(c)).value
+            == chromatic_number(skeleton(c, 1)).value
         )
 
 
@@ -80,8 +84,27 @@ def test_from_dict_validation(bowtie):
         )  # colors are 1-based
 
 
+def test_graph_colorings_match_exhaustive_search():
+    """Graphs are complexes of dimension <= 1; their colorings agree with the
+    exhaustive oracle.  At most 8 vertices and 7 small faces keep it quick."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        labels = "abcdefgh"[: rng.randint(0, 8)]
+        faces = [
+            rng.sample(labels, min(len(labels), rng.choice([1, 2, 2, 2, 3, 3, 4])))
+            for _ in range(rng.randint(0, 7) if labels else 0)
+        ]
+        c = build_complex(faces, explicit_vertices=[v for v in labels if rng.random() < 0.2])
+        one_skeleton, edges = skeleton(c, 1), facet_graph(c)
+        assert edges == closure(c, [f for f in c.facet_lists() if len(f) == 2])
+        chi = chromatic_number(one_skeleton).value
+        assert chi == brute_force_chromatic(one_skeleton)
+        assert chromatic_number(edges).value == brute_force_chromatic(edges)
+        assert strict_chromatic_number(c).value == chi
+
+
 def test_block_coloring(bowtie):
-    graph_w = graph_chromatic_number(underlying_graph(bowtie)).witness
+    graph_w = chromatic_number(skeleton(bowtie, 1)).witness
     blocked = block_coloring(bowtie, graph_w)
     # d = min facet size - 1 = 1, so blocks cannot merge colors here
     assert blocked.k == 3
@@ -92,7 +115,7 @@ def test_block_coloring(bowtie):
 
 def test_block_coloring_merges_with_large_facets():
     c = boundary_complex(4)  # min facet size 3, d = 2
-    graph_w = graph_chromatic_number(underlying_graph(c)).witness
+    graph_w = chromatic_number(skeleton(c, 1)).witness
     assert graph_w.k == 4
     blocked = block_coloring(c, graph_w)
     assert blocked.k == 2  # ceil(4 / 2)

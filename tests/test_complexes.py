@@ -10,11 +10,9 @@ from facetcx import (
     complete_complex,
     facet_graph,
     generate,
-    graph_as_complex,
     metrics,
     relabel,
     skeleton,
-    underlying_graph,
     union,
 )
 
@@ -132,12 +130,14 @@ def test_skeleton_rejects_negative(bowtie):
 
 
 def test_underlying_and_facet_graph(bowtie):
-    ug = underlying_graph(bowtie)
+    ug = skeleton(bowtie, 1)
     fg = facet_graph(bowtie)
-    assert len(ug.edges) == 6
-    assert len(fg.edges) == 3  # cd, ce, de: only the 1-dimensional facets
-    gc = graph_as_complex(fg)
-    assert gc.facet_lists() == (("c", "d"), ("c", "e"), ("d", "e"))
+    assert ug.dim == fg.dim == 1
+    assert len(ug.facets) == 6
+    # cd, ce, de: only the 1-dimensional facets, and only their endpoints
+    assert fg.facet_lists() == (("c", "d"), ("c", "e"), ("d", "e"))
+    assert fg.labels == ("c", "d", "e")
+    assert skeleton(fg, 1) == fg
 
 
 def test_union_overlapping(bowtie):
