@@ -299,30 +299,33 @@ class Metrics:
     min_nonunitary_facet_size: int | None
 
 
-def _degree_tables(c: Complex) -> tuple[list[int], dict[int, list[int]]]:
-    """Per-vertex degree and, for each d >= 1, per-vertex d-degree."""
-    n = c.n
-    deg = [0] * n
-    by_d: dict[int, list[int]] = {}
-    top = c.dim
-    for d in range(1, top + 1):
-        row = [0] * n
-        for v in range(n):
-            nb = 0
-            for f in c.facets:
-                if f >> v & 1 and f.bit_count() >= d + 1:
-                    nb |= f
-            nb &= ~(1 << v)
-            row[v] = nb.bit_count()
-        by_d[d] = row
-    if 1 in by_d:
-        deg = list(by_d[1])
-    return deg, by_d
+def _degree_tables(facets: Iterable[int], n: int) -> dict[int, list[int]]:
+    """Per-vertex d-degrees of the complex generated by ``facets``.
+
+    For each d from 1 to the largest facet dimension, row ``d`` gives,
+    for every vertex index below ``n``, the number of other vertices
+    sharing a d-simplex with it; row 1 is the degree.  Vertices outside
+    the facets read 0, so a group of a complex's facets is measured in
+    the complex's own indices.
+    """
+    spans: dict[int, list[int]] = {}
+    for f in facets:
+        for d in range(1, f.bit_count()):
+            row = spans.get(d)
+            if row is None:
+                row = spans[d] = [0] * n
+            for v in _bits(f):
+                row[v] |= f
+    return {
+        d: [(m & ~(1 << v)).bit_count() for v, m in enumerate(row)]
+        for d, row in sorted(spans.items())
+    }
 
 
 def metrics(c: Complex) -> Metrics:
     sizes = [m.bit_count() for m in c.facets]
-    deg, by_d = _degree_tables(c)
+    by_d = _degree_tables(c.facets, c.n)
+    deg = by_d.get(1, [0] * c.n)
     degree = {lab: deg[i] for i, lab in enumerate(c.labels)}
     d_degree = {
         (lab, d): row[i]

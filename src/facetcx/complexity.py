@@ -12,18 +12,26 @@ much.  The solver therefore optimizes over facet groups only.
 
 Group feasibility is hereditary (subsets of a mappable group are
 mappable), so a branch-and-memo set-cover over facet bitmasks with a
-least-uncovered-facet pivot is exact.
+least-uncovered-facet pivot is exact.  Each group is decided by a
+``FeasibilityCache`` probe, a map search run on the source's own facet
+masks; a group's subcomplex and witness map are built only for the
+groups of the reported cover.  When the whole constrained group fails,
+the DP reads each group's verdict through a byte table of ``2**m``
+entries for ``m`` constrained facets, so a repeated probe costs one
+lookup.  A query's time budget bounds the whole cover search; its node
+budget bounds each map search.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .complexes import Complex, _bits, _key, closure, facet_graph
 from .coloring import chromatic_number
-from .homsearch import FeasibilityCache, SearchLimits, UndecidedError
+from .homsearch import TIME_EXHAUSTED, FeasibilityCache, SearchLimits, UndecidedError
 from .maps import VertexMap, classify
 
 INFINITY = math.inf
@@ -111,6 +119,10 @@ def compute(
     must have been built for the same source, target, kind, injective
     flag, and the facets picked by :func:`required_facet_indices`;
     any other cache is rejected with ``ValueError``.
+
+    ``q.limits.max_seconds`` bounds the whole call: each map search gets
+    only the time left, and ``UndecidedError`` reports the nodes of all
+    searches so far once it runs out.  ``max_nodes`` bounds each search.
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
@@ -131,32 +143,97 @@ def compute(
         cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
     cache._check(source, target, q.kind, q.injective, req_masks)
 
+    deadline = (
+        None if q.limits.max_seconds == INFINITY
+        else time.monotonic() + q.limits.max_seconds
+    )
+
+    def ask(method, mask: int):
+        """``method(mask, limits)`` of the cache, its search given only the
+        time left of the query's budget."""
+        limits = None
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if not left > 0:
+                raise UndecidedError(cache.nodes, TIME_EXHAUSTED)
+            limits = SearchLimits(cache.limits.max_nodes, left)
+        try:
+            return method(mask, limits)
+        except UndecidedError as exc:
+            if exc.reason != TIME_EXHAUSTED:
+                raise
+            raise UndecidedError(cache.nodes + exc.nodes, TIME_EXHAUSTED) from None
+
     n_req = len(required)
     full = (1 << n_req) - 1
     for bit in range(n_req):
-        if not cache.feasible(1 << bit):
-            return ComplexityResult(INFINITY, None, _cache_nodes(cache))
+        if not ask(cache.feasible, 1 << bit):
+            return ComplexityResult(INFINITY, None, cache.nodes)
+    chosen = [full] if ask(cache.feasible, full) else _cover_masks(
+        n_req, lambda group: ask(cache.feasible, group)
+    )
+
+    # Without injectivity the isolated vertices join the first group (an
+    # empty one when no facet is required) and go to target vertex 0; a
+    # lone vertex constrains no map kind.
+    extra = () if q.injective else tuple(
+        f for i, f in enumerate(source.facets) if i not in required
+    )
+    groups = []
+    for pos, mask in enumerate(chosen):
+        masks = tuple(req_masks[i] for i in _bits(mask))
+        witness = ask(cache.certificate, mask)
+        if pos == 0 and extra:
+            masks = tuple(sorted(masks + extra, key=_key))
+            sub = closure(source, [source.members(m) for m in masks])
+            image = dict(zip(witness.source.labels, witness.assignment))
+            witness = VertexMap(sub, target, tuple(image.get(lab, 0) for lab in sub.labels))
+        groups.append(CoverGroup(_group_labels(source, masks), witness))
+
+    result = ComplexityResult(len(groups), Cover(tuple(groups)), cache.nodes)
+    check_cover(q, result.cover)
+    return result
+
+
+def _cover_masks(m: int, probe) -> list[int]:
+    """The canonical optimal cover of ``m`` facets whose full group fails.
+
+    ``probe(group)`` decides a group over the ``m`` facets; every
+    singleton must be feasible.  A submask DP pivoting on the
+    least-indexed uncovered facet finds the optimum, then each step
+    picks the lexicographically least optimal group.  The DP asks for
+    most groups many times, so each group's verdict is read through a
+    ``1 << m`` byte table: 0 unknown, 1 infeasible, 2 feasible.
+    """
+    full = (1 << m) - 1
+    verdict = bytearray(1 << m)
+    verdict[full] = 1
+
+    def feasible(group: int) -> bool:
+        v = verdict[group]
+        if not v:
+            v = verdict[group] = 2 if probe(group) else 1
+        return v == 2
 
     @lru_cache(maxsize=None)
     def best(mask: int) -> int:
         if mask == 0:
             return 0
-        if cache.feasible(mask):
+        if feasible(mask):
             return 1
         pivot = mask & -mask
         rest = mask ^ pivot
-        out = n_req  # singletons are feasible, so this many always works
+        out = m  # singletons are feasible, so this many always works
         sub = rest
         while True:
             group = sub | pivot
-            if cache.feasible(group):
+            if feasible(group):
                 out = min(out, 1 + best(mask & ~group))
             if sub == 0:
                 break
             sub = (sub - 1) & rest
         return out
 
-    # Reconstruct the canonical optimal cover.
     chosen: list[int] = []
     uncovered = full
     while uncovered:
@@ -167,7 +244,7 @@ def compute(
         sub = rest
         while True:
             group = sub | pivot
-            if cache.feasible(group) and 1 + best(uncovered & ~group) == target_cost:
+            if feasible(group) and 1 + best(uncovered & ~group) == target_cost:
                 options.append(group)
             if sub == 0:
                 break
@@ -175,31 +252,7 @@ def compute(
         pick = min(options, key=lambda g: tuple(_bits(g)))
         chosen.append(pick)
         uncovered &= ~pick
-
-    # Without injectivity the isolated vertices join the first group (an
-    # empty one when no facet is required) and go to target vertex 0; a
-    # lone vertex constrains no map kind.
-    extra = () if q.injective else tuple(
-        f for i, f in enumerate(source.facets) if i not in required
-    )
-    groups = []
-    for pos, mask in enumerate(chosen or [0]):
-        masks = tuple(req_masks[i] for i in _bits(mask))
-        witness = cache.certificate(mask)
-        if pos == 0 and extra:
-            masks = tuple(sorted(masks + extra, key=_key))
-            sub = closure(source, [source.members(m) for m in masks])
-            image = dict(zip(witness.source.labels, witness.assignment))
-            witness = VertexMap(sub, target, tuple(image.get(lab, 0) for lab in sub.labels))
-        groups.append(CoverGroup(_group_labels(source, masks), witness))
-
-    result = ComplexityResult(len(groups), Cover(tuple(groups)), _cache_nodes(cache))
-    check_cover(q, result.cover)
-    return result
-
-
-def _cache_nodes(cache: FeasibilityCache) -> int:
-    return sum(r.nodes for r in cache._results.values())
+    return chosen
 
 
 def check_cover(q: ComplexityQuery, cover: Cover) -> None:

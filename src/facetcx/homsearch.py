@@ -21,7 +21,17 @@ candidates are tried in canonical order, so the first map found is the
 canonical certificate and re-runs are deterministic.  ``found=False``
 is only ever returned on an exhausted search tree and is therefore a
 proof of non-existence; running out of node or time budget raises
-``UndecidedError`` instead.
+``UndecidedError`` instead.  Every map found is checked against its
+kind before it is returned.
+
+A problem may name a ``group`` of the source's facets: the search then
+maps the subcomplex they generate, working on the source's own facet
+masks and vertex indices without building that subcomplex.  Vertex
+indices keep their order under that restriction, so the search takes
+the same steps and finds the same first map as on the built
+subcomplex.  ``FeasibilityCache`` probes groups this way, with the
+target's tables built once per cache, and builds a group's subcomplex
+and ``VertexMap`` only when ``certificate`` asks for them.
 """
 
 from __future__ import annotations
@@ -30,8 +40,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .complexes import Complex, _bits, _degree_tables, _key, closure
-from .maps import VertexMap, classify
+from .complexes import Complex, _bits, _degree_tables, closure
+from .maps import VertexMap, _classify_masks
+
+TIME_EXHAUSTED = "time budget exhausted"
 
 
 class UndecidedError(Exception):
@@ -40,6 +52,7 @@ class UndecidedError(Exception):
     def __init__(self, nodes: int, reason: str = "node budget exhausted"):
         super().__init__(f"{reason} after {nodes} nodes")
         self.nodes = nodes
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -48,88 +61,139 @@ class SearchLimits:
     max_seconds: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        # ``not x > 0`` also rejects NaN, which no deadline check would stop
+        if not (self.max_nodes > 0 and self.max_seconds > 0):
             raise ValueError("budgets must be positive")
+
+
+class _TargetTables:
+    """What a search needs of one target for one kind and injectivity.
+
+    ``cands[s]`` lists, in canonical order, the target facets a source
+    facet of size ``s`` may map onto (kind ``facet``) or into (kind
+    ``strict``); sizes above the target's largest facet share the last
+    entry.  For injective searches ``at_least[d][k]`` is the mask of
+    target vertices whose d-degree is at least ``k``.
+    """
+
+    def __init__(self, target: Complex, kind: str, injective: bool):
+        self.key = (target, kind, injective)
+        self.full = (1 << target.n) - 1
+        sizes = [g.bit_count() for g in target.facets]
+        cands = []
+        for s in range(max(sizes, default=0) + 2):
+            if kind == "facet":
+                ok = [2 <= t and (t == s if injective else t <= s) for t in sizes]
+            else:
+                ok = [t >= s for t in sizes]
+            cands.append(tuple(g for g, keep in zip(target.facets, ok) if keep))
+        self.cands = tuple(cands)
+        self.at_least: dict[int, list[int]] = {}
+        if injective:
+            for d, row in _degree_tables(target.facets, target.n).items():
+                self.at_least[d] = [
+                    sum(1 << u for u, deg in enumerate(row) if deg >= k)
+                    for k in range(max(row) + 1)
+                ]
+
+    def candidates(self, size: int) -> tuple[int, ...]:
+        return self.cands[min(size, len(self.cands) - 1)]
+
+    def compat(self, rows: dict[int, list[int]], v: int) -> int:
+        """Target vertices dominating every d-degree of source vertex ``v``."""
+        mask = self.full
+        for d, row in rows.items():
+            k = row[v]
+            if k:
+                masks = self.at_least.get(d, ())
+                mask &= masks[k] if k < len(masks) else 0
+        return mask
 
 
 @dataclass(frozen=True)
 class SearchProblem:
+    """A map search from ``source`` (or a group of its facets) to ``target``.
+
+    ``group`` is a bitmask over the positions of ``source.facets``; when
+    given, the search maps the subcomplex those facets generate, and a
+    found result carries its images in ``SearchResult.images`` without
+    a ``VertexMap``.  ``tables`` lets a caller that searches one target
+    many times share the target's tables; it must have been built for
+    this target, kind and injectivity, and is built afresh when absent.
+    """
+
     source: Complex
     target: Complex
     kind: str = "facet"
     injective: bool = False
     limits: SearchLimits = field(default_factory=SearchLimits)
+    group: int | None = None
+    tables: _TargetTables | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("facet", "strict"):
             raise ValueError(f"kind must be 'facet' or 'strict', not {self.kind!r}")
+        if self.group is not None and not 0 <= self.group < 1 << len(self.source.facets):
+            raise ValueError("group must be a mask over the source's facets")
+        if self.tables is not None and self.tables.key != (
+            self.target, self.kind, self.injective
+        ):
+            raise ValueError("the tables were built for a different target or kind")
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of one search.
+
+    ``images`` holds, when found, the target index of each searched
+    source vertex in ascending order (the assignment of the map on the
+    searched subcomplex).  ``map`` is that map, built for whole-source
+    problems only.
+    """
+
     found: bool
     map: Optional[VertexMap]
     nodes: int
-
-
-def _degree_compat(src: Complex, tgt: Complex) -> list[int]:
-    """Per source vertex, the mask of degree-dominating target vertices."""
-    sdeg, s_by_d = _degree_tables(src)
-    tdeg, t_by_d = _degree_tables(tgt)
-    out = []
-    for v in range(src.n):
-        mask = 0
-        for u in range(tgt.n):
-            if tdeg[u] < sdeg[v]:
-                continue
-            if any(
-                t_by_d.get(d, [0] * tgt.n)[u] < row[v] for d, row in s_by_d.items()
-            ):
-                continue
-            mask |= 1 << u
-        out.append(mask)
-    return out
+    images: tuple[int, ...] = ()
 
 
 def find_map(problem: SearchProblem) -> SearchResult:
     src, tgt = problem.source, problem.target
     kind, inj = problem.kind, problem.injective
-    ns, nt = src.n, tgt.n
+    whole = problem.group is None
+    facets = src.facets if whole else tuple(src.facets[i] for i in _bits(problem.group))
+    vertices = 0
+    for f in facets:
+        vertices |= f
+    ns, nt = vertices.bit_count(), tgt.n
     if ns == 0:
-        return SearchResult(True, VertexMap(src, tgt, ()), 0)
+        return SearchResult(True, VertexMap(src, tgt, ()) if whole else None, 0)
     if nt == 0 or (inj and ns > nt):
         return SearchResult(False, None, 0)
 
-    full_t = (1 << nt) - 1
-    compat = _degree_compat(src, tgt) if inj else [full_t] * ns
-    sdeg, _ = _degree_tables(src)
+    tables = problem.tables or _TargetTables(tgt, kind, inj)
+    rows = _degree_tables(facets, src.n)
+    sdeg = rows.get(1) or [0] * src.n
+    compat = [tables.full] * src.n
+    if inj:
+        for v in _bits(vertices):
+            compat[v] = tables.compat(rows, v)
 
-    if kind == "facet":
-        stage_facets = [f for f in src.facets if f.bit_count() >= 2]
-    else:
-        stage_facets = list(src.facets)
     stages = []
-    for f in stage_facets:
-        size = f.bit_count()
-        if kind == "facet":
-            cands = [
-                g
-                for g in tgt.facets
-                if g.bit_count() >= 2
-                and (g.bit_count() == size if inj else g.bit_count() <= size)
-            ]
-        else:
-            cands = [g for g in tgt.facets if g.bit_count() >= size]
-        order = sorted(_bits(f), key=lambda v: (-sdeg[v], v))
-        stages.append((f, tuple(order), tuple(cands)))
-    stages.sort(key=lambda s: (len(s[2]), _key(s[0])))
-
     staged = 0
-    for f, _, _ in stages:
+    for f in facets:
+        size = f.bit_count()
+        if kind == "facet" and size < 2:
+            continue
         staged |= f
-    free = [v for v in range(ns) if not staged >> v & 1]
+        order = sorted(_bits(f), key=lambda v: (-sdeg[v], v))
+        stages.append((f, tuple(order), tables.candidates(size)))
+    # ``facets`` come in canonical order, so the stable sort breaks ties
+    # canonically
+    stages.sort(key=lambda s: len(s[2]))
+    free = list(_bits(vertices & ~staged))
 
-    assign = [-1] * ns
+    assign = [-1] * src.n
     used = 0
     nodes = 0
     deadline = (
@@ -146,7 +210,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
         if nodes > max_nodes:
             raise UndecidedError(nodes)
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise UndecidedError(nodes, "time budget exhausted")
+            raise UndecidedError(nodes, TIME_EXHAUSTED)
 
     def run_stage(si: int) -> bool:
         if si == len(stages):
@@ -256,16 +320,15 @@ def find_map(problem: SearchProblem) -> SearchResult:
         assign[v] = -1
         return False
 
-    if run_stage(0):
-        m = VertexMap(src, tgt, solution[0])
-        cls = classify(m)
-        ok = (cls.facet if kind == "facet" else cls.strict) and (
-            cls.injective or not inj
-        )
-        if not ok:  # pragma: no cover - guards the search itself
-            raise RuntimeError("search produced a map failing its own constraints")
-        return SearchResult(True, m, nodes)
-    return SearchResult(False, None, nodes)
+    if not run_stage(0):
+        return SearchResult(False, None, nodes)
+    found = solution[0]
+    _, strict, facet_ok, injective, _ = _classify_masks(facets, found, tgt)
+    ok = (facet_ok if kind == "facet" else strict) and (injective or not inj)
+    if not ok:  # pragma: no cover - guards the search itself
+        raise RuntimeError("search produced a map failing its own constraints")
+    images = tuple(found[v] for v in _bits(vertices))
+    return SearchResult(True, VertexMap(src, tgt, images) if whole else None, nodes, images)
 
 
 class FeasibilityCache:
@@ -274,7 +337,11 @@ class FeasibilityCache:
     Keys are bitmasks over ``facets`` (default: the source's facets).
     Feasibility is hereditary, so masks below a known-feasible mask are
     feasible and masks above a known-infeasible mask are not; the cache
-    exploits both before falling back to a search.
+    exploits both before falling back to a search.  A search runs on
+    the group's facet masks (``SearchProblem.group``) with the target's
+    tables built once here; ``certificate`` builds the group's
+    subcomplex and witness map when asked.  ``searches`` and ``nodes``
+    count the map searches run so far and their search nodes.
     """
 
     def __init__(
@@ -292,9 +359,25 @@ class FeasibilityCache:
         self.injective = injective
         self.facets = source.facets if facets is None else tuple(facets)
         self.limits = limits or SearchLimits()
+        position = {f: i for i, f in enumerate(source.facets)}
+        if any(f not in position for f in self.facets):
+            raise ValueError("the cache's facets must be facets of the source")
+        self._positions = tuple(1 << position[f] for f in self.facets)
+        self._tables = _TargetTables(target, kind, injective)
         self._results: dict[int, SearchResult] = {}
+        self._nodes = 0
         self._feasible_max: list[int] = []
         self._infeasible_min: list[int] = []
+
+    @property
+    def searches(self) -> int:
+        """Map searches run so far (one per group searched)."""
+        return len(self._results)
+
+    @property
+    def nodes(self) -> int:
+        """Search nodes of the map searches run so far."""
+        return self._nodes
 
     def _check(self, source, target, kind, injective, facets) -> None:
         """Reject use of this cache for a query it was not built for."""
@@ -303,19 +386,27 @@ class FeasibilityCache:
         ):
             raise ValueError("the cache was built for a different query")
 
-    def _sub(self, mask: int) -> Complex:
-        chosen = [self.source.members(self.facets[i]) for i in _bits(mask)]
-        return closure(self.source, chosen)
-
-    def result(self, mask: int) -> SearchResult:
+    def result(self, mask: int, limits: SearchLimits | None = None) -> SearchResult:
+        """The search result for ``mask``; a new search runs under ``limits``
+        (default: the cache's)."""
         hit = self._results.get(mask)
         if hit is None:
+            group = 0
+            for i in _bits(mask):
+                group |= self._positions[i]
             hit = find_map(
                 SearchProblem(
-                    self._sub(mask), self.target, self.kind, self.injective, self.limits
+                    self.source,
+                    self.target,
+                    self.kind,
+                    self.injective,
+                    limits or self.limits,
+                    group,
+                    self._tables,
                 )
             )
             self._results[mask] = hit
+            self._nodes += hit.nodes
             if hit.found:
                 self._feasible_max = [
                     m for m in self._feasible_max if m & ~mask
@@ -326,7 +417,7 @@ class FeasibilityCache:
                 ] + [mask]
         return hit
 
-    def feasible(self, mask: int) -> bool:
+    def feasible(self, mask: int, limits: SearchLimits | None = None) -> bool:
         if mask == 0:
             return True
         cached = self._results.get(mask)
@@ -338,13 +429,14 @@ class FeasibilityCache:
         for m in self._infeasible_min:
             if m & ~mask == 0:
                 return False
-        return self.result(mask).found
+        return self.result(mask, limits).found
 
-    def certificate(self, mask: int) -> VertexMap:
-        res = self.result(mask)
+    def certificate(self, mask: int, limits: SearchLimits | None = None) -> VertexMap:
+        res = self.result(mask, limits)
         if not res.found:
             raise ValueError("no certificate for an infeasible group")
-        return res.map
+        chosen = [self.source.members(self.facets[i]) for i in _bits(mask)]
+        return VertexMap(closure(self.source, chosen), self.target, res.images)
 
 
 def group_feasible(

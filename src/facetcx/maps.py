@@ -19,7 +19,7 @@ no facet witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .complexes import Complex, _bits
 
@@ -89,14 +89,37 @@ class MapClass:
 
 
 def classify(m: VertexMap) -> MapClass:
-    src, tgt = m.source, m.target
+    simplicial, strict, facet_flag, injective, witness_mask = _classify_masks(
+        m.source.facets, m.assignment, m.target
+    )
+    witness = (
+        frozenset(m.source.members(witness_mask)) if witness_mask is not None else None
+    )
+    return MapClass(simplicial, strict, facet_flag, injective, witness)
+
+
+def _classify_masks(
+    facets: Sequence[int], assignment: Sequence[int], tgt: Complex
+) -> tuple[bool, bool, bool, bool, int | None]:
+    """``classify`` on the complex generated by ``facets``, given as masks.
+
+    ``assignment[v]`` is the target index of source vertex ``v``; only
+    the vertices of ``facets`` are read, so a map found on a group of a
+    complex's facets is checked in the complex's own indices.  Returns
+    the simplicial, strict, facet and injective flags and the witness
+    facet's mask (``None`` when those three flags hold).
+    """
     tgt_facets = set(tgt.facets)
     simplicial = True
     strict = True
     facet_flag = True
     wit_simplicial = wit_facet = wit_strict = None
-    for f in src.facets:
-        img = m.image_mask(f)
+    vertices = 0
+    for f in facets:
+        vertices |= f
+        img = 0
+        for v in _bits(f):
+            img |= 1 << assignment[v]
         if not tgt.is_simplex_mask(img):
             simplicial = False
             if wit_simplicial is None:
@@ -111,7 +134,7 @@ def classify(m: VertexMap) -> MapClass:
                 wit_facet = f
     strict = strict and simplicial
     facet_flag = facet_flag and simplicial
-    injective = len(set(m.assignment)) == src.n
+    injective = len({assignment[v] for v in _bits(vertices)}) == vertices.bit_count()
     witness_mask = None
     if not simplicial:
         witness_mask = wit_simplicial
@@ -119,8 +142,7 @@ def classify(m: VertexMap) -> MapClass:
         witness_mask = wit_facet
     elif not strict:
         witness_mask = wit_strict
-    witness = frozenset(src.members(witness_mask)) if witness_mask is not None else None
-    return MapClass(simplicial, strict, facet_flag, injective, witness)
+    return simplicial, strict, facet_flag, injective, witness_mask
 
 
 def image_inverse(m: VertexMap, sub: Complex) -> Complex:

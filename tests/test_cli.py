@@ -186,6 +186,23 @@ def test_undecided_complexity_solves_once(capsys, tmp_path, monkeypatch):
     assert data["bounds"]["graph_lower"] is None
 
 
+def test_time_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
+    """No single search of K6 edges onto an edge nears the budget; the
+    cover search as a whole runs for seconds."""
+    calls, paths = _count_compute(monkeypatch, tmp_path, 6)
+    code, out, err = run(capsys, "complexity", *paths, "--time-budget", "0.01", "--json")
+    assert (code, err, len(calls)) == (4, "", 1)
+    assert json.loads(out)["value"] == "undecided"
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_time_budget_must_be_positive(capsys, fixture_files, budget):
+    """A NaN budget would pass ``<= 0`` and never expire."""
+    code, out, err = run(capsys, "complexity", *fixture_files, "--time-budget", budget)
+    assert (code, out) == (2, "")
+    assert "budgets must be positive" in err
+
+
 def test_parser_built_once(capsys):
     cli._build_parser.cache_clear()
     for _ in range(2):

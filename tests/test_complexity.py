@@ -171,14 +171,22 @@ def test_facet_cap(tailed):
     assert b.finite and b.graph_lower is None and b.upper == 21
 
 
+def test_feasible_full_group_skips_the_cover_search():
+    """The cover DP's 2**40-byte verdict table is never allocated here."""
+    edges = build_complex([(f"u{i}", f"v{i}") for i in range(40)])
+    res = compute(q(edges, complete_complex(2)), facet_cap=40)
+    assert res.value == 1
+    assert len(res.cover.groups[0].facets) == 40
+
+
 def test_explicit_cache_is_honored(bowtie, tailed):
     query = q(bowtie, tailed)
     cache = FeasibilityCache(bowtie, tailed, "facet", False)
     first = compute(query, cache=cache)
-    warm = len(cache._results)
+    warm = cache.searches
     second = compute(query, cache=cache)
     assert first.value == second.value == 2
-    assert len(cache._results) == warm  # nothing new searched on reuse
+    assert cache.searches == warm  # nothing new searched on reuse
 
 
 def test_cache_for_another_target_is_rejected():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from facetcx import (
@@ -8,8 +10,10 @@ from facetcx import (
     boundary_complex,
     build_complex,
     classify,
+    closure,
     complete_complex,
     find_map,
+    generate,
     group_feasible,
 )
 
@@ -89,10 +93,10 @@ def test_feasibility_cache_hereditary(bowtie, tailed):
     cache = FeasibilityCache(bowtie, tailed, "facet", False)
     sub = 1 | (1 << 1)  # facets abc and cd in canonical order
     assert cache.feasible(sub)
-    searched = len(cache._results)
+    searched = cache.searches
     # any subset of a feasible group is answered without a new search
     assert cache.feasible(1)
-    assert len(cache._results) == searched
+    assert cache.searches == searched
     assert cache.certificate(sub) is not None
 
 
@@ -102,6 +106,45 @@ def test_cache_infeasible_superset_shortcut(bowtie, tailed):
     bad = (1 << 1) | (1 << 2) | (1 << 3)
     if cache.feasible(bad):
         pytest.skip("expected infeasible group")
-    searched = len(cache._results)
+    searched = cache.searches
     assert not cache.feasible(bad | 1)  # superset decided by shortcut
-    assert len(cache._results) == searched
+    assert cache.searches == searched
+
+
+def test_certificate_of_infeasible_group_raises(bowtie, tailed):
+    cache = FeasibilityCache(bowtie, tailed, "facet", False)
+    everything = (1 << len(bowtie.facets)) - 1
+    assert not cache.feasible(everything)
+    with pytest.raises(ValueError, match="infeasible"):
+        cache.certificate(everything)
+
+
+@pytest.mark.parametrize(
+    "kind, injective",
+    [("facet", False), ("facet", True), ("strict", False), ("strict", True)],
+)
+def test_group_search_matches_search_on_closure(kind, injective):
+    """Searching a group on the source's facet masks takes the same steps
+    and finds the same map as searching the subcomplex it generates."""
+    rng = random.Random(f"{kind}-{injective}")
+    found = 0
+    for _ in range(40):
+        source = generate("random", rng.randint(3, 8), {
+            "seed": rng.randrange(10**6), "density": rng.uniform(0.2, 0.6)})
+        target = generate("random", rng.randint(2, 6), {
+            "seed": rng.randrange(10**6), "density": rng.uniform(0.2, 0.7)})
+        cache = FeasibilityCache(source, target, kind, injective)
+        for _ in range(4):
+            group = rng.randrange(1 << len(source.facets))
+            chosen = [source.members(source.facets[i]) for i in range(len(source.facets))
+                      if group >> i & 1]
+            reference = find_map(SearchProblem(closure(source, chosen), target, kind, injective))
+            probe = find_map(SearchProblem(source, target, kind, injective, group=group))
+            assert (probe.found, probe.nodes) == (reference.found, reference.nodes)
+            assert probe.map is None
+            assert cache.feasible(group) == reference.found
+            if reference.found:
+                found += 1
+                assert probe.images == reference.map.assignment
+                assert cache.certificate(group) == reference.map
+    assert found >= 20  # the comparison covers found maps, not only failures
