@@ -16,10 +16,14 @@ least-uncovered-facet pivot is exact.  Each group is decided by a
 ``FeasibilityCache`` probe, a map search run on the source's own facet
 masks; a group's subcomplex and witness map are built only for the
 groups of the reported cover.  When the whole constrained group fails,
-the DP reads each group's verdict through a byte table of ``2**m``
-entries for ``m`` constrained facets, so a repeated probe costs one
-lookup.  A query's time budget bounds the whole cover search; its node
-budget bounds each map search.
+the DP reads each group's verdict and each uncovered set's optimum
+through two byte tables of ``2**m`` entries for ``m`` constrained
+facets (2 MB at the default cap), so a repeated probe costs one lookup.
+Both are invariants of the complex the constrained facets generate, so
+each value decided is written to the whole orbit of its mask under the
+facet permutations that complex's automorphisms induce; a source
+without symmetry has orbits of one mask.  A query's time budget bounds
+the whole cover search; its node budget bounds each map search.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .complexes import Complex, _bits, _key, closure, facet_graph
+from .complexes import Complex, _bits, _key, closure, facet_automorphisms, facet_graph
 from .coloring import chromatic_number
 from .homsearch import TIME_EXHAUSTED, FeasibilityCache, SearchLimits, UndecidedError
 from .maps import VertexMap, classify
@@ -170,7 +173,7 @@ def compute(
         if not ask(cache.feasible, 1 << bit):
             return ComplexityResult(INFINITY, None, cache.nodes)
     chosen = [full] if ask(cache.feasible, full) else _cover_masks(
-        n_req, lambda group: ask(cache.feasible, group)
+        n_req, lambda group: ask(cache.feasible, group), facet_automorphisms(req_masks)
     )
 
     # Without injectivity the isolated vertices join the first group (an
@@ -195,7 +198,7 @@ def compute(
     return result
 
 
-def _cover_masks(m: int, probe) -> list[int]:
+def _cover_masks(m: int, probe, gens) -> list[int]:
     """The canonical optimal cover of ``m`` facets whose full group fails.
 
     ``probe(group)`` decides a group over the ``m`` facets; every
@@ -203,24 +206,59 @@ def _cover_masks(m: int, probe) -> list[int]:
     least-indexed uncovered facet finds the optimum, then each step
     picks the lexicographically least optimal group.  The DP asks for
     most groups many times, so each group's verdict is read through a
-    ``1 << m`` byte table: 0 unknown, 1 infeasible, 2 feasible.
+    ``1 << m`` byte table (0 unknown, 1 infeasible, 2 feasible) and the
+    optimum of each infeasible uncovered set through another (0 unknown).
+
+    ``gens`` are facet permutations induced by automorphisms of the
+    complex the ``m`` facets generate (see ``facet_automorphisms``).
+    Such a permutation maps a group onto an isomorphic one, so a
+    verdict or optimum once decided is written to the whole orbit of its
+    mask.  Neither changes under the permutations, so the cover chosen
+    is the same with or without them; only the probes are fewer.
     """
     full = (1 << m) - 1
     verdict = bytearray(1 << m)
     verdict[full] = 1
+    cost = bytearray(1 << m)
+    # each permutation as two tables over the low and the high half-mask
+    half = (m + 1) // 2
+    low = (1 << half) - 1
+    perms = []
+    for p in gens:
+        lo, hi = [0] * (1 << half), [0] * (1 << (m - half))
+        for table, offset in ((lo, 0), (hi, half)):
+            for b in range(1, len(table)):
+                bit = b & -b
+                table[b] = table[b ^ bit] | 1 << p[offset + bit.bit_length() - 1]
+        perms.append((lo, hi))
+
+    def spread(table: bytearray, mask: int, value: int) -> None:
+        """Write ``value`` over the orbit of ``mask``, which reads 0 so far."""
+        table[mask] = value
+        todo = [mask]
+        while todo:
+            g = todo.pop()
+            for lo, hi in perms:
+                h = lo[g & low] | hi[g >> half]
+                if not table[h]:
+                    table[h] = value
+                    todo.append(h)
 
     def feasible(group: int) -> bool:
         v = verdict[group]
         if not v:
-            v = verdict[group] = 2 if probe(group) else 1
+            v = 2 if probe(group) else 1
+            spread(verdict, group, v)
         return v == 2
 
-    @lru_cache(maxsize=None)
     def best(mask: int) -> int:
         if mask == 0:
             return 0
         if feasible(mask):
             return 1
+        out = cost[mask]
+        if out:
+            return out
         pivot = mask & -mask
         rest = mask ^ pivot
         out = m  # singletons are feasible, so this many always works
@@ -232,6 +270,7 @@ def _cover_masks(m: int, probe) -> list[int]:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
+        spread(cost, mask, out)
         return out
 
     chosen: list[int] = []

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from facetcx import (
     skeleton,
     union,
 )
+from facetcx.complexes import _bits, facet_automorphisms
 
 LABELS = st.sampled_from("abcdef")
 FACES = st.lists(
@@ -200,3 +204,105 @@ def test_facets_form_antichain(c):
         for j, g in enumerate(sets):
             if i != j:
                 assert not f <= g
+
+
+# -- facet automorphisms ----------------------------------------------
+
+
+def _permute(p, mask):
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << p[i]
+    return out
+
+
+def _orbit_partition(m, perms):
+    """Least member of each facet mask's orbit under ``perms``."""
+    least = {}
+    for g in range(1 << m):
+        if g in least:
+            continue
+        least[g] = g
+        todo = [g]
+        while todo:
+            x = todo.pop()
+            for p in perms:
+                h = _permute(p, x)
+                if h not in least:
+                    least[h] = g
+                    todo.append(h)
+    return least
+
+
+def _brute_force_facet_perms(facets):
+    """Facet permutations of every vertex permutation that is an automorphism."""
+    verts = sorted({v for f in facets for v in _bits(f)})
+    position = {f: i for i, f in enumerate(facets)}
+    out = []
+    for image in itertools.permutations(verts):
+        g = dict(zip(verts, image))
+        moved = [sum(1 << g[v] for v in _bits(f)) for f in facets]
+        if all(f in position for f in moved):
+            out.append(tuple(position[f] for f in moved))
+    return out
+
+
+@pytest.mark.parametrize("n,orbits", [(4, 11), (5, 34), (6, 156)])
+def test_edge_subset_orbits_of_complete_graph(n, orbits):
+    # unlabeled graphs on n vertices (OEIS A000088)
+    edges = skeleton(complete_complex(n), 1).facets
+    gens = facet_automorphisms(edges)
+    assert len(set(_orbit_partition(len(edges), gens).values())) == orbits
+
+
+def _random_sources(count):
+    rng = random.Random(20251003)
+    for seed in range(count):
+        n = rng.randint(1, 6)
+        params = {
+            "seed": seed,
+            "density": rng.choice([0.2, 0.4, 0.6]),
+            "max_facet_size": rng.randint(1, 4),
+        }
+        yield generate("random", n, params)
+
+
+def test_generators_match_brute_force_orbits():
+    symmetric = 0
+    for c in _random_sources(120):
+        # all facets (the injective kind) and the non-singletons (the others)
+        for facets in (c.facets, tuple(f for f in c.facets if f.bit_count() >= 2)):
+            if not facets or len(facets) > 12:
+                continue
+            gens = facet_automorphisms(facets)
+            symmetric += bool(gens)
+            brute = _brute_force_facet_perms(facets)
+            assert _orbit_partition(len(facets), gens) == _orbit_partition(
+                len(facets), brute
+            ), c
+    assert symmetric >= 50
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_all_singleton_source_is_fully_symmetric(n):
+    points = build_complex([], explicit_vertices=[str(i) for i in range(n)])
+    gens = facet_automorphisms(points.facets)
+    # every group of k points is one orbit: n + 1 orbits in all
+    assert len(set(_orbit_partition(n, gens).values())) == n + 1
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        # a path of three edges hanging off a triangle's corner
+        [("a", "b", "c"), ("c", "d"), ("d", "e"), ("e", "f")],
+        # the smallest asymmetric graphs have six vertices
+        [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("3", "5"), ("5", "6")],
+        [("a",)],
+    ],
+)
+def test_asymmetric_complex_has_no_generators(faces):
+    facets = build_complex(faces).facets
+    assert set(_brute_force_facet_perms(facets)) == {tuple(range(len(facets)))}
+    assert facet_automorphisms(facets) == []
+

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,8 @@ from facetcx import (
     samples,
     union,
 )
+from facetcx.complexes import _bits, facet_automorphisms, generate, skeleton
+from facetcx.complexity import _cover_masks
 from facetcx.verify import KINDS, VerifyConfig, _instances
 
 
@@ -294,3 +297,105 @@ def test_jump_under_union():
     assert compute(q(vee, target)).value == 1
     assert compute(q(base, target)).value == 1
     assert compute(q(union([vee, base]), target)).value == 2
+
+
+# -- symmetry in the cover search -------------------------------------
+
+
+def _required_masks(query):
+    return tuple(query.source.facets[i] for i in required_facet_indices(query))
+
+
+def _fresh_probe(query):
+    """``feasible`` of a new cache for the query's constrained facets."""
+    return FeasibilityCache(
+        query.source, query.target, query.kind, query.injective, _required_masks(query)
+    ).feasible
+
+
+def _permute(p, mask):
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << p[i]
+    return out
+
+
+def test_feasibility_is_constant_on_facet_orbits():
+    """The real map search, not the tables, agrees on g and sigma(g)."""
+    targets = [
+        samples.load("tailed_triangle"),
+        skeleton(complete_complex(3), 1),
+        complete_complex(3),
+        build_complex([("x", "y"), ("y", "z"), ("z",)]),
+    ]
+    rng = random.Random(6)
+    checked = 0
+    for seed in range(40):
+        source = generate("random", rng.randint(3, 6), {"seed": seed, "density": 0.4})
+        for kind, injective in KINDS:
+            for target in targets:
+                query = q(source, target, kind, injective)
+                masks = _required_masks(query)
+                gens = facet_automorphisms(masks)
+                for _ in range(3 if gens else 0):
+                    group = rng.randrange(1, 1 << len(masks))
+                    verdict = _fresh_probe(query)(group)
+                    for p in gens:
+                        assert _fresh_probe(query)(_permute(p, group)) == verdict
+                        checked += 1
+    assert checked >= 500
+
+
+def test_orbit_sharing_keeps_canonical_covers():
+    """Differential over the verify stream: same cover with and without generators."""
+    compared = symmetric = 0
+    for seed in (1, 2, 3):
+        cfg = VerifyConfig(seed=seed)
+        for trial in range(cfg.trials):
+            inst = _instances(cfg, trial)
+            for a, b in ("LH", "LK", "HK", "HL", "KL"):
+                if inst[a].n == 0 or inst[b].n == 0:
+                    continue
+                for kind, injective in KINDS:
+                    query = q(inst[a], inst[b], kind, injective)
+                    masks = _required_masks(query)
+                    m = len(masks)
+                    probe = _fresh_probe(query)
+                    if not m or probe((1 << m) - 1):
+                        continue
+                    if not all(probe(1 << i) for i in range(m)):
+                        continue
+                    gens = facet_automorphisms(masks)
+                    shared = _cover_masks(m, _fresh_probe(query), gens)
+                    assert shared == _cover_masks(m, _fresh_probe(query), ()), (seed, trial, a + b)
+                    compared += 1
+                    symmetric += bool(gens)
+    assert compared >= 250 and symmetric >= 150
+
+
+@pytest.mark.parametrize(
+    "source, target, kind, value, cover, max_searches",
+    [
+        (
+            skeleton(complete_complex(6), 1), complete_complex(2), "facet", 3,
+            ["12 13 14 15 26", "16 23 24 35 36 45", "25 34 46 56"],
+            300,  # 7048 without symmetry
+        ),
+        (
+            skeleton(complete_complex(6), 1), skeleton(complete_complex(3), 1), "strict", 2,
+            ["12 13 14 15 16 23 24 25 36", "26 34 35 45 46 56"],
+            250,  # 6290 without symmetry
+        ),
+    ],
+    ids=["k6-edges-to-edge", "k6-edges-to-triangle-strict"],
+)
+def test_symmetry_cuts_map_searches(source, target, kind, value, cover, max_searches):
+    query = q(source, target, kind)
+    cache = FeasibilityCache(source, target, kind, False, _required_masks(query))
+    res = compute(query, cache=cache)
+    assert res.value == value
+    assert [
+        " ".join(sorted("".join(sorted(f)) for f in g.facets)) for g in res.cover.groups
+    ] == cover
+    assert cache.searches <= max_searches
+
