@@ -13,6 +13,8 @@ import functools
 import json
 import math
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import samples
@@ -159,7 +161,7 @@ def _limits(args) -> SearchLimits:
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node-budget", type=int, default=SearchLimits.max_nodes,
-                   help="search node budget before reporting undecided")
+                   help="search nodes of the whole run before reporting undecided")
     p.add_argument("--time-budget", type=float, default=0,
                    help="wall-clock budget in seconds (0 = unlimited)")
 
@@ -260,13 +262,15 @@ def _cmd_complexity(args) -> int:
     source = _read_complex(args.source)
     target = _read_complex(args.target)
     q = ComplexityQuery(source, target, _kind_of(args), args.injective, _limits(args))
-    res = None
+    res = solved = None
     if not args.bounds_only:
+        started = time.monotonic()
         try:
-            res = compute(q, facet_cap=args.facet_cap)
-        except UndecidedError as exc:
-            res = exc
-    b = bounds(q, facet_cap=args.facet_cap, solved=res)
+            res = solved = compute(q, facet_cap=args.facet_cap)
+            q = replace(q, limits=q.limits.left(res.nodes, started))  # for graph_lower
+        except UndecidedError as exc:  # from the solve, or nothing left after it
+            res, solved = res or exc, exc
+    b = bounds(q, facet_cap=args.facet_cap, solved=solved)
     payload = {
         "kind": q.kind,
         "injective": q.injective,

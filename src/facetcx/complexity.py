@@ -22,8 +22,8 @@ facets (2 MB at the default cap), so a repeated probe costs one lookup.
 Both are invariants of the complex the constrained facets generate, so
 each value decided is written to the whole orbit of its mask under the
 facet permutations that complex's automorphisms induce; a source
-without symmetry has orbits of one mask.  A query's time budget bounds
-the whole cover search; its node budget bounds each map search.
+without symmetry has orbits of one mask.  A query's budget bounds the
+whole run, ``bounds``' ``graph_lower`` sub-solve included.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .complexes import Complex, _bits, _key, closure, facet_automorphisms, facet_graph
 from .coloring import chromatic_number
-from .homsearch import TIME_EXHAUSTED, FeasibilityCache, SearchLimits, UndecidedError
+from .homsearch import FeasibilityCache, SearchLimits, UndecidedError
 from .maps import VertexMap, classify
 
 INFINITY = math.inf
@@ -120,12 +120,9 @@ def compute(
     facet indices) among the optimal choices at its step.  Passing a
     ``cache`` shares feasibility results across related queries; it
     must have been built for the same source, target, kind, injective
-    flag, and the facets picked by :func:`required_facet_indices`;
-    any other cache is rejected with ``ValueError``.
-
-    ``q.limits.max_seconds`` bounds the whole call: each map search gets
-    only the time left, and ``UndecidedError`` reports the nodes of all
-    searches so far once it runs out.  ``max_nodes`` bounds each search.
+    flag, facets picked by :func:`required_facet_indices` and limits;
+    any other cache is rejected with ``ValueError``.  ``q.limits``
+    bounds all searches together, counted from the cache's construction.
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
@@ -144,36 +141,15 @@ def compute(
     req_masks = tuple(source.facets[i] for i in required)
     if cache is None:
         cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
-    cache._check(source, target, q.kind, q.injective, req_masks)
-
-    deadline = (
-        None if q.limits.max_seconds == INFINITY
-        else time.monotonic() + q.limits.max_seconds
-    )
-
-    def ask(method, mask: int):
-        """``method(mask, limits)`` of the cache, its search given only the
-        time left of the query's budget."""
-        limits = None
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if not left > 0:
-                raise UndecidedError(cache.nodes, TIME_EXHAUSTED)
-            limits = SearchLimits(cache.limits.max_nodes, left)
-        try:
-            return method(mask, limits)
-        except UndecidedError as exc:
-            if exc.reason != TIME_EXHAUSTED:
-                raise
-            raise UndecidedError(cache.nodes + exc.nodes, TIME_EXHAUSTED) from None
+    cache._check(source, target, q.kind, q.injective, req_masks, q.limits)
 
     n_req = len(required)
     full = (1 << n_req) - 1
     for bit in range(n_req):
-        if not ask(cache.feasible, 1 << bit):
+        if not cache.feasible(1 << bit):
             return ComplexityResult(INFINITY, None, cache.nodes)
-    chosen = [full] if ask(cache.feasible, full) else _cover_masks(
-        n_req, lambda group: ask(cache.feasible, group), facet_automorphisms(req_masks)
+    chosen = [full] if cache.feasible(full) else _cover_masks(
+        n_req, cache.feasible, facet_automorphisms(req_masks)
     )
 
     # Without injectivity the isolated vertices join the first group (an
@@ -185,7 +161,7 @@ def compute(
     groups = []
     for pos, mask in enumerate(chosen):
         masks = tuple(req_masks[i] for i in _bits(mask))
-        witness = ask(cache.certificate, mask)
+        witness = cache.certificate(mask)
         if pos == 0 and extra:
             masks = tuple(sorted(masks + extra, key=_key))
             sub = closure(source, [source.members(m) for m in masks])
@@ -327,10 +303,10 @@ def check_cover(q: ComplexityQuery, cover: Cover) -> None:
 class BoundReport:
     """Provable bracket around a query's value, cheaper than solving it.
 
-    ``chromatic_lower`` and ``graph_lower`` apply to the facet kind
-    only (parts of a dimension-preserving cover need not be few-
-    colorable, so those bounds are unsound there and reported as
-    ``None``).  ``eta_upper`` is the constrained-facet count when a
+    ``chromatic_lower`` (weak chromatic numbers) and ``graph_lower``
+    (edge-facet graphs) are unsound for the strict kind, so they are
+    ``None`` there; a chromatic bound on 1-skeleta would be sound for
+    it, but is not computed.  ``eta_upper`` is the constrained-facet count when a
     finite cover exists.  ``complete_target_ic`` is a lower bound
     available when the target is complete and the query is injective;
     ``exact`` carries the value when a theorem pins it down.
@@ -405,10 +381,13 @@ def bounds(
     part's witness map restricts to a graph homomorphism between them,
     and only when that problem stays within ``facet_cap`` and the
     query's search limits; otherwise it is skipped, never raised.
-    ``solved``, the outcome of ``compute(q)`` (its result, or the
-    ``UndecidedError`` it raised), answers that problem without a
-    second solve when it is the query itself.
+    ``solved``, the outcome of ``compute(q)``, answers that problem
+    when it is the query itself; after its ``UndecidedError`` the budget
+    is spent and the sub-solve skipped.  A caller that solved passes
+    ``q`` with the limits left (``SearchLimits.left``).
     """
+    if facet_cap < 1:
+        raise ValueError("facet_cap must be at least 1")
     finite = _is_finite_query(q)
     required = required_facet_indices(q)
     eta_upper = max(1, len(required)) if finite else INFINITY
@@ -424,7 +403,7 @@ def bounds(
             gq = ComplexityQuery(
                 facet_graph(q.source), facet_graph(q.target), "facet", False, q.limits
             )
-            res = solved if gq == q else None
+            res = solved if gq == q or isinstance(solved, UndecidedError) else None
             if res is None:
                 try:
                     res = compute(gq, facet_cap)
@@ -469,7 +448,8 @@ def disjoint_decompose(
     no vertices combine into parts for the union, so the union's value
     is the maximum of the components'.  Injectivity breaks the
     combination step (a merged part may need more target vertices than
-    either piece), so injective queries are rejected.
+    either piece), so injective queries are rejected.  ``q.limits``
+    bounds the whole call: each component gets what the earlier left.
     """
     if q.kind != "facet" or q.injective:
         raise ValueError("componentwise solving applies to plain facet queries only")
@@ -496,11 +476,15 @@ def disjoint_decompose(
 
     components = []
     value = 1.0
+    nodes, started = 0, time.monotonic()
     for root in sorted(groups, key=lambda r: min(groups[r])):
         sub = closure(source, [source.members(source.facets[i]) for i in groups[root]])
-        res = compute(
-            ComplexityQuery(sub, q.target, q.kind, q.injective, q.limits), facet_cap
-        )
+        query = ComplexityQuery(sub, q.target, q.kind, q.injective, q.limits.left(nodes, started))
+        try:
+            res = compute(query, facet_cap)
+        except UndecidedError as exc:
+            raise UndecidedError(nodes + exc.nodes, exc.reason) from None
+        nodes += res.nodes
         components.append((sub, res))
         value = max(value, res.value)
     return DisjointDecomposition(value, tuple(components))

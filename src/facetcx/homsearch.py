@@ -57,6 +57,9 @@ class UndecidedError(Exception):
 
 @dataclass(frozen=True)
 class SearchLimits:
+    """One query's search budget; ``left`` is what remains of it, and
+    a ``FeasibilityCache``'s budget runs from the cache's construction."""
+
     max_nodes: int = 50_000_000
     max_seconds: float = float("inf")
 
@@ -64,6 +67,16 @@ class SearchLimits:
         # ``not x > 0`` also rejects NaN, which no deadline check would stop
         if not (self.max_nodes > 0 and self.max_seconds > 0):
             raise ValueError("budgets must be positive")
+
+    def left(self, nodes: int, since: float) -> SearchLimits:
+        """Left after ``nodes`` nodes and the time since ``since`` (a
+        ``time.monotonic()`` reading); ``UndecidedError`` if nothing is."""
+        if nodes >= self.max_nodes:
+            raise UndecidedError(nodes)
+        seconds = self.max_seconds - (time.monotonic() - since)
+        if not seconds > 0:
+            raise UndecidedError(nodes, TIME_EXHAUSTED)
+        return SearchLimits(self.max_nodes - nodes, seconds)
 
 
 class _TargetTables:
@@ -341,7 +354,8 @@ class FeasibilityCache:
     the group's facet masks (``SearchProblem.group``) with the target's
     tables built once here; ``certificate`` builds the group's
     subcomplex and witness map when asked.  ``searches`` and ``nodes``
-    count the map searches run so far and their search nodes.
+    count the map searches run so far and their search nodes; all of
+    them share ``limits``, the query's budget, counted from construction.
     """
 
     def __init__(
@@ -366,6 +380,7 @@ class FeasibilityCache:
         self._tables = _TargetTables(target, kind, injective)
         self._results: dict[int, SearchResult] = {}
         self._nodes = 0
+        self._started = time.monotonic()
         self._feasible_max: list[int] = []
         self._infeasible_min: list[int] = []
 
@@ -379,32 +394,28 @@ class FeasibilityCache:
         """Search nodes of the map searches run so far."""
         return self._nodes
 
-    def _check(self, source, target, kind, injective, facets) -> None:
+    def _check(self, source, target, kind, injective, facets, limits) -> None:
         """Reject use of this cache for a query it was not built for."""
-        if (self.source, self.target, self.kind, self.injective, self.facets) != (
-            source, target, kind, injective, tuple(facets)
+        if (self.source, self.target, self.kind, self.injective, self.facets, self.limits) != (
+            source, target, kind, injective, tuple(facets), limits
         ):
             raise ValueError("the cache was built for a different query")
 
-    def result(self, mask: int, limits: SearchLimits | None = None) -> SearchResult:
-        """The search result for ``mask``; a new search runs under ``limits``
-        (default: the cache's)."""
+    def result(self, mask: int) -> SearchResult:
+        """The search result for ``mask``, searched within the budget left."""
         hit = self._results.get(mask)
         if hit is None:
             group = 0
             for i in _bits(mask):
                 group |= self._positions[i]
-            hit = find_map(
-                SearchProblem(
-                    self.source,
-                    self.target,
-                    self.kind,
-                    self.injective,
-                    limits or self.limits,
-                    group,
+            limits = self.limits.left(self._nodes, self._started)
+            try:
+                hit = find_map(SearchProblem(
+                    self.source, self.target, self.kind, self.injective, limits, group,
                     self._tables,
-                )
-            )
+                ))
+            except UndecidedError as exc:
+                raise UndecidedError(self._nodes + exc.nodes, exc.reason) from None
             self._results[mask] = hit
             self._nodes += hit.nodes
             if hit.found:
@@ -417,7 +428,7 @@ class FeasibilityCache:
                 ] + [mask]
         return hit
 
-    def feasible(self, mask: int, limits: SearchLimits | None = None) -> bool:
+    def feasible(self, mask: int) -> bool:
         if mask == 0:
             return True
         cached = self._results.get(mask)
@@ -429,10 +440,10 @@ class FeasibilityCache:
         for m in self._infeasible_min:
             if m & ~mask == 0:
                 return False
-        return self.result(mask, limits).found
+        return self.result(mask).found
 
-    def certificate(self, mask: int, limits: SearchLimits | None = None) -> VertexMap:
-        res = self.result(mask, limits)
+    def certificate(self, mask: int) -> VertexMap:
+        res = self.result(mask)
         if not res.found:
             raise ValueError("no certificate for an infeasible group")
         chosen = [self.source.members(self.facets[i]) for i in _bits(mask)]
@@ -452,7 +463,7 @@ def group_feasible(
 
     ``group`` must consist of facets of ``c``; the empty group is
     trivially feasible.  A ``cache`` must have been built for ``c``'s
-    facets, ``target``, ``kind`` and ``injective`` (anything else is
+    facets and these arguments, ``limits`` if given (anything else is
     rejected with ``ValueError``); repeated queries then cost one lookup.
     """
     facet_index = {f: i for i, f in enumerate(c.facets)}
@@ -464,5 +475,5 @@ def group_feasible(
         mask |= 1 << facet_index[m]
     if cache is None:
         cache = FeasibilityCache(c, target, kind, injective, limits=limits)
-    cache._check(c, target, kind, injective, c.facets)
+    cache._check(c, target, kind, injective, c.facets, limits or cache.limits)
     return cache.feasible(mask)

@@ -150,8 +150,8 @@ def test_bounds_survive_failed_graph_lower(capsys, tmp_path, argv, code):
     assert data["bounds"]["finite"] is True
 
 
-def _count_compute(monkeypatch, tmp_path, n):
-    """Calls to ``complexity.compute`` for K_n edges onto an edge, and the paths."""
+def _count_compute(monkeypatch, tmp_path, source, target):
+    """Calls to ``complexity.compute`` for ``source`` onto ``target``, and the paths."""
     real, calls = complexity.compute, []
 
     def counting(*args, **kwargs):
@@ -161,15 +161,19 @@ def _count_compute(monkeypatch, tmp_path, n):
     monkeypatch.setattr(complexity, "compute", counting)
     monkeypatch.setattr(cli, "compute", counting)
     paths = []
-    for name, c in ((f"k{n}", skeleton(complete_complex(n), 1)), ("k2", complete_complex(2))):
+    for name, c in (("source", source), ("target", target)):
         (tmp_path / name).write_text(serialize_scx(c))
         paths.append(str(tmp_path / name))
     return calls, paths
 
 
+def _kn_edges(n):
+    return skeleton(complete_complex(n), 1)
+
+
 def test_complexity_solves_once(capsys, tmp_path, monkeypatch):
     """For K4 edges onto an edge the graph_lower query is the query itself."""
-    calls, paths = _count_compute(monkeypatch, tmp_path, 4)
+    calls, paths = _count_compute(monkeypatch, tmp_path, _kn_edges(4), complete_complex(2))
     code, out, _ = run(capsys, "complexity", *paths, "--json")
     data = json.loads(out)
     assert code == 0 and len(calls) == 1
@@ -177,22 +181,56 @@ def test_complexity_solves_once(capsys, tmp_path, monkeypatch):
 
 
 def test_undecided_complexity_solves_once(capsys, tmp_path, monkeypatch):
-    """An undecided run does not exhaust the budget again for graph_lower."""
-    calls, paths = _count_compute(monkeypatch, tmp_path, 6)
-    code, out, _ = run(capsys, "complexity", *paths, "--node-budget", "10", "--json")
-    data = json.loads(out)
-    assert code == 4 and len(calls) == 1
-    assert data["value"] == "undecided"
-    assert data["bounds"]["graph_lower"] is None
+    """An undecided run spent the budget, so graph_lower does not search
+    again, also when its edge-graph query differs from the query (bowtie)."""
+    cases = [
+        (_kn_edges(6), complete_complex(2), "10"),
+        (samples.load("shaded_bowtie"), samples.load("tailed_triangle"), "1"),
+    ]
+    for source, target, budget in cases:
+        with monkeypatch.context() as patch:
+            calls, paths = _count_compute(patch, tmp_path, source, target)
+            code, out, _ = run(capsys, "complexity", *paths, "--node-budget", budget, "--json")
+        data = json.loads(out)
+        assert code == 4 and len(calls) == 1
+        assert data["value"] == "undecided"
+        assert data["bounds"]["graph_lower"] is None
 
 
 def test_time_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
     """No single search of K6 edges onto an edge nears the budget; the
-    cover search as a whole runs for seconds."""
-    calls, paths = _count_compute(monkeypatch, tmp_path, 6)
+    cover search as a whole runs for about 0.1 s."""
+    calls, paths = _count_compute(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
     code, out, err = run(capsys, "complexity", *paths, "--time-budget", "0.01", "--json")
     assert (code, err, len(calls)) == (4, "", 1)
     assert json.loads(out)["value"] == "undecided"
+
+
+def test_node_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
+    """No single search of K6 edges onto an edge nears 200 nodes; the
+    cover search as a whole takes about 1 500."""
+    calls, paths = _count_compute(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
+    code, out, err = run(capsys, "complexity", *paths, "--node-budget", "200", "--json")
+    assert (code, err, len(calls)) == (4, "", 1)
+    data = json.loads(out)
+    assert data["value"] == "undecided" and 200 <= data["nodes"] <= 201
+
+
+def test_graph_lower_gets_what_the_solve_left(capsys, tmp_path, monkeypatch):
+    """The bowtie's edge-graph query differs from the query, so bounds
+    solves it, with the nodes and time the full solve left."""
+    bowtie, tailed = samples.load("shaded_bowtie"), samples.load("tailed_triangle")
+    calls, paths = _count_compute(monkeypatch, tmp_path, bowtie, tailed)
+    code, out, _ = run(
+        capsys, "complexity", *paths, "--node-budget", "100000", "--time-budget", "100",
+        "--json",
+    )
+    data = json.loads(out)
+    assert code == 0 and len(calls) == 2
+    solve, graph = calls[0].limits, calls[1].limits
+    assert (solve.max_nodes, solve.max_seconds) == (100_000, 100)
+    assert graph.max_nodes == 100_000 - data["nodes"]
+    assert graph.max_seconds < 100
 
 
 @pytest.mark.parametrize("budget", ["nan", "-1"])
@@ -201,6 +239,31 @@ def test_time_budget_must_be_positive(capsys, fixture_files, budget):
     code, out, err = run(capsys, "complexity", *fixture_files, "--time-budget", budget)
     assert (code, out) == (2, "")
     assert "budgets must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "pair, extra",
+    [
+        (("edge", "edge"), []),
+        (("shaded_bowtie", "tailed_triangle"), []),
+        (("edge", "point"), []),
+        (("shaded_bowtie", "tailed_triangle"), ["--strict"]),
+    ],
+    ids=["edge-to-edge", "bowtie", "edge-to-point", "strict"],
+)
+def test_bounds_only_rejects_facet_cap_below_one(capsys, tmp_path, pair, extra):
+    """Rejected at entry, whether or not the graph_lower sub-solve runs."""
+    named = {"edge": build_complex([("a", "b")]), "point": build_complex([("p",)])}
+    paths = []
+    for i, name in enumerate(pair):
+        path = tmp_path / f"{i}.scx"
+        path.write_text(serialize_scx(named[name] if name in named else samples.load(name)))
+        paths.append(str(path))
+    code, out, err = run(
+        capsys, "complexity", *paths, "--facet-cap", "0", "--bounds-only", *extra
+    )
+    assert (code, out) == (2, "")
+    assert "facet_cap must be at least 1" in err
 
 
 def test_parser_built_once(capsys):

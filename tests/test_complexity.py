@@ -8,6 +8,8 @@ from facetcx import (
     ComplexityQuery,
     FacetCapError,
     FeasibilityCache,
+    SearchLimits,
+    UndecidedError,
     bounds,
     boundary_complex,
     build_complex,
@@ -203,14 +205,20 @@ def test_cache_for_another_target_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "kind, injective, drop_first",
-    [("strict", False, False), ("facet", True, False), ("facet", False, True)],
-    ids=["kind", "injective", "facet-list"],
+    "kind, injective, drop_first, limits",
+    [
+        ("strict", False, False, None),
+        ("facet", True, False, None),
+        ("facet", False, True, None),
+        ("facet", False, False, SearchLimits(max_nodes=10)),
+    ],
+    ids=["kind", "injective", "facet-list", "limits"],
 )
-def test_cache_for_another_query_is_rejected(bowtie, tailed, kind, injective, drop_first):
+def test_cache_for_another_query_is_rejected(bowtie, tailed, kind, injective, drop_first, limits):
     masks = bowtie.facets[1:] if drop_first else None
+    cache = FeasibilityCache(bowtie, tailed, kind, injective, masks, limits)
     with pytest.raises(ValueError, match="cache"):
-        compute(q(bowtie, tailed), cache=FeasibilityCache(bowtie, tailed, kind, injective, masks))
+        compute(q(bowtie, tailed), cache=cache)
 
 
 def test_results_independent_across_calls(bowtie, tailed):
@@ -283,6 +291,17 @@ def test_disjoint_union_equality():
     )
     assert dd.value == expected == compute(q(both, target)).value
     assert len(dd.components) == 2
+
+
+def test_disjoint_decompose_budget_covers_all_components():
+    """Each K5 edge set alone needs 248 nodes; the second gets what the
+    first left of 300."""
+    k5 = skeleton(complete_complex(5), 1)
+    both = union([k5, relabel(k5, {v: v + "'" for v in k5.labels})], disjoint=True)
+    query = ComplexityQuery(both, complete_complex(2), limits=SearchLimits(max_nodes=300))
+    with pytest.raises(UndecidedError) as exc:
+        disjoint_decompose(query)
+    assert 300 <= exc.value.nodes <= 301
 
 
 def test_disjoint_decompose_rejects_injective(bowtie, tailed):

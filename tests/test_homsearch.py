@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from facetcx import (
     generate,
     group_feasible,
 )
+from facetcx.homsearch import TIME_EXHAUSTED
 
 
 def test_whole_bowtie_has_no_facet_map(bowtie, tailed):
@@ -54,6 +57,36 @@ def test_budget_exhaustion_raises():
     with pytest.raises(UndecidedError) as exc:
         find_map(SearchProblem(big, hollow, "facet", False, SearchLimits(max_nodes=2)))
     assert exc.value.nodes <= 3
+
+
+def test_limits_left_of_a_budget():
+    limits = SearchLimits(max_nodes=10, max_seconds=5.0)
+    now = time.monotonic()
+    rest = limits.left(4, now)
+    assert rest.max_nodes == 6 and 0 < rest.max_seconds <= 5.0
+    assert SearchLimits().left(0, now).max_seconds == math.inf
+    with pytest.raises(UndecidedError) as exc:
+        limits.left(10, now)
+    assert (exc.value.nodes, exc.value.reason) == (10, "node budget exhausted")
+    with pytest.raises(UndecidedError) as exc:
+        limits.left(3, now - 5.0)
+    assert (exc.value.nodes, exc.value.reason) == (3, TIME_EXHAUSTED)
+
+
+def test_cache_budget_covers_all_its_searches(bowtie, tailed):
+    """Each search gets what the earlier ones left, and the error reports
+    the nodes of all of them."""
+    spent = FeasibilityCache(bowtie, tailed, "facet", False)
+    for i in range(len(bowtie.facets)):
+        spent.feasible(1 << i)
+    assert spent.nodes > 1
+    cache = FeasibilityCache(
+        bowtie, tailed, "facet", False, limits=SearchLimits(max_nodes=spent.nodes - 1)
+    )
+    with pytest.raises(UndecidedError) as exc:
+        for i in range(len(bowtie.facets)):
+            cache.feasible(1 << i)
+    assert exc.value.nodes == spent.nodes
 
 
 def test_empty_source_maps_anywhere(tailed):
