@@ -15,6 +15,19 @@ Injective searches add a global all-different constraint plus a degree
 filter: an injective simplicial image can only lose neighbours, so a
 candidate must dominate the source vertex's degree and every d-degree.
 
+Forward checking (Haralick & Elliott 1980): after placing a vertex the
+search checks every later stage holding it.  That stage needs a
+candidate target facet ``g`` containing the images placed so far which
+its unplaced vertices can still fill: for kind ``facet`` at most that
+many vertices of ``g`` are missing, and under injectivity none of them
+is used yet; for kind ``strict`` the placed images are distinct, and
+under injectivity ``g`` has that many unused vertices.  When no ``g``
+is left the placement is dropped.  Any map below it would have to take
+such a ``g`` for that stage, so only subtrees without a map are cut;
+as stage and candidate order are unchanged, the first map found is the
+same as without the check, and only ``nodes`` falls.  A dropped
+placement still counts as a node.
+
 Stage order is static (fewest candidate target facets first, canonical
 order breaking ties; vertices inside a stage by descending degree) and
 candidates are tried in canonical order, so the first map found is the
@@ -205,6 +218,15 @@ def find_map(problem: SearchProblem) -> SearchResult:
     # canonically
     stages.sort(key=lambda s: len(s[2]))
     free = list(_bits(vertices & ~staged))
+    # a staged vertex is placed by the first stage holding it; ``later[v]``
+    # lists the other stages holding it, which the look-ahead checks
+    later: list[list[tuple]] = [[] for _ in range(src.n)]
+    placed_by = 0
+    for stage in stages:
+        for v in stage[1]:
+            if placed_by >> v & 1:
+                later[v].append(stage)
+        placed_by |= stage[0]
 
     assign = [-1] * src.n
     used = 0
@@ -224,6 +246,35 @@ def find_map(problem: SearchProblem) -> SearchResult:
             raise UndecidedError(nodes)
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             raise UndecidedError(nodes, TIME_EXHAUSTED)
+
+    def fits_later(v: int) -> bool:
+        """Can every later stage holding ``v`` still reach a target facet?"""
+        for _, order, cands in later[v]:
+            pre = 0
+            unplaced = 0
+            for w in order:
+                if assign[w] < 0:
+                    unplaced += 1
+                else:
+                    pre |= 1 << assign[w]
+            if kind == "facet":
+                # the unplaced vertices must cover the rest of g, and
+                # injectively only with vertices nobody uses yet
+                for g in cands:
+                    rest = g & ~pre
+                    if not pre & ~g and rest.bit_count() <= unplaced and not (inj and rest & used):
+                        break
+                else:
+                    return False
+            else:
+                if pre.bit_count() != len(order) - unplaced:
+                    return False
+                for g in cands:
+                    if not pre & ~g and (not inj or (g & ~used).bit_count() >= unplaced):
+                        break
+                else:
+                    return False
+        return True
 
     def run_stage(si: int) -> bool:
         if si == len(stages):
@@ -270,7 +321,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
             assign[v] = u
             if inj:
                 used |= 1 << u
-            if extend_onto(si, g, remaining, ri + 1, rest):
+            if fits_later(v) and extend_onto(si, g, remaining, ri + 1, rest):
                 return True
             assign[v] = -1
             if inj:
@@ -298,7 +349,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
             assign[v] = u
             if inj:
                 used |= 1 << u
-            if extend_into(si, narrowed, remaining, ri + 1, fimg | 1 << u):
+            if fits_later(v) and extend_into(si, narrowed, remaining, ri + 1, fimg | 1 << u):
                 return True
             assign[v] = -1
             if inj:

@@ -1,6 +1,9 @@
+import json
 import math
 import random
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from facetcx import (
     boundary_complex,
     build_complex,
     classify,
+    cli,
     closure,
     complete_complex,
     find_map,
@@ -19,6 +23,10 @@ from facetcx import (
     group_feasible,
 )
 from facetcx.homsearch import TIME_EXHAUSTED
+from facetcx.scx import serialize_scx
+
+PINS = Path(__file__).with_name("homsearch_pins.json")
+KINDS = (("facet", False), ("facet", True), ("strict", False), ("strict", True))
 
 
 def test_whole_bowtie_has_no_facet_map(bowtie, tailed):
@@ -181,3 +189,117 @@ def test_group_search_matches_search_on_closure(kind, injective):
                 assert probe.images == reference.map.assignment
                 assert cache.certificate(group) == reference.map
     assert found >= 20  # the comparison covers found maps, not only failures
+
+
+def _pin_complex(spec: dict):
+    return generate("random", spec["n"], {k: v for k, v in spec.items() if k != "n"})
+
+
+def _pin_problems(count: int = 200) -> list[dict]:
+    """Seeded problems shaped like the benchmark's random pairs: sources
+    of 6-9 vertices, targets of 3-6, all four kinds, and every other
+    block of four a ``group`` probe instead of the whole source."""
+    rng = random.Random("homsearch pins")
+    problems = []
+    for i in range(count):
+        kind, injective = KINDS[i % len(KINDS)]
+        source, target = (
+            {"n": rng.randint(*n), "seed": rng.randrange(1 << 30),
+             "density": round(rng.uniform(*density), 3),
+             "max_facet_size": rng.choice((2, 3))}
+            for n, density in (((6, 9), (0.15, 0.45)), ((3, 6), (0.3, 0.8)))
+        )
+        group = None
+        if i // len(KINDS) % 2:
+            group = rng.randrange(1, 1 << len(_pin_complex(source).facets))
+        problems.append({"source": source, "target": target, "kind": kind,
+                         "injective": injective, "group": group})
+    return problems
+
+
+def _pin_search(pin: dict):
+    return find_map(SearchProblem(
+        _pin_complex(pin["source"]), _pin_complex(pin["target"]), pin["kind"],
+        pin["injective"], group=pin["group"],
+    ))
+
+
+def test_look_ahead_keeps_the_first_map_and_cuts_nodes():
+    """Differential check against the search without look-ahead.
+
+    ``homsearch_pins.json`` holds ``_pin_problems()`` with the
+    ``(found, images, nodes)`` that ``find_map`` returned at commit
+    34b4555, the last one without look-ahead; running this file as a
+    script on such a checkout rewrites it.  Look-ahead only drops
+    subtrees holding no map, so each search must find the same first
+    map (or none) in no more nodes, and in fewer nodes overall.
+    """
+    pins = json.loads(PINS.read_text())
+    assert [{k: pin[k] for k in ("source", "target", "kind", "injective", "group")}
+            for pin in pins] == _pin_problems()
+    before = after = 0
+    for pin in pins:
+        res = _pin_search(pin)
+        assert (res.found, list(res.images)) == (pin["found"], pin["images"])
+        assert res.nodes <= pin["nodes"]
+        before += pin["nodes"]
+        after += res.nodes
+    assert after < before
+    assert sum(pin["found"] for pin in pins) >= 40  # found maps are compared too
+
+
+# Small searches the look-ahead cuts: source facets, target facets, kind,
+# injectivity, the first map found (None when there is none) and the
+# nodes spent, rejected placements included.
+PRUNED = [
+    # Stage ac places c->A, a->C; stage bd tries d->A first, which would
+    # give cd the image A twice: rejected as node 3.  d->C and b->A then
+    # finish the map at node 5; without look-ahead the search spends 7.
+    ([("a", "c"), ("b", "d"), ("c", "d")], [("A", "C", "D")], "strict", False,
+     {"a": "C", "b": "A", "c": "A", "d": "C"}, 5),
+    # Stage ab maps onto AD, then onto BD.  Under AD, a->D and then b->A
+    # (node 4) would leave bc needing D, which a uses: rejected, and so is
+    # b->B under BD (node 8).  No map; without look-ahead, 10 nodes.
+    ([("a", "b"), ("a", "c"), ("b", "c")], [("A", "B", "C"), ("A", "D"), ("B", "D")],
+     "facet", True, None, 8),
+]
+
+
+@pytest.mark.parametrize("source, target, kind, injective, first, nodes", PRUNED,
+                         ids=["strict-repeated-image", "facet-injective-used-vertex"])
+def test_rejected_placement_counts_as_a_node(source, target, kind, injective, first, nodes):
+    problem = SearchProblem(build_complex(source), build_complex(target), kind, injective)
+    res = find_map(problem)
+    assert (res.map.as_dict() if res.found else None, res.nodes) == (first, nodes)
+    assert find_map(replace(problem, limits=SearchLimits(nodes))).nodes == nodes
+    with pytest.raises(UndecidedError) as exc:
+        find_map(replace(problem, limits=SearchLimits(nodes - 1)))
+    assert exc.value.nodes == nodes
+
+
+@pytest.mark.parametrize("command", [
+    ["map-check", "{S}", "{T}", "--kind", "strict", "--node-budget", "4"],
+    ["complexity", "{S}", "{T}", "--strict", "--node-budget", "4", "--json"],
+])
+def test_node_budget_on_pruned_search_exits_4(capsys, tmp_path, command):
+    source, target = PRUNED[0][:2]
+    paths = {"{S}": tmp_path / "s.scx", "{T}": tmp_path / "t.scx"}
+    paths["{S}"].write_text(serialize_scx(build_complex(source)))
+    paths["{T}"].write_text(serialize_scx(build_complex(target)))
+    code = cli.run([str(paths.get(arg, arg)) for arg in command])
+    out, err = capsys.readouterr()
+    assert (code, err) == (4, "")
+    if command[0] == "map-check":
+        assert out.startswith("UNDECIDED")
+    else:
+        assert json.loads(out)["value"] == "undecided"
+
+
+if __name__ == "__main__":
+    # Pins the search this file compares against; see the differential test.
+    pins = []
+    for problem in _pin_problems():
+        res = _pin_search(problem)
+        pins.append({**problem, "found": res.found, "images": list(res.images),
+                     "nodes": res.nodes})
+    PINS.write_text("[\n" + ",\n".join(json.dumps(pin) for pin in pins) + "\n]\n")
