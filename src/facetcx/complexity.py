@@ -16,12 +16,15 @@ least-uncovered-facet pivot is exact.  Each group is decided by a
 ``FeasibilityCache`` probe, a map search run on the source's own facet
 masks; a group's subcomplex and witness map are built only for the
 groups of the reported cover.  When the whole constrained group fails,
-the DP reads each group's verdict and each uncovered set's optimum
-through two byte tables of ``2**m`` entries for ``m`` constrained
-facets (2 MB at the default cap), so a repeated probe costs one lookup.
-Both are invariants of the complex the constrained facets generate, so
-each value decided is written to the whole orbit of its mask under the
-facet permutations that complex's automorphisms induce; a source
+the DP reads each group's verdict through a byte table of ``2**m``
+entries for ``m`` constrained facets, so a repeated probe costs one
+lookup.  A verdict and an uncovered set's optimum are invariants of the
+complex the constrained facets generate, so both are constant on the
+orbit of a mask under the facet permutations that complex's
+automorphisms induce.  The first probe of an orbit walks it once,
+writing the verdict and the orbit's representative to every member,
+and each optimum is stored once per orbit, at its representative: two
+byte tables plus 4 bytes per mask, 6 MB at the default cap.  A source
 without symmetry has orbits of one mask.  A query's budget bounds the
 whole run, ``bounds``' ``graph_lower`` sub-solve included.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 from .complexes import Complex, _bits, _key, closure, facet_automorphisms, facet_graph
@@ -174,6 +178,20 @@ def compute(
     return result
 
 
+def _precedes(a: int, b: int) -> bool:
+    """Whether ``a``'s sorted bit indices come lexicographically before ``b``'s.
+
+    ``a`` and ``b`` must differ.  Below their lowest differing bit ``d``
+    both agree.  If ``d`` is in ``a``, ``b`` continues with a bit above
+    ``d`` (``b > d``) or ends, and ``a`` comes first exactly in the first
+    case; otherwise ``a`` comes first exactly when it ends (``a < d``).
+    This picks the least option without a sorted index tuple per option.
+    """
+    diff = a ^ b
+    d = diff & -diff
+    return b > d if a & d else a < d
+
+
 def _cover_masks(m: int, probe, gens) -> list[int]:
     """The canonical optimal cover of ``m`` facets whose full group fails.
 
@@ -182,19 +200,26 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
     least-indexed uncovered facet finds the optimum, then each step
     picks the lexicographically least optimal group.  The DP asks for
     most groups many times, so each group's verdict is read through a
-    ``1 << m`` byte table (0 unknown, 1 infeasible, 2 feasible) and the
-    optimum of each infeasible uncovered set through another (0 unknown).
+    ``1 << m`` byte table (0 unknown, 1 infeasible, 2 feasible).
 
     ``gens`` are facet permutations induced by automorphisms of the
     complex the ``m`` facets generate (see ``facet_automorphisms``).
-    Such a permutation maps a group onto an isomorphic one, so a
-    verdict or optimum once decided is written to the whole orbit of its
-    mask.  Neither changes under the permutations, so the cover chosen
-    is the same with or without them; only the probes are fewer.
+    Such a permutation maps a group onto an isomorphic one, so a verdict
+    is constant on the orbit of its mask, and so is the optimum of an
+    uncovered set.  The first probe of an orbit walks it once, writing
+    the verdict and the orbit's representative (the probed mask) to every
+    member; the representatives take 4 bytes per mask.  The optimum of
+    each infeasible uncovered set lives in a second byte table at its
+    representative (0 unknown): ``best`` asks for a set's verdict before
+    its optimum, so its orbit has been walked by then.  Neither value
+    changes under the permutations, so the cover chosen is the same with
+    or without them; only the probes are fewer.
     """
     full = (1 << m) - 1
     verdict = bytearray(1 << m)
     verdict[full] = 1
+    rep = array("I", [0]) * (1 << m)
+    rep[full] = full
     cost = bytearray(1 << m)
     # each permutation as two tables over the low and the high half-mask
     half = (m + 1) // 2
@@ -208,23 +233,21 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
                 table[b] = table[b ^ bit] | 1 << p[offset + bit.bit_length() - 1]
         perms.append((lo, hi))
 
-    def spread(table: bytearray, mask: int, value: int) -> None:
-        """Write ``value`` over the orbit of ``mask``, which reads 0 so far."""
-        table[mask] = value
-        todo = [mask]
-        while todo:
-            g = todo.pop()
-            for lo, hi in perms:
-                h = lo[g & low] | hi[g >> half]
-                if not table[h]:
-                    table[h] = value
-                    todo.append(h)
-
     def feasible(group: int) -> bool:
         v = verdict[group]
         if not v:
             v = 2 if probe(group) else 1
-            spread(verdict, group, v)
+            verdict[group] = v
+            rep[group] = group
+            todo = [group]
+            while todo:
+                g = todo.pop()
+                for lo, hi in perms:
+                    h = lo[g & low] | hi[g >> half]
+                    if not verdict[h]:
+                        verdict[h] = v
+                        rep[h] = group
+                        todo.append(h)
         return v == 2
 
     def best(mask: int) -> int:
@@ -232,7 +255,7 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
             return 0
         if feasible(mask):
             return 1
-        out = cost[mask]
+        out = cost[rep[mask]]
         if out:
             return out
         pivot = mask & -mask
@@ -246,7 +269,7 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        spread(cost, mask, out)
+        cost[rep[mask]] = out
         return out
 
     chosen: list[int] = []
@@ -255,16 +278,16 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
         pivot = uncovered & -uncovered
         rest = uncovered ^ pivot
         target_cost = best(uncovered)
-        options: list[int] = []
+        pick = 0
         sub = rest
         while True:
             group = sub | pivot
             if feasible(group) and 1 + best(uncovered & ~group) == target_cost:
-                options.append(group)
+                if not pick or _precedes(group, pick):
+                    pick = group
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        pick = min(options, key=lambda g: tuple(_bits(g)))
         chosen.append(pick)
         uncovered &= ~pick
     return chosen

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,22 @@ def test_time_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
     cover search as a whole runs for about 0.1 s."""
     calls, paths = _count_compute(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
     code, out, err = run(capsys, "complexity", *paths, "--time-budget", "0.01", "--json")
+    assert (code, err, len(calls)) == (4, "", 1)
+    assert json.loads(out)["value"] == "undecided"
+
+
+def test_time_budget_holds_at_a_raised_cap(capsys, tmp_path, monkeypatch):
+    """K7 edges plus a disjoint triangle are 24 symmetric facets: the cover
+    search walks facet orbits as it probes them, not all 2**24 masks up
+    front, so the budget stops it after about 0.5 s."""
+    triangle = build_complex([("x", "y"), ("y", "z"), ("x", "z")])
+    source = build_complex(_kn_edges(7).facet_lists() + triangle.facet_lists())
+    calls, paths = _count_compute(monkeypatch, tmp_path, source, complete_complex(2))
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "complexity", *paths, "--facet-cap", "25", "--time-budget", "0.5", "--json"
+    )
+    assert time.monotonic() - start < 5
     assert (code, err, len(calls)) == (4, "", 1)
     assert json.loads(out)["value"] == "undecided"
 

@@ -23,7 +23,7 @@ from facetcx import (
     union,
 )
 from facetcx.complexes import _bits, facet_automorphisms, generate, skeleton
-from facetcx.complexity import _cover_masks
+from facetcx.complexity import _cover_masks, _precedes
 from facetcx.verify import KINDS, VerifyConfig, _instances
 
 
@@ -393,22 +393,36 @@ def test_orbit_sharing_keeps_canonical_covers():
 
 
 @pytest.mark.parametrize(
-    "source, target, kind, value, cover, max_searches",
+    "source, target, kind, value, cover, searches, nodes",
     [
         (
             skeleton(complete_complex(6), 1), complete_complex(2), "facet", 3,
             ["12 13 14 15 26", "16 23 24 35 36 45", "25 34 46 56"],
-            300,  # 7048 without symmetry
+            153, 1203,  # 7048 searches without symmetry
         ),
         (
             skeleton(complete_complex(6), 1), skeleton(complete_complex(3), 1), "strict", 2,
             ["12 13 14 15 16 23 24 25 36", "26 34 35 45 46 56"],
-            250,  # 6290 without symmetry
+            107, 3078,  # 6290 searches without symmetry
+        ),
+        (
+            skeleton(complete_complex(5), 1), complete_complex(2), "facet", 3,
+            ["12", "13 14 23 24 35", "15 25 34 45"],
+            38, 217,
+        ),
+        (
+            skeleton(complete_complex(5), 2), complete_complex(3), "strict", 3,
+            ["123 124 125", "134 135 234 235", "145 245 345"],
+            44, 680,
         ),
     ],
-    ids=["k6-edges-to-edge", "k6-edges-to-triangle-strict"],
+    ids=[
+        "k6-edges-to-edge", "k6-edges-to-triangle-strict",
+        "k5-edges-to-edge", "k5-triangles-to-triangle-strict",
+    ],
 )
-def test_symmetry_cuts_map_searches(source, target, kind, value, cover, max_searches):
+def test_symmetry_cuts_map_searches(source, target, kind, value, cover, searches, nodes):
+    """Exact counts: the cover search makes the same probes in the same order."""
     query = q(source, target, kind)
     cache = FeasibilityCache(source, target, kind, False, _required_masks(query))
     res = compute(query, cache=cache)
@@ -416,5 +430,32 @@ def test_symmetry_cuts_map_searches(source, target, kind, value, cover, max_sear
     assert [
         " ".join(sorted("".join(sorted(f)) for f in g.facets)) for g in res.cover.groups
     ] == cover
-    assert cache.searches <= max_searches
+    assert (cache.searches, cache.nodes, res.nodes) == (searches, nodes, nodes)
 
+
+def _lex_least(options):
+    pick = options[0]
+    for g in options[1:]:
+        if _precedes(g, pick):
+            pick = g
+    return pick
+
+
+def test_precedes_is_lexicographic_order_on_bit_indices():
+    """Every pair of distinct subsets of 8 bits, then seeded option lists."""
+    for a in range(1 << 8):
+        for b in range(1 << 8):
+            if a != b:
+                assert _precedes(a, b) == (tuple(_bits(a)) < tuple(_bits(b))), (a, b)
+    prefixes = [
+        [0b11, 0b100011], [0b100011, 0b11], [0b101, 0b100011], [0b100011, 0b101],
+    ]
+    rng = random.Random(9)
+    lists = prefixes + [
+        rng.sample(range(1, 1 << 20), rng.randint(1, 40)) for _ in range(500)
+    ] + [  # all holding the pivot, as in the cover search
+        [g << 1 | 1 for g in rng.sample(range(1 << 7), rng.randint(1, 40))]
+        for _ in range(500)
+    ]
+    for options in lists:
+        assert _lex_least(options) == min(options, key=lambda g: tuple(_bits(g)))
