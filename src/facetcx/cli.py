@@ -435,7 +435,11 @@ def _build_parser() -> _Parser:
     p.add_argument("target", help="target .scx file")
     _add_kind_flags(p)
     p.add_argument("--facet-cap", type=int, default=20,
-                   help="refuse sources with more constrained facets than this")
+                   help="refuse sources with more constrained facets than this; "
+                   "the cover search allocates 6 bytes per mask over all 2**m "
+                   "masks of m constrained facets before its first probe, "
+                   "whatever the budget: 6 MB at 20, about 100 MB at 24, "
+                   "1.6 GB at 28")
     p.add_argument("--bounds-only", action="store_true",
                    help="report theorem bounds without solving")
     _add_limit_flags(p)

@@ -300,18 +300,21 @@ class Metrics:
     min_nonunitary_facet_size: int | None
 
 
-def _degree_tables(facets: Iterable[int], n: int) -> dict[int, list[int]]:
+def _degree_tables(
+    facets: Iterable[int], n: int, top: int | None = None
+) -> dict[int, list[int]]:
     """Per-vertex d-degrees of the complex generated by ``facets``.
 
-    For each d from 1 to the largest facet dimension, row ``d`` gives,
-    for every vertex index below ``n``, the number of other vertices
-    sharing a d-simplex with it; row 1 is the degree.  Vertices outside
-    the facets read 0, so a group of a complex's facets is measured in
-    the complex's own indices.
+    For each d from 1 to the largest facet dimension, or to ``top`` when
+    given, row ``d`` gives, for every vertex index below ``n``, the
+    number of other vertices sharing a d-simplex with it; row 1 is the
+    degree.  Vertices outside the facets read 0, so a group of a
+    complex's facets is measured in the complex's own indices.
     """
     spans: dict[int, list[int]] = {}
     for f in facets:
-        for d in range(1, f.bit_count()):
+        size = f.bit_count()
+        for d in range(1, size if top is None else min(size, top + 1)):
             row = spans.get(d)
             if row is None:
                 row = spans[d] = [0] * n

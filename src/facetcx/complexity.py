@@ -18,13 +18,17 @@ masks; a group's subcomplex and witness map are built only for the
 groups of the reported cover.  When the whole constrained group fails,
 the DP reads each group's verdict through a byte table of ``2**m``
 entries for ``m`` constrained facets, so a repeated probe costs one
-lookup.  A verdict and an uncovered set's optimum are invariants of the
+lookup.  A group of two or more facets is searched only after its
+prefix, the group less its highest facet, is decided and feasible;
+by heredity an infeasible prefix rules the group out with no search.
+A verdict and an uncovered set's optimum are invariants of the
 complex the constrained facets generate, so both are constant on the
 orbit of a mask under the facet permutations that complex's
 automorphisms induce.  The first probe of an orbit walks it once,
 writing the verdict and the orbit's representative to every member,
 and each optimum is stored once per orbit, at its representative: two
-byte tables plus 4 bytes per mask, 6 MB at the default cap.  A source
+byte tables plus 4 bytes per mask, 6 MB at the default cap, allocated
+before the first probe whatever the budget.  A source
 without symmetry has orbits of one mask.  A query's budget bounds the
 whole run, ``bounds``' ``graph_lower`` sub-solve included.
 """
@@ -202,6 +206,18 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
     most groups many times, so each group's verdict is read through a
     ``1 << m`` byte table (0 unknown, 1 infeasible, 2 feasible).
 
+    An undecided group of two or more facets first has its prefix
+    ``group ^ top`` (``top`` its highest facet bit) decided the same
+    way, table and orbit walk included, and is probed only when that
+    prefix is feasible; an infeasible prefix makes it infeasible with
+    no probe, which is exact because feasibility is hereditary.  In
+    ``best(mask)``'s submask loop the prefix holds the pivot and lies
+    inside ``mask``, so the loop asks for it anyway and the rule only
+    moves that probe first, before the larger groups containing it.
+    Where a group is asked for on its own, as when ``best`` first tests
+    ``mask`` itself, a feasible group can cost one extra probe for its
+    prefix.
+
     ``gens`` are facet permutations induced by automorphisms of the
     complex the ``m`` facets generate (see ``facet_automorphisms``).
     Such a permutation maps a group onto an isomorphic one, so a verdict
@@ -236,7 +252,8 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
     def feasible(group: int) -> bool:
         v = verdict[group]
         if not v:
-            v = 2 if probe(group) else 1
+            prefix = group ^ (1 << group.bit_length() - 1)
+            v = 2 if (not prefix or feasible(prefix)) and probe(group) else 1
             verdict[group] = v
             rep[group] = group
             todo = [group]

@@ -14,6 +14,9 @@ The search branches per source facet rather than per vertex:
 Injective searches add a global all-different constraint plus a degree
 filter: an injective simplicial image can only lose neighbours, so a
 candidate must dominate the source vertex's degree and every d-degree.
+Only they build the source's d-degree rows above d = 1; a search
+without injectivity builds the degree row alone, which orders the
+vertices inside a stage.
 
 Forward checking (Haralick & Elliott 1980): after placing a vertex the
 search checks every later stage holding it.  That stage needs a
@@ -198,7 +201,8 @@ def find_map(problem: SearchProblem) -> SearchResult:
         return SearchResult(False, None, 0)
 
     tables = problem.tables or _TargetTables(tgt, kind, inj)
-    rows = _degree_tables(facets, src.n)
+    # only injective searches filter by d-degrees; the rest need the degree
+    rows = _degree_tables(facets, src.n, None if inj else 1)
     sdeg = rows.get(1) or [0] * src.n
     compat = [tables.full] * src.n
     if inj:
@@ -313,19 +317,22 @@ def find_map(problem: SearchProblem) -> SearchResult:
         pool = g & compat[v]
         if inj:
             pool &= ~used
-        for u in _bits(pool):
-            rest = uncovered & ~(1 << u)
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            u = bit.bit_length() - 1
+            rest = uncovered & ~bit
             if left - 1 < rest.bit_count():
                 continue
             tick()
             assign[v] = u
             if inj:
-                used |= 1 << u
+                used |= bit
             if fits_later(v) and extend_onto(si, g, remaining, ri + 1, rest):
                 return True
             assign[v] = -1
             if inj:
-                used &= ~(1 << u)
+                used &= ~bit
         return False
 
     def extend_into(si, viable, remaining, ri, fimg) -> bool:
@@ -341,19 +348,22 @@ def find_map(problem: SearchProblem) -> SearchResult:
         pool &= compat[v] & ~fimg
         if inj:
             pool &= ~used
-        for u in _bits(pool):
-            narrowed = tuple(g for g in viable if g >> u & 1)
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            u = bit.bit_length() - 1
+            narrowed = tuple(g for g in viable if g & bit)
             if not narrowed:
                 continue
             tick()
             assign[v] = u
             if inj:
-                used |= 1 << u
-            if fits_later(v) and extend_into(si, narrowed, remaining, ri + 1, fimg | 1 << u):
+                used |= bit
+            if fits_later(v) and extend_into(si, narrowed, remaining, ri + 1, fimg | bit):
                 return True
             assign[v] = -1
             if inj:
-                used &= ~(1 << u)
+                used &= ~bit
         return False
 
     def place_free(fi: int) -> bool:

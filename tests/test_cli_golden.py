@@ -5,10 +5,13 @@ Every case runs ``cli.run`` on the README fixtures (the shaded bowtie
 small generated pair, in text and ``--json`` form.  The expected
 outputs live in ``cli_golden.json`` next to this file; regenerate them
 with ``PYTHONPATH=src python tests/test_cli_golden.py`` only when an
-output change is intended.
+output change is intended; it prints each row whose output changed and
+flags any change other than a ``"nodes"`` line.
 """
 
+import difflib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,42 @@ def test_golden_output(name, tmp_path, capsys):
     assert {"code": code, "stdout": capsys.readouterr().out} == expected
 
 
+def changed_rows(old: dict, new: dict) -> list[str]:
+    """One report line per row that differs; rows whose only difference
+    is a ``"nodes"`` line are marked as such, every other change is flagged."""
+    nodes_line = re.compile(r' *"nodes": \d+,?')
+    report = []
+    for name in sorted(set(old) | set(new)):
+        before, after = old.get(name), new.get(name)
+        if before == after:
+            continue
+        if before is None or after is None:
+            report.append(f"{name}: {'added' if before is None else 'removed'}")
+            continue
+        lines = difflib.ndiff(before["stdout"].splitlines(), after["stdout"].splitlines())
+        only_nodes = before["code"] == after["code"] and all(
+            nodes_line.fullmatch(line[2:]) for line in lines if line[:2] in ("- ", "+ ")
+        )
+        report.append(f"{name}: {'nodes only' if only_nodes else 'CHANGED BEYOND NODES'}")
+    return report
+
+
+def test_changed_rows_flags_all_but_nodes_lines():
+    row = {"code": 0, "stdout": '{\n  "nodes": 44,\n  "value": 2\n}\n'}
+    old = {"same": row, "nodes": row, "value": row, "code": row, "gone": row}
+    new = {
+        "same": row,
+        "nodes": {"code": 0, "stdout": row["stdout"].replace("44", "48")},
+        "value": {"code": 0, "stdout": row["stdout"].replace("2\n", "3\n")},
+        "code": {"code": 4, "stdout": row["stdout"].replace("44", "48")},
+        "new": row,
+    }
+    assert changed_rows(old, new) == [
+        "code: CHANGED BEYOND NODES", "gone: removed", "new: added",
+        "nodes: nodes only", "value: CHANGED BEYOND NODES",
+    ]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -124,4 +163,6 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(out):
                 code = invoke(argv, paths)
             golden[name] = {"code": code, "stdout": out.getvalue()}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    print("\n".join(changed_rows(old, golden)) or "no row changed")
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -18,7 +18,7 @@ from facetcx import (
     skeleton,
     union,
 )
-from facetcx.complexes import _bits, facet_automorphisms
+from facetcx.complexes import _bits, _degree_tables, facet_automorphisms
 
 LABELS = st.sampled_from("abcdef")
 FACES = st.lists(
@@ -111,6 +111,18 @@ def test_metrics_isolated_and_none():
     assert m.isolated == ("a", "b")
     assert m.min_facet_size == 1
     assert m.min_nonunitary_facet_size is None
+
+
+def test_degree_tables_top_keeps_the_low_rows():
+    deepest = 0
+    for seed in range(20):
+        c = generate("random", 7, {"seed": seed, "density": 0.5})
+        rows = _degree_tables(c.facets, c.n)
+        deepest = max(deepest, *rows)
+        for top in (1, 2):
+            low = {d: row for d, row in rows.items() if d <= top}
+            assert _degree_tables(c.facets, c.n, top) == low
+    assert deepest >= 2
 
 
 def test_pure_detection():

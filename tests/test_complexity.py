@@ -294,14 +294,14 @@ def test_disjoint_union_equality():
 
 
 def test_disjoint_decompose_budget_covers_all_components():
-    """Each K5 edge set alone needs 248 nodes; the second gets what the
-    first left of 300."""
+    """Each K5 edge set alone needs 132 nodes; the second gets what the
+    first left of 200."""
     k5 = skeleton(complete_complex(5), 1)
     both = union([k5, relabel(k5, {v: v + "'" for v in k5.labels})], disjoint=True)
-    query = ComplexityQuery(both, complete_complex(2), limits=SearchLimits(max_nodes=300))
+    query = ComplexityQuery(both, complete_complex(2), limits=SearchLimits(max_nodes=200))
     with pytest.raises(UndecidedError) as exc:
         disjoint_decompose(query)
-    assert 300 <= exc.value.nodes <= 301
+    assert 200 <= exc.value.nodes <= 201
 
 
 def test_disjoint_decompose_rejects_injective(bowtie, tailed):
@@ -398,22 +398,22 @@ def test_orbit_sharing_keeps_canonical_covers():
         (
             skeleton(complete_complex(6), 1), complete_complex(2), "facet", 3,
             ["12 13 14 15 26", "16 23 24 35 36 45", "25 34 46 56"],
-            153, 1203,  # 7048 searches without symmetry
+            60, 314,  # 2155 searches without symmetry
         ),
         (
             skeleton(complete_complex(6), 1), skeleton(complete_complex(3), 1), "strict", 2,
             ["12 13 14 15 16 23 24 25 36", "26 34 35 45 46 56"],
-            107, 3078,  # 6290 searches without symmetry
+            99, 2499,  # 3234 searches without symmetry
         ),
         (
             skeleton(complete_complex(5), 1), complete_complex(2), "facet", 3,
             ["12", "13 14 23 24 35", "15 25 34 45"],
-            38, 217,
+            30, 132,
         ),
         (
             skeleton(complete_complex(5), 2), complete_complex(3), "strict", 3,
             ["123 124 125", "134 135 234 235", "145 245 345"],
-            44, 680,
+            23, 186,
         ),
     ],
     ids=[
@@ -431,6 +431,69 @@ def test_symmetry_cuts_map_searches(source, target, kind, value, cover, searches
         " ".join(sorted("".join(sorted(f)) for f in g.facets)) for g in res.cover.groups
     ] == cover
     assert (cache.searches, cache.nodes, res.nodes) == (searches, nodes, nodes)
+
+
+def _hereditary_family(rng, m, perm=None):
+    """Masks below a few random proper groups, closed under ``perm`` when
+    given: every singleton is in it, the full set is not."""
+    full = (1 << m) - 1
+    tops = {rng.randrange(1, full) for _ in range(rng.randint(1, 4))}
+    todo = list(tops) if perm else []
+    while todo:
+        image = _permute(perm, todo.pop())
+        if image not in tops:
+            tops.add(image)
+            todo.append(image)
+    tops |= {1 << i for i in range(m)}
+    return {g for g in range(1, full + 1) if any(g & ~t == 0 for t in tops)}
+
+
+def _brute_cover(m, family):
+    """Canonical optimal cover from the fewest-groups count of every mask."""
+    fewest = {0: 0}
+    frontier = [0]
+    while frontier:  # unions of k groups, k = 1, 2, ...
+        step = []
+        for a in frontier:
+            for g in family:
+                if a | g not in fewest:
+                    fewest[a | g] = fewest[a] + 1
+                    step.append(a | g)
+        frontier = step
+    chosen, uncovered = [], (1 << m) - 1
+    while uncovered:
+        pivot = uncovered & -uncovered
+        pick = min(
+            (g for g in family if g & pivot and not g & ~uncovered
+             and 1 + fewest[uncovered & ~g] == fewest[uncovered]),
+            key=lambda g: tuple(_bits(g)),
+        )
+        chosen.append(pick)
+        uncovered &= ~pick
+    return chosen
+
+
+def test_cover_masks_decides_prefixes_first():
+    """Seeded hereditary families, some closed under a known facet
+    permutation: the canonical cover matches brute force, and no group
+    is probed once its prefix (the group less its highest facet) is
+    known to fail."""
+    rng = random.Random(10)
+    for trial in range(240):
+        m = rng.randint(2, 8)
+        perm = tuple(rng.sample(range(m), m)) if trial % 2 else None
+        family = _hereditary_family(rng, m, perm)
+        probed = set()
+
+        def probe(group):
+            assert group not in probed
+            probed.add(group)
+            if group.bit_count() >= 2:
+                assert group ^ (1 << group.bit_length() - 1) in family, (trial, group)
+            return group in family
+
+        gens = (perm,) if perm else ()
+        assert _cover_masks(m, probe, gens) == _brute_cover(m, family), trial
 
 
 def _lex_least(options):
