@@ -13,9 +13,12 @@ much.  The solver therefore optimizes over facet groups only.
 Group feasibility is hereditary (subsets of a mappable group are
 mappable), so a branch-and-memo set-cover over facet bitmasks with a
 least-uncovered-facet pivot is exact.  Each group is decided by a
-``FeasibilityCache`` probe, a map search run on the source's own facet
-masks; a group's subcomplex and witness map are built only for the
-groups of the reported cover.  When the whole constrained group fails,
+``FeasibilityCache`` probe: a single facet from the target's candidate
+table, a group that earlier verdicts settle (by heredity, or because a
+map found earlier already serves it) with no search, and any other group
+by a map search run on the source's own facet masks; a group's
+subcomplex and witness map are built only for the groups of the
+reported cover.  When the whole constrained group fails,
 the DP reads each group's verdict through a byte table of ``2**m``
 entries for ``m`` constrained facets, so a repeated probe costs one
 lookup.  A group of two or more facets is searched only after its

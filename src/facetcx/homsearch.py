@@ -47,7 +47,8 @@ indices keep their order under that restriction, so the search takes
 the same steps and finds the same first map as on the built
 subcomplex.  ``FeasibilityCache`` probes groups this way, with the
 target's tables built once per cache, and builds a group's subcomplex
-and ``VertexMap`` only when ``certificate`` asks for them.
+and ``VertexMap`` only when ``certificate`` asks for them; it answers
+one facet, and groups its earlier verdicts settle, with no search.
 """
 
 from __future__ import annotations
@@ -102,12 +103,17 @@ class _TargetTables:
     facet of size ``s`` may map onto (kind ``facet``) or into (kind
     ``strict``); sizes above the target's largest facet share the last
     entry.  For injective searches ``at_least[d][k]`` is the mask of
-    target vertices whose d-degree is at least ``k``.
+    target vertices whose d-degree is at least ``k``.  ``facet_set``
+    holds the target's facets for the final kind check, and ``row``
+    memoises, per source facet mask, its vertex indices and candidates,
+    so a cache's searches set up their stages without recomputing them.
     """
 
     def __init__(self, target: Complex, kind: str, injective: bool):
         self.key = (target, kind, injective)
         self.full = (1 << target.n) - 1
+        self.facet_set = frozenset(target.facets)
+        self._rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         sizes = [g.bit_count() for g in target.facets]
         cands = []
         for s in range(max(sizes, default=0) + 2):
@@ -127,6 +133,14 @@ class _TargetTables:
 
     def candidates(self, size: int) -> tuple[int, ...]:
         return self.cands[min(size, len(self.cands) - 1)]
+
+    def row(self, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Source facet ``f``'s vertex indices, ascending, and candidates."""
+        row = self._rows.get(f)
+        if row is None:
+            bits = tuple(_bits(f))
+            row = self._rows[f] = (bits, self.candidates(len(bits)))
+        return row
 
     def compat(self, rows: dict[int, list[int]], v: int) -> int:
         """Target vertices dominating every d-degree of source vertex ``v``."""
@@ -212,12 +226,12 @@ def find_map(problem: SearchProblem) -> SearchResult:
     stages = []
     staged = 0
     for f in facets:
-        size = f.bit_count()
-        if kind == "facet" and size < 2:
+        bits, cands = tables.row(f)
+        if kind == "facet" and len(bits) < 2:
             continue
         staged |= f
-        order = sorted(_bits(f), key=lambda v: (-sdeg[v], v))
-        stages.append((f, tuple(order), tables.candidates(size)))
+        # ``bits`` ascend, so the stable sort breaks degree ties by index
+        stages.append((f, tuple(sorted(bits, key=lambda v: -sdeg[v])), cands))
     # ``facets`` come in canonical order, so the stable sort breaks ties
     # canonically
     stages.sort(key=lambda s: len(s[2]))
@@ -397,7 +411,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
     if not run_stage(0):
         return SearchResult(False, None, nodes)
     found = solution[0]
-    _, strict, facet_ok, injective, _ = _classify_masks(facets, found, tgt)
+    _, strict, facet_ok, injective, _ = _classify_masks(facets, found, tgt, tables.facet_set)
     ok = (facet_ok if kind == "facet" else strict) and (injective or not inj)
     if not ok:  # pragma: no cover - guards the search itself
         raise RuntimeError("search produced a map failing its own constraints")
@@ -409,14 +423,38 @@ class FeasibilityCache:
     """Memoized group feasibility for one complexity computation.
 
     Keys are bitmasks over ``facets`` (default: the source's facets).
-    Feasibility is hereditary, so masks below a known-feasible mask are
-    feasible and masks above a known-infeasible mask are not; the cache
-    exploits both before falling back to a search.  A search runs on
-    the group's facet masks (``SearchProblem.group``) with the target's
-    tables built once here; ``certificate`` builds the group's
-    subcomplex and witness map when asked.  ``searches`` and ``nodes``
-    count the map searches run so far and their search nodes; all of
-    them share ``limits``, the query's budget, counted from construction.
+    ``feasible`` answers a nonempty mask by the first of these rules that
+    applies, each exact, so every verdict is the one a search would give:
+
+    * ``exact``: the mask was searched before.
+    * ``one_facet``: a single facet F maps exactly when the target has a
+      candidate facet for its size (``_TargetTables.candidates``), and a
+      lone vertex of kind ``facet`` exactly when the target has a vertex:
+      F then maps onto or into that facet vertex by vertex.  The degree
+      filter of an injective search cannot reject such a map, because
+      inside a simplex of size s every d-degree is s - 1 and every vertex
+      of a target facet of size at least s has at least that.
+    * ``below_feasible``: feasibility is hereditary, so a mask below a
+      mask known feasible is feasible.
+    * ``above_infeasible``: for the same reason, a mask above a mask
+      known infeasible is infeasible.
+    * ``search``: a map search on the group's facet masks
+      (``SearchProblem.group``) with the target's tables built once here.
+
+    A map found for a group also serves every other facet whose vertices
+    it places and whose image meets the kind (a target facet of size at
+    least 2 for a facet of that size under kind ``facet``, a target
+    simplex of the facet's size under kind ``strict``).  Adding such
+    facets adds no vertex, so the same map is a map of the larger
+    subcomplex, injective when it was, and the group together with them
+    is recorded as known feasible.  Only the group's own search is kept;
+    ``certificate`` searches a mask answered without one, then builds
+    the group's subcomplex and witness map.
+
+    ``answered_by`` counts the ``feasible`` probes each rule answered.
+    ``searches`` and ``nodes`` count the map searches run so far,
+    certificates' included, and their search nodes; all of them share
+    ``limits``, the query's budget, counted from construction.
     """
 
     def __init__(
@@ -439,7 +477,16 @@ class FeasibilityCache:
             raise ValueError("the cache's facets must be facets of the source")
         self._positions = tuple(1 << position[f] for f in self.facets)
         self._tables = _TargetTables(target, kind, injective)
+        # each facet's verdict on its own (the ``one_facet`` rule)
+        self._alone = tuple(
+            bool(self._tables.candidates(f.bit_count()))
+            if kind == "strict" or f.bit_count() >= 2 else target.n > 0
+            for f in self.facets
+        )
         self._results: dict[int, SearchResult] = {}
+        self._answered = dict.fromkeys(
+            ("exact", "one_facet", "below_feasible", "above_infeasible", "search"), 0
+        )
         self._nodes = 0
         self._started = time.monotonic()
         self._feasible_max: list[int] = []
@@ -455,6 +502,11 @@ class FeasibilityCache:
         """Search nodes of the map searches run so far."""
         return self._nodes
 
+    @property
+    def answered_by(self) -> dict[str, int]:
+        """``feasible`` probes of a nonempty mask so far, by answering rule."""
+        return dict(self._answered)
+
     def _check(self, source, target, kind, injective, facets, limits) -> None:
         """Reject use of this cache for a query it was not built for."""
         if (self.source, self.target, self.kind, self.injective, self.facets, self.limits) != (
@@ -466,9 +518,14 @@ class FeasibilityCache:
         """The search result for ``mask``, searched within the budget left."""
         hit = self._results.get(mask)
         if hit is None:
-            group = 0
-            for i in _bits(mask):
+            group = vertices = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
                 group |= self._positions[i]
+                vertices |= self.facets[i]
+                rest ^= low
             limits = self.limits.left(self._nodes, self._started)
             try:
                 hit = find_map(SearchProblem(
@@ -480,6 +537,7 @@ class FeasibilityCache:
             self._results[mask] = hit
             self._nodes += hit.nodes
             if hit.found:
+                mask |= self._served(mask, vertices, hit.images)
                 self._feasible_max = [
                     m for m in self._feasible_max if m & ~mask
                 ] + [mask]
@@ -489,18 +547,44 @@ class FeasibilityCache:
                 ] + [mask]
         return hit
 
+    def _served(self, mask: int, vertices: int, images: tuple[int, ...]) -> int:
+        """Facets outside ``mask`` inside ``vertices`` that the map found
+        for ``mask`` (``images`` of ``vertices``, ascending) already maps
+        as the kind asks."""
+        assignment = [0] * self.source.n
+        for v, u in zip(_bits(vertices), images):
+            assignment[v] = u
+        served = 0
+        for i, f in enumerate(self.facets):
+            if mask >> i & 1 or f & ~vertices:
+                continue
+            _, strict, facet_ok, _, _ = _classify_masks(
+                (f,), assignment, self.target, self._tables.facet_set
+            )
+            if facet_ok if self.kind == "facet" else strict:
+                served |= 1 << i
+        return served
+
     def feasible(self, mask: int) -> bool:
         if mask == 0:
             return True
+        answered = self._answered
         cached = self._results.get(mask)
         if cached is not None:
+            answered["exact"] += 1
             return cached.found
+        if mask & (mask - 1) == 0:
+            answered["one_facet"] += 1
+            return self._alone[mask.bit_length() - 1]
         for m in self._feasible_max:
             if mask & ~m == 0:
+                answered["below_feasible"] += 1
                 return True
         for m in self._infeasible_min:
             if m & ~mask == 0:
+                answered["above_infeasible"] += 1
                 return False
+        answered["search"] += 1
         return self.result(mask).found
 
     def certificate(self, mask: int) -> VertexMap:

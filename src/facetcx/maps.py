@@ -90,7 +90,7 @@ class MapClass:
 
 def classify(m: VertexMap) -> MapClass:
     simplicial, strict, facet_flag, injective, witness_mask = _classify_masks(
-        m.source.facets, m.assignment, m.target
+        m.source.facets, m.assignment, m.target, frozenset(m.target.facets)
     )
     witness = (
         frozenset(m.source.members(witness_mask)) if witness_mask is not None else None
@@ -99,17 +99,21 @@ def classify(m: VertexMap) -> MapClass:
 
 
 def _classify_masks(
-    facets: Sequence[int], assignment: Sequence[int], tgt: Complex
+    facets: Sequence[int],
+    assignment: Sequence[int],
+    tgt: Complex,
+    tgt_facets: frozenset[int],
 ) -> tuple[bool, bool, bool, bool, int | None]:
     """``classify`` on the complex generated by ``facets``, given as masks.
 
     ``assignment[v]`` is the target index of source vertex ``v``; only
     the vertices of ``facets`` are read, so a map found on a group of a
-    complex's facets is checked in the complex's own indices.  Returns
-    the simplicial, strict, facet and injective flags and the witness
+    complex's facets is checked in the complex's own indices.
+    ``tgt_facets`` is the set of ``tgt``'s facets, which a caller
+    checking many maps into one target builds once.  Returns the
+    simplicial, strict, facet and injective flags and the witness
     facet's mask (``None`` when those three flags hold).
     """
-    tgt_facets = set(tgt.facets)
     simplicial = True
     strict = True
     facet_flag = True

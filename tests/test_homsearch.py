@@ -22,6 +22,7 @@ from facetcx import (
     generate,
     group_feasible,
 )
+from facetcx.complexes import _bits
 from facetcx.homsearch import TIME_EXHAUSTED
 from facetcx.scx import serialize_scx
 
@@ -84,16 +85,18 @@ def test_limits_left_of_a_budget():
 def test_cache_budget_covers_all_its_searches(bowtie, tailed):
     """Each search gets what the earlier ones left, and the error reports
     the nodes of all of them."""
+    # one facet is answered without a search, so spend on pairs of facets
+    pairs = [m for m in range(1 << len(bowtie.facets)) if m.bit_count() == 2]
     spent = FeasibilityCache(bowtie, tailed, "facet", False)
-    for i in range(len(bowtie.facets)):
-        spent.feasible(1 << i)
-    assert spent.nodes > 1
+    for mask in pairs:
+        spent.feasible(mask)
+    assert spent.searches > 1
     cache = FeasibilityCache(
         bowtie, tailed, "facet", False, limits=SearchLimits(max_nodes=spent.nodes - 1)
     )
     with pytest.raises(UndecidedError) as exc:
-        for i in range(len(bowtie.facets)):
-            cache.feasible(1 << i)
+        for mask in pairs:
+            cache.feasible(mask)
     assert exc.value.nodes == spent.nodes
 
 
@@ -158,6 +161,94 @@ def test_certificate_of_infeasible_group_raises(bowtie, tailed):
     assert not cache.feasible(everything)
     with pytest.raises(ValueError, match="infeasible"):
         cache.certificate(everything)
+
+
+def test_cache_counts_probes_by_rule(bowtie, tailed):
+    cache = FeasibilityCache(bowtie, tailed, "facet", False)
+    abc, cd, ce, de = (1 << i for i in range(4))
+    assert cache.feasible(cd)  # one facet: the target has an edge
+    # abc -> a'b'c', d -> c', e -> d' also maps ce onto c'd'; cd folds
+    assert cache.feasible(abc | de)  # search
+    assert cache.feasible(abc | de)  # exact
+    assert cache.feasible(ce | de)  # below abc + ce + de
+    assert not cache.feasible(cd | ce | de)  # search
+    assert not cache.feasible(abc | cd | ce | de)  # above cd + ce + de
+    assert cache.answered_by == {
+        "exact": 1, "one_facet": 1, "below_feasible": 1, "above_infeasible": 1, "search": 2,
+    }
+    assert cache.searches == 2
+    # a certificate for a group answered without its own search runs one
+    assert cache.certificate(ce | de).source == closure(bowtie, [("c", "e"), ("d", "e")])
+    assert cache.searches == 3
+
+
+def _random_pair(rng):
+    source = generate("random", rng.randint(3, 8), {
+        "seed": rng.randrange(10**6), "density": rng.uniform(0.2, 0.6),
+        "max_facet_size": rng.choice((2, 3, 4))})
+    target = generate("random", rng.randint(2, 6), {
+        "seed": rng.randrange(10**6), "density": rng.uniform(0.2, 0.7),
+        "max_facet_size": rng.choice((2, 3, 4))})
+    return source, target
+
+
+@pytest.mark.parametrize("kind, injective", KINDS)
+def test_one_facet_verdict_matches_search(kind, injective):
+    """A group of one facet is decided from the target's candidate table,
+    with no search, and the verdict is the search's: on random targets
+    with and without isolated vertices, and on the empty target and
+    targets of lone vertices."""
+    rng = random.Random(f"one facet {kind}-{injective}")
+    verdicts = []
+    for trial in range(60):
+        source, target = _random_pair(rng)
+        wide = [target.members(g) for g in target.facets if g.bit_count() >= 2]
+        targets = [build_complex(wide), build_complex(wide, explicit_vertices=["z"])]
+        if trial < 3:
+            targets.append(build_complex([], explicit_vertices=["x", "y"][:trial]))
+        for target in targets:
+            cache = FeasibilityCache(source, target, kind, injective)
+            for i, f in enumerate(source.facets):
+                verdict = cache.feasible(1 << i)
+                problem = SearchProblem(source, target, kind, injective, group=1 << i)
+                assert verdict == find_map(problem).found
+                verdicts.append((f.bit_count(), verdict))
+            assert cache.searches == 0
+            assert cache.answered_by["one_facet"] == len(source.facets)
+    # both verdicts occur for lone vertices and for larger facets
+    assert {(size >= 2, v) for size, v in verdicts} == {
+        (False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("kind, injective", KINDS)
+def test_witness_closure_records_only_mappable_groups(kind, injective):
+    """Every mask a found map records as feasible adds to its group only
+    facets inside the group's vertices, and a fresh search confirms it."""
+    rng = random.Random(f"witness closure {kind}-{injective}")
+    grown = 0
+    for _ in range(300):
+        source, target = _random_pair(rng)
+        if len(source.facets) > 8:
+            continue
+        cache = FeasibilityCache(source, target, kind, injective)
+        groups = list(range(1, 1 << len(source.facets)))
+        rng.shuffle(groups)
+        for group in groups:
+            searched = cache.searches
+            if not cache.feasible(group) or cache.searches == searched:
+                continue
+            recorded = cache._feasible_max[-1]
+            if recorded == group:
+                continue
+            grown += 1
+            vertices = 0
+            for i in _bits(group):
+                vertices |= source.facets[i]
+            assert recorded & group == group
+            for i in _bits(recorded & ~group):
+                assert source.facets[i] & ~vertices == 0
+            assert find_map(SearchProblem(source, target, kind, injective, group=recorded)).found
+    assert grown >= 10
 
 
 @pytest.mark.parametrize(
