@@ -30,8 +30,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, combinations, pairwise
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -68,7 +68,7 @@ class Complex:
 
     def __post_init__(self) -> None:
         labels, facets = self.labels, self.facets
-        if list(labels) != sorted(set(labels)):
+        if any(a >= b for a, b in pairwise(labels)):
             raise ValueError("labels must be sorted and unique")
         full = (1 << len(labels)) - 1
         covered = 0
@@ -78,7 +78,7 @@ class Complex:
             covered |= m
         if covered != full:
             raise ValueError("facets must cover every vertex")
-        if list(facets) != sorted(set(facets), key=_key):
+        if any(a >= b for a, b in pairwise(map(_key, facets))):
             raise ValueError("facets must be canonically sorted and unique")
         for a in facets:
             for b in facets:
@@ -174,9 +174,8 @@ def build_complex(
     """
     face_list = [tuple(f) for f in faces]
     extra = tuple(explicit_vertices)
-    for lab in (v for face in face_list for v in face):
-        _check_label(lab)
-    for lab in extra:
+    # each distinct label once, in order of first occurrence
+    for lab in dict.fromkeys(chain(chain.from_iterable(face_list), extra)):
         _check_label(lab)
     for pos, face in enumerate(face_list):
         if not face:
@@ -301,7 +300,10 @@ class Metrics:
 
 
 def _degree_tables(
-    facets: Iterable[int], n: int, top: int | None = None
+    facets: Sequence[int],
+    n: int,
+    top: int | None = None,
+    members: Sequence[Sequence[int]] | None = None,
 ) -> dict[int, list[int]]:
     """Per-vertex d-degrees of the complex generated by ``facets``.
 
@@ -310,15 +312,17 @@ def _degree_tables(
     number of other vertices sharing a d-simplex with it; row 1 is the
     degree.  Vertices outside the facets read 0, so a group of a
     complex's facets is measured in the complex's own indices.
+    ``members``, when given, holds each facet's vertex indices, so a
+    caller that has them saves splitting the masks again.
     """
     spans: dict[int, list[int]] = {}
-    for f in facets:
-        size = f.bit_count()
+    for f, bits in zip(facets, members if members is not None else map(_key, facets)):
+        size = len(bits)
         for d in range(1, size if top is None else min(size, top + 1)):
             row = spans.get(d)
             if row is None:
                 row = spans[d] = [0] * n
-            for v in _bits(f):
+            for v in bits:
                 row[v] |= f
     return {
         d: [(m & ~(1 << v)).bit_count() for v, m in enumerate(row)]

@@ -29,7 +29,8 @@ is left the placement is dropped.  Any map below it would have to take
 such a ``g`` for that stage, so only subtrees without a map are cut;
 as stage and candidate order are unchanged, the first map found is the
 same as without the check, and only ``nodes`` falls.  A dropped
-placement still counts as a node.
+placement still counts as a node; a vertex no later stage holds is
+not checked.
 
 Stage order is static (fewest candidate target facets first, canonical
 order breaking ties; vertices inside a stage by descending degree) and
@@ -48,7 +49,9 @@ the same steps and finds the same first map as on the built
 subcomplex.  ``FeasibilityCache`` probes groups this way, with the
 target's tables built once per cache, and builds a group's subcomplex
 and ``VertexMap`` only when ``certificate`` asks for them; it answers
-one facet, and groups its earlier verdicts settle, with no search.
+one facet, and groups its earlier verdicts settle, with no search.  A
+map it finds is grown over the facets it can absorb, and a failed
+search can leave a smaller infeasible group behind it.
 """
 
 from __future__ import annotations
@@ -215,23 +218,24 @@ def find_map(problem: SearchProblem) -> SearchResult:
         return SearchResult(False, None, 0)
 
     tables = problem.tables or _TargetTables(tgt, kind, inj)
+    rows = [tables.row(f) for f in facets]
     # only injective searches filter by d-degrees; the rest need the degree
-    rows = _degree_tables(facets, src.n, None if inj else 1)
-    sdeg = rows.get(1) or [0] * src.n
+    degrees = _degree_tables(facets, src.n, None if inj else 1, [bits for bits, _ in rows])
+    sdeg = degrees.get(1) or [0] * src.n
     compat = [tables.full] * src.n
     if inj:
         for v in _bits(vertices):
-            compat[v] = tables.compat(rows, v)
+            compat[v] = tables.compat(degrees, v)
 
     stages = []
     staged = 0
-    for f in facets:
-        bits, cands = tables.row(f)
+    for f, (bits, cands) in zip(facets, rows):
         if kind == "facet" and len(bits) < 2:
             continue
         staged |= f
-        # ``bits`` ascend, so the stable sort breaks degree ties by index
-        stages.append((f, tuple(sorted(bits, key=lambda v: -sdeg[v])), cands))
+        # ``bits`` ascend, and the sort is stable under ``reverse``, so
+        # degree ties are broken by index
+        stages.append((f, tuple(sorted(bits, key=sdeg.__getitem__, reverse=True)), cands))
     # ``facets`` come in canonical order, so the stable sort breaks ties
     # canonically
     stages.sort(key=lambda s: len(s[2]))
@@ -271,10 +275,11 @@ def find_map(problem: SearchProblem) -> SearchResult:
             pre = 0
             unplaced = 0
             for w in order:
-                if assign[w] < 0:
+                u = assign[w]
+                if u < 0:
                     unplaced += 1
                 else:
-                    pre |= 1 << assign[w]
+                    pre |= 1 << u
             if kind == "facet":
                 # the unplaced vertices must cover the rest of g, and
                 # injectively only with vertices nobody uses yet
@@ -301,10 +306,11 @@ def find_map(problem: SearchProblem) -> SearchResult:
         pre = 0
         remaining = []
         for v in order:
-            if assign[v] >= 0:
-                pre |= 1 << assign[v]
-            else:
+            u = assign[v]
+            if u < 0:
                 remaining.append(v)
+            else:
+                pre |= 1 << u
         if kind == "facet":
             for g in cands:
                 if pre & ~g:
@@ -319,7 +325,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
         assigned = len(order) - len(remaining)
         if pre.bit_count() != assigned:
             return False
-        viable = tuple(g for g in cands if not pre & ~g)
+        viable = [g for g in cands if not pre & ~g]
         return extend_into(si, viable, remaining, 0, pre)
 
     def extend_onto(si, g, remaining, ri, uncovered) -> bool:
@@ -342,7 +348,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
             assign[v] = u
             if inj:
                 used |= bit
-            if fits_later(v) and extend_onto(si, g, remaining, ri + 1, rest):
+            if (not later[v] or fits_later(v)) and extend_onto(si, g, remaining, ri + 1, rest):
                 return True
             assign[v] = -1
             if inj:
@@ -366,14 +372,15 @@ def find_map(problem: SearchProblem) -> SearchResult:
             bit = pool & -pool
             pool ^= bit
             u = bit.bit_length() - 1
-            narrowed = tuple(g for g in viable if g & bit)
+            narrowed = [g for g in viable if g & bit]
             if not narrowed:
                 continue
             tick()
             assign[v] = u
             if inj:
                 used |= bit
-            if fits_later(v) and extend_into(si, narrowed, remaining, ri + 1, fimg | bit):
+            if (not later[v] or fits_later(v)) and extend_into(
+                    si, narrowed, remaining, ri + 1, fimg | bit):
                 return True
             assign[v] = -1
             if inj:
@@ -408,7 +415,14 @@ def find_map(problem: SearchProblem) -> SearchResult:
         assign[v] = -1
         return False
 
-    if not run_stage(0):
+    try:
+        searched = run_stage(0)
+    finally:
+        # the recursive helpers reach each other through closure cells;
+        # emptying them frees the search's tables on return, not at the
+        # next cyclic collection
+        del run_stage, extend_onto, extend_into, place_free
+    if not searched:
         return SearchResult(False, None, nodes)
     found = solution[0]
     _, strict, facet_ok, injective, _ = _classify_masks(facets, found, tgt, tables.facet_set)
@@ -441,15 +455,30 @@ class FeasibilityCache:
     * ``search``: a map search on the group's facet masks
       (``SearchProblem.group``) with the target's tables built once here.
 
-    A map found for a group also serves every other facet whose vertices
-    it places and whose image meets the kind (a target facet of size at
-    least 2 for a facet of that size under kind ``facet``, a target
-    simplex of the facet's size under kind ``strict``).  Adding such
-    facets adds no vertex, so the same map is a map of the larger
-    subcomplex, injective when it was, and the group together with them
-    is recorded as known feasible.  Only the group's own search is kept;
-    ``certificate`` searches a mask answered without one, then builds
-    the group's subcomplex and witness map.
+    Two more rules feed the antichains the last two rules read:
+
+    * Witness growth: a map found for a group is extended over the
+      cache's other facets, one at a time in cache order (``_grow``).  A
+      facet whose vertices the map places joins when its image meets
+      the kind; a facet with unplaced vertices joins when they can be
+      placed so that it maps onto (kind ``facet``) or into (kind
+      ``strict``) a candidate target facet, on unused target vertices
+      under injectivity.  The extended map is a map of the grown group's
+      subcomplex, checked before the grown group is recorded as known
+      feasible: one witness certifies everything it contains, as for
+      closed itemsets (Pasquier et al. 1999).
+    * Local nogood: when a search fails on a group of three or more
+      facets, its top facet together with the group's facets that meet
+      it is probed through ``feasible``, so the rules and the budget
+      apply to it, when that core is smaller and holds two or more
+      facets.  An infeasible core replaces the group as the recorded
+      infeasible set, as a learnt nogood in constraint search (Dechter
+      1990).
+
+    Only a group's own search is kept; ``certificate`` searches a mask
+    answered without one, then builds the group's subcomplex and witness
+    map.  A mask outside ``[0, 1 << len(facets))`` is rejected with
+    ``ValueError``.
 
     ``answered_by`` counts the ``feasible`` probes each rule answered.
     ``searches`` and ``nodes`` count the map searches run so far,
@@ -514,10 +543,15 @@ class FeasibilityCache:
         ):
             raise ValueError("the cache was built for a different query")
 
+    def _check_mask(self, mask: int) -> None:
+        if not 0 <= mask < 1 << len(self.facets):
+            raise ValueError("mask must be a mask over the cache's facets")
+
     def result(self, mask: int) -> SearchResult:
         """The search result for ``mask``, searched within the budget left."""
         hit = self._results.get(mask)
         if hit is None:
+            self._check_mask(mask)
             group = vertices = 0
             rest = mask
             while rest:
@@ -537,7 +571,7 @@ class FeasibilityCache:
             self._results[mask] = hit
             self._nodes += hit.nodes
             if hit.found:
-                mask |= self._served(mask, vertices, hit.images)
+                mask = self._grow(mask, vertices, hit.images)
                 self._feasible_max = [
                     m for m in self._feasible_max if m & ~mask
                 ] + [mask]
@@ -547,25 +581,76 @@ class FeasibilityCache:
                 ] + [mask]
         return hit
 
-    def _served(self, mask: int, vertices: int, images: tuple[int, ...]) -> int:
-        """Facets outside ``mask`` inside ``vertices`` that the map found
-        for ``mask`` (``images`` of ``vertices``, ascending) already maps
-        as the kind asks."""
-        assignment = [0] * self.source.n
+    def _grow(self, mask: int, vertices: int, images: tuple[int, ...]) -> int:
+        """``mask`` with every facet the map found for it absorbs.
+
+        The map (``images`` of ``vertices``, ascending) is extended one
+        facet at a time, in cache order.  A facet's unplaced vertices go
+        to the first candidate target facet g holding its placed images:
+        onto the vertices of g the image misses, any left over folding
+        onto g's first vertex (kind ``facet``), or onto distinct vertices
+        of g outside the image (kind ``strict``); under injectivity only
+        unused target vertices are taken.  A facet no candidate takes is
+        left out.  The extended map is checked on the grown group before
+        the group is returned.
+        """
+        tables, inj = self._tables, self.injective
+        assign = [-1] * self.source.n
+        used = 0
         for v, u in zip(_bits(vertices), images):
-            assignment[v] = u
-        served = 0
+            assign[v] = u
+            used |= 1 << u
+        grown = mask
         for i, f in enumerate(self.facets):
-            if mask >> i & 1 or f & ~vertices:
+            if grown >> i & 1:
                 continue
-            _, strict, facet_ok, _, _ = _classify_masks(
-                (f,), assignment, self.target, self._tables.facet_set
+            bits, cands = tables.row(f)
+            new = []
+            pre = 0
+            for v in bits:
+                if assign[v] < 0:
+                    new.append(v)
+                else:
+                    pre |= 1 << assign[v]
+            onto = self.kind == "facet" and len(bits) >= 2
+            if not onto:
+                if pre.bit_count() != len(bits) - len(new):
+                    continue
+                if self.kind == "facet":  # a lone vertex: any target vertex
+                    cands = (tables.full,)
+            for g in cands:
+                if pre & ~g:
+                    continue
+                if onto:
+                    # the new vertices cover what g misses, the rest fold
+                    # onto g's first vertex
+                    need = g & ~pre
+                    if len(new) < need.bit_count() or (inj and need & used):
+                        continue
+                    pool = list(_bits(need))
+                    pool += [(g & -g).bit_length() - 1] * (len(new) - len(pool))
+                else:
+                    free = g & ~pre & ~used if inj else g & ~pre
+                    if free.bit_count() < len(new):
+                        continue
+                    pool = list(_bits(free))
+                for v, u in zip(new, pool):
+                    assign[v] = u
+                    used |= 1 << u
+                grown |= 1 << i
+                break
+        if grown != mask:
+            group = tuple(self.facets[i] for i in _bits(grown))
+            _, strict, facet_ok, injective, _ = _classify_masks(
+                group, assign, self.target, self._tables.facet_set
             )
-            if facet_ok if self.kind == "facet" else strict:
-                served |= 1 << i
-        return served
+            if not ((facet_ok if self.kind == "facet" else strict) and (injective or not inj)):
+                raise RuntimeError(  # pragma: no cover - guards the growth itself
+                    "a grown map fails its own constraints")
+        return grown
 
     def feasible(self, mask: int) -> bool:
+        self._check_mask(mask)
         if mask == 0:
             return True
         answered = self._answered
@@ -585,7 +670,18 @@ class FeasibilityCache:
                 answered["above_infeasible"] += 1
                 return False
         answered["search"] += 1
-        return self.result(mask).found
+        if self.result(mask).found:
+            return True
+        if mask.bit_count() >= 3:
+            # local nogood: the top facet with the group's facets meeting it
+            top = mask.bit_length() - 1
+            core = 0
+            for i in _bits(mask):
+                if self.facets[i] & self.facets[top]:
+                    core |= 1 << i
+            if core != mask and core & (core - 1):
+                self.feasible(core)
+        return False
 
     def certificate(self, mask: int) -> VertexMap:
         res = self.result(mask)

@@ -18,7 +18,7 @@ from facetcx import (
     skeleton,
     union,
 )
-from facetcx.complexes import _bits, _degree_tables, facet_automorphisms
+from facetcx.complexes import Complex, _bits, _degree_tables, facet_automorphisms
 
 LABELS = st.sampled_from("abcdef")
 FACES = st.lists(
@@ -45,6 +45,28 @@ def test_explicit_vertices_become_singletons():
     c = build_complex([("a", "b")], explicit_vertices=("z", "a"))
     assert c.labels == ("a", "b", "z")
     assert frozenset({"z"}) in c.facet_sets()
+
+
+@pytest.mark.parametrize("faces, extra, first", [
+    ([("p#", "q"), ("q r", "p#")], (), "'p#'"),
+    ([("q", "r s")], ("t#", "r s"), "'r s'"),
+    ([("q",)], ("u v", "w#"), "'u v'"),
+])
+def test_first_bad_label_is_reported(faces, extra, first):
+    with pytest.raises(ValueError, match=f"label {first}"):
+        build_complex(faces, explicit_vertices=extra)
+
+
+@pytest.mark.parametrize("labels, facets, message", [
+    (("b", "a"), (1, 2), "labels must be sorted"),
+    (("a", "a"), (1, 2), "labels must be sorted"),
+    (("a", "b", "c"), (4, 3), "facets must be canonically sorted"),
+    (("a", "b"), (1, 1, 2), "facets must be canonically sorted"),
+    (("a", "b"), (1, 3), "antichain"),
+])
+def test_complex_rejects_non_canonical_form(labels, facets, message):
+    with pytest.raises(ValueError, match=message):
+        Complex(labels, facets)
 
 
 def test_empty_complex():

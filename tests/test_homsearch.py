@@ -163,6 +163,15 @@ def test_certificate_of_infeasible_group_raises(bowtie, tailed):
         cache.certificate(everything)
 
 
+def test_cache_rejects_masks_outside_its_facets(bowtie, tailed):
+    cache = FeasibilityCache(bowtie, tailed, "facet", False)
+    for probe in (cache.feasible, cache.certificate):
+        for mask in (1 << 40, 1 << len(bowtie.facets), -1):
+            with pytest.raises(ValueError, match="mask"):
+                probe(mask)
+    assert cache.searches == 0
+
+
 def test_cache_counts_probes_by_rule(bowtie, tailed):
     cache = FeasibilityCache(bowtie, tailed, "facet", False)
     abc, cd, ce, de = (1 << i for i in range(4))
@@ -180,6 +189,22 @@ def test_cache_counts_probes_by_rule(bowtie, tailed):
     # a certificate for a group answered without its own search runs one
     assert cache.certificate(ce | de).source == closure(bowtie, [("c", "e"), ("d", "e")])
     assert cache.searches == 3
+    # c -> d', d -> c', e -> d' grows over abc: a -> c' and b folds onto c'
+    assert cache.feasible(cd | de)  # search
+    assert cache.feasible(abc | cd)  # below abc + cd + de
+    assert cache.answered_by == {
+        "exact": 1, "one_facet": 1, "below_feasible": 2, "above_infeasible": 1, "search": 3,
+    }
+
+    injective = FeasibilityCache(bowtie, tailed, "facet", True)
+    # abc + cd + de fails, and so does its core around de, cd + de: both
+    # edges must map onto c'd', which cannot hold c, d and e injectively
+    assert not injective.feasible(abc | cd | de)  # search, then search the core
+    assert injective._infeasible_min == [cd | de]
+    assert not injective.feasible(cd | ce | de)  # above cd + de
+    assert injective.answered_by == {
+        "exact": 0, "one_facet": 0, "below_feasible": 0, "above_infeasible": 1, "search": 2,
+    }
 
 
 def _random_pair(rng):
@@ -222,10 +247,11 @@ def test_one_facet_verdict_matches_search(kind, injective):
 
 @pytest.mark.parametrize("kind, injective", KINDS)
 def test_witness_closure_records_only_mappable_groups(kind, injective):
-    """Every mask a found map records as feasible adds to its group only
-    facets inside the group's vertices, and a fresh search confirms it."""
+    """Soundness of the recorded verdicts: a fresh search confirms every
+    mask a found map records as feasible, grown groups included, and
+    every mask a failed search or a local nogood records as infeasible."""
     rng = random.Random(f"witness closure {kind}-{injective}")
-    grown = 0
+    grown = new_vertices = cores = 0
     for _ in range(300):
         source, target = _random_pair(rng)
         if len(source.facets) > 8:
@@ -235,7 +261,11 @@ def test_witness_closure_records_only_mappable_groups(kind, injective):
         rng.shuffle(groups)
         for group in groups:
             searched = cache.searches
-            if not cache.feasible(group) or cache.searches == searched:
+            if not cache.feasible(group):
+                # searched, then its core searched and found infeasible
+                cores += cache.searches == searched + 2 and group not in cache._infeasible_min
+                continue
+            if cache.searches == searched:
                 continue
             recorded = cache._feasible_max[-1]
             if recorded == group:
@@ -245,10 +275,15 @@ def test_witness_closure_records_only_mappable_groups(kind, injective):
             for i in _bits(group):
                 vertices |= source.facets[i]
             assert recorded & group == group
-            for i in _bits(recorded & ~group):
-                assert source.facets[i] & ~vertices == 0
+            new_vertices += any(source.facets[i] & ~vertices for i in _bits(recorded & ~group))
             assert find_map(SearchProblem(source, target, kind, injective, group=recorded)).found
+        for mask, found in [(m, True) for m in cache._feasible_max] + [
+                (m, False) for m in cache._infeasible_min]:
+            problem = SearchProblem(source, target, kind, injective, group=mask)
+            assert find_map(problem).found == found
     assert grown >= 10
+    assert new_vertices >= 10  # growth placed vertices the search had not
+    assert cores >= 10  # a local nogood recorded a smaller infeasible group
 
 
 @pytest.mark.parametrize(
