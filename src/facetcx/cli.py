@@ -52,12 +52,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_complex(path: str) -> Complex:
+    file = Path(path)
     try:
-        text = Path(path).read_text()
+        with open(file) as fh:
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return parse_scx(text, name=Path(path).stem)
+        return parse_scx(text, name=file.stem)
     except ScxError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 

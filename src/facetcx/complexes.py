@@ -42,8 +42,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _precedes(a: int, b: int) -> bool:
+    """Whether ``a``'s sorted bit indices come lexicographically before ``b``'s.
+
+    ``a`` and ``b`` must differ.  Below their lowest differing bit ``d``
+    both agree.  If ``d`` is in ``a``, ``b`` continues with a bit above
+    ``d`` (``b > d``) or ends, and ``a`` comes first exactly in the first
+    case; otherwise ``a`` comes first exactly when it ends (``a < d``).
+    This compares two masks in ``_key`` order without building either key.
+    """
+    diff = a ^ b
+    d = diff & -diff
+    return b > d if a & d else a < d
+
+
 def _key(mask: int) -> tuple[int, ...]:
-    return tuple(_bits(mask))
+    """``tuple(_bits(mask))``, without the generator: it orders every facet."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -78,11 +98,11 @@ class Complex:
             covered |= m
         if covered != full:
             raise ValueError("facets must cover every vertex")
-        if any(a >= b for a, b in pairwise(map(_key, facets))):
+        if not all(a != b and _precedes(a, b) for a, b in pairwise(facets)):
             raise ValueError("facets must be canonically sorted and unique")
         for a in facets:
             for b in facets:
-                if a != b and a & b == a:
+                if a & b == a and a != b:
                     raise ValueError("facets must form an antichain")
 
     # -- basic views ---------------------------------------------------
@@ -180,30 +200,40 @@ def build_complex(
     for pos, face in enumerate(face_list):
         if not face:
             raise ValueError(f"face {pos} is empty")
+    return _canonical(face_list, extra, name)
 
-    labels = tuple(sorted(set(v for face in face_list for v in face) | set(extra)))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    masks = []
-    for face in face_list:
+
+def _canonical(
+    faces: Sequence[Sequence[str]], vertices: Iterable[str], name: str | None
+) -> Complex:
+    """The complex generated by non-empty ``faces`` of valid labels.
+
+    Each face becomes a mask over the sorted labels; the maximal masks,
+    plus a singleton for every vertex no face covers, are the facets.
+    Callers check the labels and faces first (:func:`build_complex`), or
+    read them from text that cannot hold a bad one (``scx.parse_scx``).
+    """
+    labels = sorted(set(chain(chain.from_iterable(faces), vertices)))
+    bit = {lab: 1 << i for i, lab in enumerate(labels)}
+    masks = set()
+    for face in faces:
         m = 0
         for v in face:
-            m |= 1 << idx[v]
-        masks.append(m)
-
-    # keep only maximal faces
-    masks.sort(key=lambda m: -m.bit_count())
+            m |= bit[v]
+        masks.add(m)
+    # keep only maximal faces, testing each against the larger ones kept
     maximal: list[int] = []
-    for m in masks:
-        if not any(m & ~k == 0 for k in maximal):
-            maximal.append(m)
     covered = 0
-    for m in maximal:
-        covered |= m
-    for i in range(len(labels)):
-        if not covered >> i & 1:
-            maximal.append(1 << i)
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in maximal:
+            if m & ~k == 0:
+                break
+        else:
+            maximal.append(m)
+            covered |= m
+    maximal.extend(1 << i for i in range(len(labels)) if not covered >> i & 1)
     maximal.sort(key=_key)
-    return Complex(labels, tuple(maximal), name)
+    return Complex(tuple(labels), tuple(maximal), name)
 
 
 def _check_label(lab: str) -> None:
@@ -376,7 +406,7 @@ def facet_graph(c: Complex) -> Complex:
     A graph is a complex of dimension <= 1; this one has no isolated
     vertices, only the endpoints of those edges.
     """
-    return closure(c, [c.members(m) for m in c.facets if m.bit_count() == 2])
+    return _subcomplex(c, [m for m in c.facets if m.bit_count() == 2])
 
 
 def union(parts: Iterable[Complex], disjoint: bool = False) -> Complex:
@@ -409,23 +439,39 @@ def closure(c: Complex, facet_subset: Iterable[Iterable[str]]) -> Complex:
     Every member must be a facet of ``c`` (not merely a face); anything
     else is rejected.
     """
-    chosen = []
-    facet_set = set(c.facets)
-    for f in facet_subset:
-        m = c.mask_of(f)
-        if m not in facet_set:
-            raise ValueError(f"{sorted(f)!r} is not a facet of the complex")
-        chosen.append(m)
-    chosen = sorted(set(chosen), key=_key)
-    labels = tuple(sorted({lab for m in chosen for lab in c.members(m)}))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    remapped = tuple(
-        sorted(
-            (sum(1 << idx[lab] for lab in c.members(m)) for m in chosen),
-            key=_key,
-        )
-    )
-    return Complex(labels, remapped)
+    return _subcomplex(c, [c.mask_of(f) for f in facet_subset])
+
+
+def _subcomplex(c: Complex, masks: Sequence[int]) -> Complex:
+    """The subcomplex generated by the facets ``masks`` of ``c``.
+
+    ``masks`` may come in any order and repeat; the first one that is
+    not a facet of ``c`` is rejected.  The subcomplex keeps the vertices
+    the facets cover, in ``c``'s order, so each facet is ``c``'s mask
+    with the other vertices' bits squeezed out.  Squeezing keeps the
+    order of the vertex indices, so the facets stay in ``c``'s canonical
+    order.
+    """
+    wanted = set(masks)
+    chosen = tuple(f for f in c.facets if f in wanted)
+    if len(chosen) != len(wanted):
+        bad = next(m for m in masks if m not in c.facets)
+        if bad < 0 or bad >> c.n:
+            raise ValueError(f"facet mask {bad} is out of range")
+        raise ValueError(f"{list(c.members(bad))!r} is not a facet of the complex")
+    vertices = 0
+    for f in chosen:
+        vertices |= f
+    if vertices == (1 << c.n) - 1:
+        return Complex(c.labels, chosen)
+    squeezed = {v: 1 << i for i, v in enumerate(_bits(vertices))}
+    facets = []
+    for f in chosen:
+        m = 0
+        for v in _bits(f):
+            m |= squeezed[v]
+        facets.append(m)
+    return Complex(c.members(vertices), tuple(facets))
 
 
 def relabel(c: Complex, mapping: Mapping[str, str]) -> Complex:
@@ -540,23 +586,28 @@ def facet_automorphisms(facets: Iterable[int]) -> list[tuple[int, ...]]:
         return False
 
     gens: list[dict[int, int]] = []
-    for i in reversed(range(len(base))):
-        b = base[i]
-        orbit = {b}
-        for w in cells[color[b]]:
-            if where[w] <= i or w in orbit:
-                continue
-            img = {x: x for x in base[:i]}
-            used = set(img)
-            if fits(b, w, img) and extend(i + 1, img):
-                gens.append(img)
-                todo = list(orbit)
-                while todo:
-                    x = todo.pop()
-                    for g in gens:
-                        if g[x] not in orbit:
-                            orbit.add(g[x])
-                            todo.append(g[x])
+    try:
+        for i in reversed(range(len(base))):
+            b = base[i]
+            orbit = {b}
+            for w in cells[color[b]]:
+                if where[w] <= i or w in orbit:
+                    continue
+                img = {x: x for x in base[:i]}
+                used = set(img)
+                if fits(b, w, img) and extend(i + 1, img):
+                    gens.append(img)
+                    todo = list(orbit)
+                    while todo:
+                        x = todo.pop()
+                        for g in gens:
+                            if g[x] not in orbit:
+                                orbit.add(g[x])
+                                todo.append(g[x])
+    finally:
+        # ``extend`` reaches itself through a closure cell; emptying it
+        # frees the search on return, not at the next cyclic collection
+        del extend
 
     position = {f: i for i, f in enumerate(facets)}
     identity = tuple(range(len(facets)))

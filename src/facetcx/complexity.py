@@ -43,7 +43,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 
-from .complexes import Complex, _bits, _key, closure, facet_automorphisms, facet_graph
+from .complexes import Complex, _bits, _key, _precedes, _subcomplex, facet_automorphisms, facet_graph
 from .coloring import chromatic_number
 from .homsearch import FeasibilityCache, SearchLimits, UndecidedError
 from .maps import VertexMap, classify
@@ -175,7 +175,7 @@ def compute(
         witness = cache.certificate(mask)
         if pos == 0 and extra:
             masks = tuple(sorted(masks + extra, key=_key))
-            sub = closure(source, [source.members(m) for m in masks])
+            sub = _subcomplex(source, masks)
             image = dict(zip(witness.source.labels, witness.assignment))
             witness = VertexMap(sub, target, tuple(image.get(lab, 0) for lab in sub.labels))
         groups.append(CoverGroup(_group_labels(source, masks), witness))
@@ -183,20 +183,6 @@ def compute(
     result = ComplexityResult(len(groups), Cover(tuple(groups)), cache.nodes)
     check_cover(q, result.cover)
     return result
-
-
-def _precedes(a: int, b: int) -> bool:
-    """Whether ``a``'s sorted bit indices come lexicographically before ``b``'s.
-
-    ``a`` and ``b`` must differ.  Below their lowest differing bit ``d``
-    both agree.  If ``d`` is in ``a``, ``b`` continues with a bit above
-    ``d`` (``b > d``) or ends, and ``a`` comes first exactly in the first
-    case; otherwise ``a`` comes first exactly when it ends (``a < d``).
-    This picks the least option without a sorted index tuple per option.
-    """
-    diff = a ^ b
-    d = diff & -diff
-    return b > d if a & d else a < d
 
 
 def _cover_masks(m: int, probe, gens) -> list[int]:
@@ -294,22 +280,27 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
 
     chosen: list[int] = []
     uncovered = full
-    while uncovered:
-        pivot = uncovered & -uncovered
-        rest = uncovered ^ pivot
-        target_cost = best(uncovered)
-        pick = 0
-        sub = rest
-        while True:
-            group = sub | pivot
-            if feasible(group) and 1 + best(uncovered & ~group) == target_cost:
-                if not pick or _precedes(group, pick):
-                    pick = group
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        chosen.append(pick)
-        uncovered &= ~pick
+    try:
+        while uncovered:
+            pivot = uncovered & -uncovered
+            rest = uncovered ^ pivot
+            target_cost = best(uncovered)
+            pick = 0
+            sub = rest
+            while True:
+                group = sub | pivot
+                if feasible(group) and 1 + best(uncovered & ~group) == target_cost:
+                    if not pick or _precedes(group, pick):
+                        pick = group
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            chosen.append(pick)
+            uncovered &= ~pick
+    finally:
+        # the recursive helpers reach each other through closure cells;
+        # emptying them frees the tables on return (as in ``find_map``)
+        del feasible, best
     return chosen
 
 
@@ -317,19 +308,18 @@ def check_cover(q: ComplexityQuery, cover: Cover) -> None:
     """Raise if ``cover`` is not a valid certificate for the query."""
     if not cover.groups:
         raise ValueError("a cover needs at least one group")
-    seen: set[frozenset[str]] = set()
-    facet_sets = {frozenset(f) for f in q.source.facet_sets()}
+    source = q.source
+    mask_of = dict(zip(source.facet_sets(), source.facets))
+    seen: set[int] = set()
     for g in cover.groups:
+        masks = []
         for f in g.facets:
-            if f not in facet_sets:
+            m = mask_of.get(f)
+            if m is None:
                 raise ValueError(f"group member {sorted(f)} is not a source facet")
-        seen.update(g.facets)
-        expected = (
-            closure(q.source, [sorted(f) for f in g.facets])
-            if g.facets
-            else Complex()
-        )
-        if g.map.source != expected:
+            masks.append(m)
+        seen.update(masks)
+        if g.map.source != _subcomplex(source, masks):
             raise ValueError("witness map is not defined on the group's closure")
         if g.map.target != q.target:
             raise ValueError("witness map has the wrong target")
@@ -337,8 +327,8 @@ def check_cover(q: ComplexityQuery, cover: Cover) -> None:
         ok = cls.facet if q.kind == "facet" else cls.strict
         if not ok or (q.injective and not cls.injective):
             raise ValueError("witness map does not have the required kind")
-    if q.source.n > 0 and seen != facet_sets:
-        missing = sorted(sorted(f) for f in facet_sets - seen)
+    if len(seen) != len(source.facets):
+        missing = sorted(list(source.members(m)) for m in source.facets if m not in seen)
         raise ValueError(f"cover misses source facets: {missing}")
 
 
@@ -354,7 +344,8 @@ class BoundReport:
     available when the target is complete and the query is injective;
     ``exact`` carries the value when a theorem pins it down.
     ``graph_lower`` is also ``None`` when its derived cover problem has
-    more constrained facets than the cap or runs out of search budget.
+    more constrained facets than the cap or runs out of search budget,
+    and ``chromatic_lower`` when its colouring searches run out of it.
     """
 
     finite: bool
@@ -425,9 +416,14 @@ def bounds(
     and only when that problem stays within ``facet_cap`` and the
     query's search limits; otherwise it is skipped, never raised.
     ``solved``, the outcome of ``compute(q)``, answers that problem
-    when it is the query itself; after its ``UndecidedError`` the budget
-    is spent and the sub-solve skipped.  A caller that solved passes
-    ``q`` with the limits left (``SearchLimits.left``).
+    when it is the query's own: a plain facet query whose source has
+    dimension at most 1 onto a non-empty target; after its
+    ``UndecidedError`` the budget is spent and the sub-solve skipped.
+    A caller that solved passes ``q`` with the limits left
+    (``SearchLimits.left``).  The chromatic numbers search within
+    ``q.limits`` too, each with its node budget and all on one clock
+    with the sub-solve; ``chromatic_lower`` is ``None`` when they run
+    out.
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
@@ -438,17 +434,27 @@ def bounds(
     chromatic_lower = None
     graph_lower = None
     if q.kind == "facet":
-        chromatic_lower = _chromatic_floor(
-            chromatic_number(q.source).value, chromatic_number(q.target).value
-        )
+        started = time.monotonic()
+        try:
+            chromatic_lower = _chromatic_floor(
+                chromatic_number(q.source, q.limits).value,
+                chromatic_number(q.target, q.limits.left(0, started)).value,
+            )
+        except UndecidedError:
+            pass  # a bound, not an answer: skip it rather than fail
         no_isolated = all(f.bit_count() >= 2 for f in q.target.facets)
         if q.source.n > 0 and no_isolated:
-            gq = ComplexityQuery(
-                facet_graph(q.source), facet_graph(q.target), "facet", False, q.limits
-            )
-            res = solved if gq == q or isinstance(solved, UndecidedError) else None
+            # the edge graphs pose the query's own cover problem: a plain
+            # query's lone source vertices constrain nothing, and only
+            # target edges can take source edges
+            same = not q.injective and q.source.dim <= 1 and q.target.n > 0
+            res = solved if same or isinstance(solved, UndecidedError) else None
             if res is None:
                 try:
+                    gq = ComplexityQuery(
+                        facet_graph(q.source), facet_graph(q.target), "facet", False,
+                        q.limits.left(0, started),
+                    )
                     res = compute(gq, facet_cap)
                 except (FacetCapError, UndecidedError):
                     pass  # a bound, not an answer: skip it rather than fail
@@ -521,7 +527,7 @@ def disjoint_decompose(
     value = 1.0
     nodes, started = 0, time.monotonic()
     for root in sorted(groups, key=lambda r: min(groups[r])):
-        sub = closure(source, [source.members(source.facets[i]) for i in groups[root]])
+        sub = _subcomplex(source, [source.facets[i] for i in groups[root]])
         query = ComplexityQuery(sub, q.target, q.kind, q.injective, q.limits.left(nodes, started))
         try:
             res = compute(query, facet_cap)

@@ -60,7 +60,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .complexes import Complex, _bits, _degree_tables, closure
+from .complexes import Complex, _bits, _degree_tables, _subcomplex
 from .maps import VertexMap, _classify_masks
 
 TIME_EXHAUSTED = "time budget exhausted"
@@ -452,6 +452,10 @@ class FeasibilityCache:
       mask known feasible is feasible.
     * ``above_infeasible``: for the same reason, a mask above a mask
       known infeasible is infeasible.
+    * ``pigeonhole``: an injective map of a group spanning more vertices
+      than the target has cannot exist (``find_map`` returns that at 0
+      nodes).  The verdict is not recorded: the rule answers every
+      larger group again.
     * ``search``: a map search on the group's facet masks
       (``SearchProblem.group``) with the target's tables built once here.
 
@@ -514,7 +518,8 @@ class FeasibilityCache:
         )
         self._results: dict[int, SearchResult] = {}
         self._answered = dict.fromkeys(
-            ("exact", "one_facet", "below_feasible", "above_infeasible", "search"), 0
+            ("exact", "one_facet", "below_feasible", "above_infeasible", "pigeonhole",
+             "search"), 0
         )
         self._nodes = 0
         self._started = time.monotonic()
@@ -669,6 +674,13 @@ class FeasibilityCache:
             if m & ~mask == 0:
                 answered["above_infeasible"] += 1
                 return False
+        if self.injective:
+            span = 0
+            for i in _bits(mask):
+                span |= self.facets[i]
+            if span.bit_count() > self.target.n:
+                answered["pigeonhole"] += 1
+                return False
         answered["search"] += 1
         if self.result(mask).found:
             return True
@@ -687,8 +699,8 @@ class FeasibilityCache:
         res = self.result(mask)
         if not res.found:
             raise ValueError("no certificate for an infeasible group")
-        chosen = [self.source.members(self.facets[i]) for i in _bits(mask)]
-        return VertexMap(closure(self.source, chosen), self.target, res.images)
+        chosen = [self.facets[i] for i in _bits(mask)]
+        return VertexMap(_subcomplex(self.source, chosen), self.target, res.images)
 
 
 def group_feasible(

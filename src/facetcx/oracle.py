@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import Complex, _bits, closure
+from .complexes import Complex, _bits, _subcomplex
 from .maps import VertexMap, classify
 
 INFINITY = float("inf")
@@ -87,10 +87,6 @@ def _required_facet_indices(source: Complex, kind: str, injective: bool) -> list
     return list(range(len(source.facets)))
 
 
-def _group_complex(source: Complex, facet_masks: tuple[int, ...]) -> Complex:
-    return closure(source, [source.members(m) for m in facet_masks])
-
-
 def brute_force_cover_complexity(
     source: Complex,
     target: Complex,
@@ -148,7 +144,7 @@ def _canonical_cover_min(source, target, kind, injective, limits):
 
     def feasible(group: tuple[int, ...]) -> bool:
         if group not in memo:
-            sub = _group_complex(source, tuple(source.facets[i] for i in group))
+            sub = _subcomplex(source, [source.facets[i] for i in group])
             memo[group] = (
                 brute_force_map_search(sub, target, kind, injective, limits)
                 is not None

@@ -14,7 +14,7 @@ source vertex.
 
 from __future__ import annotations
 
-from .complexes import Complex, build_complex
+from .complexes import Complex, _canonical
 from .maps import VertexMap
 
 
@@ -23,33 +23,37 @@ class ScxError(ValueError):
 
 
 def parse_scx(text: str, name: str | None = None) -> Complex:
+    """The complex an ``.scx`` text declares; ``name`` unless it names one.
+
+    The tokens ``str.split`` leaves of a line with its comment cut off
+    are never empty and hold no whitespace or ``#``, so they are valid
+    labels as read and go straight to facet masks.
+    """
     faces: list[list[str]] = []
     declared: list[str] = []
     named = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        head, *rest = line.split()
-        if head == "name":
+        head = tokens[0]
+        if head == "f":
+            if len(tokens) == 1:
+                raise ScxError(f"line {lineno}: facet line with no vertices")
+            faces.append(tokens[1:])
+        elif head == "v":
+            declared.extend(tokens[1:])
+        elif head == "name":
             if named:
                 raise ScxError(f"line {lineno}: repeated name directive")
             named = True
-            name = line[len("name"):].strip()
+            name = line.strip()[len("name"):].strip()
             if not name:
                 raise ScxError(f"line {lineno}: name directive without a name")
-        elif head == "v":
-            declared.extend(rest)
-        elif head == "f":
-            if not rest:
-                raise ScxError(f"line {lineno}: facet line with no vertices")
-            faces.append(rest)
         else:
             raise ScxError(f"line {lineno}: unknown directive {head!r}")
-    try:
-        return build_complex(faces, explicit_vertices=declared, name=name)
-    except ValueError as exc:
-        raise ScxError(str(exc)) from exc
+    return _canonical(faces, declared, name)
 
 
 def serialize_scx(c: Complex) -> str:

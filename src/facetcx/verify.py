@@ -32,6 +32,7 @@ from .coloring import (
 from .complexes import (
     Complex,
     boundary_complex,
+    _subcomplex,
     build_complex,
     closure,
     complete_complex,
@@ -306,8 +307,8 @@ def check_coloring_builders(ctx: _Ctx, inst: dict[str, Complex]) -> None:
         )
     if L.facets:
         half = max(1, len(L.facets) // 2)
-        a = closure(L, [L.members(f) for f in L.facets[:half]])
-        b = closure(L, [L.members(f) for f in L.facets[half:]]) if L.facets[half:] else None
+        a = _subcomplex(L, L.facets[:half])
+        b = _subcomplex(L, L.facets[half:]) if L.facets[half:] else None
         parts = [(a, chromatic_number(a).witness)]
         if b is not None:
             parts.append((b, chromatic_number(b).witness))
@@ -375,7 +376,7 @@ def check_order(ctx: _Ctx, inst: dict[str, Complex]) -> None:
         return
     rng = random.Random(_det_seed(L, H))
     keep = [f for f in L.facets if rng.random() < 0.6] or [L.facets[0]]
-    sub = closure(L, [L.members(f) for f in keep])
+    sub = _subcomplex(L, keep)
     _need(
         ctx.value(sub, H) <= ctx.value(L, H),
         "facet subcomplex has larger value than the whole",
@@ -386,7 +387,7 @@ def check_order(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     )
     if H.facets:
         keep_t = [f for f in H.facets if rng.random() < 0.6] or [H.facets[0]]
-        sub_t = closure(H, [H.members(f) for f in keep_t])
+        sub_t = _subcomplex(H, keep_t)
         _need(
             ctx.value(L, H) <= ctx.value(L, sub_t),
             "shrinking the target decreased the value",
@@ -454,8 +455,8 @@ def check_subadditivity(ctx: _Ctx, inst: dict[str, Complex]) -> None:
         return
     rng = random.Random(_det_seed(L, H))
     half = rng.randint(1, len(L.facets) - 1)
-    a = closure(L, [L.members(f) for f in L.facets[:half]])
-    b = closure(L, [L.members(f) for f in L.facets[half:]])
+    a = _subcomplex(L, L.facets[:half])
+    b = _subcomplex(L, L.facets[half:])
     for kind, inj in (("facet", False), ("facet", True)):
         va = ctx.value(a, H, kind, inj)
         vb = ctx.value(b, H, kind, inj)
@@ -625,7 +626,7 @@ def check_image_inverse(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     if not res.found or not H.facets:
         return
     m = res.map
-    sub = closure(H, [H.members(H.facets[0])])
+    sub = _subcomplex(H, H.facets[:1])
     pre = image_inverse(m, sub)
     for f in pre.facets:
         _need(

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from facetcx import build_complex, cli, complete_complex, complexity, samples, skeleton
+from facetcx import (
+    build_complex, cli, complete_complex, complexity, generate, samples, skeleton,
+)
 from facetcx.scx import serialize_scx
 from facetcx.verify import Failure, VerifyConfig, VerifyReport
 
@@ -149,6 +151,23 @@ def test_bounds_survive_failed_graph_lower(capsys, tmp_path, argv, code):
     data = json.loads(out)
     assert data.get("value") == ("undecided" if code == 4 else None)
     assert data["bounds"]["finite"] is True
+
+
+def test_bounds_only_chromatic_search_keeps_to_the_time_budget(capsys, tmp_path):
+    """Colouring this 40-vertex graph runs for longer than any test; the
+    query's time budget stops it, and the bound is left out."""
+    dense = generate("random", 40, {"seed": 5, "density": 0.5, "max_facet_size": 2})
+    paths = []
+    for name, c in (("r40.scx", dense), ("e.scx", complete_complex(2))):
+        (tmp_path / name).write_text(serialize_scx(c))
+        paths.append(str(tmp_path / name))
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "complexity", *paths, "--bounds-only", "--time-budget", "0.3", "--json"
+    )
+    assert time.monotonic() - start < 5
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bounds"]["chromatic_lower"] is None
 
 
 def _count_compute(monkeypatch, tmp_path, source, target):

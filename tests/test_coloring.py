@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
 
 from facetcx import (
     Coloring,
+    SearchLimits,
+    UndecidedError,
     block_coloring,
     boundary_complex,
     brute_force_chromatic,
@@ -12,6 +15,7 @@ from facetcx import (
     closure,
     complete_complex,
     facet_graph,
+    generate,
     metrics,
     product_coloring,
     pullback_coloring,
@@ -164,3 +168,17 @@ def test_isolated_vertices_color_freely():
     assert res.value == 2
     m = metrics(c)
     assert m.isolated == ("z",)
+
+
+def test_chromatic_search_keeps_to_its_limits():
+    """K6 needs a colour per vertex; its search places 2 + 3 + ... + 6
+    colours, k from 2 to 6, so 19 nodes run out and 20 do not."""
+    k6 = skeleton(complete_complex(6), 1)
+    with pytest.raises(UndecidedError):
+        chromatic_number(k6, SearchLimits(max_nodes=19))
+    assert chromatic_number(k6, SearchLimits(max_nodes=20)) == chromatic_number(k6)
+    dense = generate("random", 40, {"seed": 5, "density": 0.5, "max_facet_size": 2})
+    start = time.monotonic()
+    with pytest.raises(UndecidedError, match="time budget"):
+        chromatic_number(dense, SearchLimits(max_seconds=0.1))
+    assert time.monotonic() - start < 5

@@ -18,7 +18,14 @@ from facetcx import (
     skeleton,
     union,
 )
-from facetcx.complexes import Complex, _bits, _degree_tables, facet_automorphisms
+from facetcx.complexes import (
+    Complex,
+    _bits,
+    _degree_tables,
+    _key,
+    _subcomplex,
+    facet_automorphisms,
+)
 
 LABELS = st.sampled_from("abcdef")
 FACES = st.lists(
@@ -340,3 +347,32 @@ def test_asymmetric_complex_has_no_generators(faces):
     assert set(_brute_force_facet_perms(facets)) == {tuple(range(len(facets)))}
     assert facet_automorphisms(facets) == []
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes(), st.data())
+def test_subcomplex_matches_closure_on_labels(c, data):
+    """The mask builder builds the complex the chosen facets' labels
+    generate, and rejects a face that is not a facet as ``closure`` does."""
+    faces = sorted(c.simplex_masks(), key=_key)
+    picked = data.draw(st.lists(
+        st.one_of(st.sampled_from(c.facets), st.sampled_from(faces)), max_size=5,
+    )) if c.facets else []
+    labels = [c.members(m) for m in picked]
+    try:
+        want = closure(c, labels)
+    except ValueError as exc:
+        assert any(m not in c.facets for m in picked)
+        with pytest.raises(ValueError) as got:
+            _subcomplex(c, picked)
+        assert str(got.value) == str(exc)
+        return
+    got = _subcomplex(c, picked)
+    assert got == want == build_complex(labels)
+
+
+def test_subcomplex_rejects_masks_outside_the_complex(bowtie):
+    with pytest.raises(ValueError, match="out of range"):
+        _subcomplex(bowtie, [1 << bowtie.n])
+    with pytest.raises(ValueError, match=r"\['a', 'b'\] is not a facet"):
+        closure(bowtie, [("b", "a")])

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -15,8 +16,11 @@ from facetcx import (
     build_complex,
     check_cover,
     complete_complex,
+    chromatic_number,
+    complexity,
     compute,
     disjoint_decompose,
+    facet_graph,
     relabel,
     required_facet_indices,
     samples,
@@ -522,3 +526,72 @@ def test_precedes_is_lexicographic_order_on_bit_indices():
     ]
     for options in lists:
         assert _lex_least(options) == min(options, key=lambda g: tuple(_bits(g)))
+
+
+def test_solver_leaves_no_cyclic_garbage():
+    """The recursive searches free themselves on return, so a solve, its
+    bounds and a chromatic number leave nothing for the cyclic collector."""
+    k6 = skeleton(complete_complex(6), 1)
+    query = q(k6, complete_complex(2))
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (lambda: compute(query), lambda: bounds(query), lambda: chromatic_number(k6)):
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _count_compute(monkeypatch):
+    real, calls = complexity.compute, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "compute", counting)
+    return calls
+
+
+def test_bounds_reuses_the_solve_for_the_same_edge_problem(monkeypatch):
+    """A lone source vertex and a target triangle change the edge-graph
+    query but not its cover problem, so the solve's value is reused."""
+    source = build_complex(skeleton(complete_complex(4), 1).facet_lists(), ["z"])
+    query = q(source, samples.load("tailed_triangle"))
+    solved = compute(query)
+    calls = _count_compute(monkeypatch)
+    assert bounds(query, solved=solved).graph_lower == solved.value == 2
+    assert calls == []
+    assert bounds(query).graph_lower == 2 and len(calls) == 1
+
+
+def test_bounds_solves_the_edge_problem_of_an_empty_target(monkeypatch):
+    """Onto the empty complex no vertex maps, but the edge graph of an
+    edgeless source is empty and maps: the two problems differ."""
+    query = q(build_complex([], ["a", "b"]), build_complex([]))
+    solved = compute(query)
+    calls = _count_compute(monkeypatch)
+    assert solved.value == INFINITY
+    assert bounds(query, solved=solved).graph_lower == 1
+    assert len(calls) == 1
+
+
+def test_same_edge_problem_has_the_same_value():
+    """The reuse rule's claim, checked by solving both problems: a plain
+    query from a source of dimension <= 1 onto a non-empty target without
+    isolated vertices has the value of its edge-graph query."""
+    rng = random.Random("same edge problem")
+    checked = 0
+    while checked < 150:
+        source = generate("random", rng.randint(1, 7), {
+            "seed": rng.randrange(10**6), "density": rng.uniform(0.1, 0.6),
+            "max_facet_size": 2})
+        target = generate("random", rng.randint(2, 5), {
+            "seed": rng.randrange(10**6), "density": rng.uniform(0.3, 0.9),
+            "max_facet_size": rng.choice((2, 3))})
+        if any(f.bit_count() < 2 for f in target.facets):
+            continue
+        edges = q(facet_graph(source), facet_graph(target))
+        assert compute(q(source, target)).value == compute(edges).value
+        checked += 1

@@ -183,7 +183,8 @@ def test_cache_counts_probes_by_rule(bowtie, tailed):
     assert not cache.feasible(cd | ce | de)  # search
     assert not cache.feasible(abc | cd | ce | de)  # above cd + ce + de
     assert cache.answered_by == {
-        "exact": 1, "one_facet": 1, "below_feasible": 1, "above_infeasible": 1, "search": 2,
+        "exact": 1, "one_facet": 1, "below_feasible": 1, "above_infeasible": 1,
+        "pigeonhole": 0, "search": 2,
     }
     assert cache.searches == 2
     # a certificate for a group answered without its own search runs one
@@ -193,17 +194,32 @@ def test_cache_counts_probes_by_rule(bowtie, tailed):
     assert cache.feasible(cd | de)  # search
     assert cache.feasible(abc | cd)  # below abc + cd + de
     assert cache.answered_by == {
-        "exact": 1, "one_facet": 1, "below_feasible": 2, "above_infeasible": 1, "search": 3,
+        "exact": 1, "one_facet": 1, "below_feasible": 2, "above_infeasible": 1,
+        "pigeonhole": 0, "search": 3,
     }
 
     injective = FeasibilityCache(bowtie, tailed, "facet", True)
-    # abc + cd + de fails, and so does its core around de, cd + de: both
-    # edges must map onto c'd', which cannot hold c, d and e injectively
+    # abc + cd + de spans five vertices, one more than the target has
+    assert not injective.feasible(abc | cd | de)  # pigeonhole
+    assert not injective.feasible(abc | cd | ce | de)  # pigeonhole again
+    assert injective.searches == 0 and injective._infeasible_min == []
+    # both edges must map onto c'd', which cannot hold c, d and e injectively
+    assert not injective.feasible(cd | ce | de)  # search
+    assert injective.answered_by == {
+        "exact": 0, "one_facet": 0, "below_feasible": 0, "above_infeasible": 0,
+        "pigeonhole": 2, "search": 1,
+    }
+
+    # with a fifth, isolated target vertex abc + cd + de is searched; it
+    # fails, and so does its core around de, cd + de, for the reason above
+    wider = build_complex(tailed.facet_lists(), explicit_vertices=["e'"])
+    injective = FeasibilityCache(bowtie, wider, "facet", True)
     assert not injective.feasible(abc | cd | de)  # search, then search the core
     assert injective._infeasible_min == [cd | de]
     assert not injective.feasible(cd | ce | de)  # above cd + de
     assert injective.answered_by == {
-        "exact": 0, "one_facet": 0, "below_feasible": 0, "above_infeasible": 1, "search": 2,
+        "exact": 0, "one_facet": 0, "below_feasible": 0, "above_infeasible": 1,
+        "pigeonhole": 0, "search": 2,
     }
 
 

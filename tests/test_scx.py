@@ -125,3 +125,61 @@ def test_accepted_complexes_roundtrip(faces, name):
     except ValueError:
         assume(False)
     assert parse_scx(serialize_scx(c)) == c
+
+
+# tokens as ``str.split`` leaves them: no whitespace and, past a comment
+# cut, no "#"
+TOKENS = st.text(
+    st.characters().filter(lambda ch: ch != "#" and not ch.isspace()), min_size=1, max_size=3
+)
+GAPS = st.sampled_from([" ", "  ", "\t", "\xa0", "\u3000"])  # no line breaks
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_matches_build_complex(data):
+    """Parsing straight to facet masks builds what ``build_complex``
+    builds from the same faces, vertices and name."""
+    faces = data.draw(st.lists(st.lists(TOKENS, min_size=1, max_size=4), max_size=6))
+    vertices = data.draw(st.lists(TOKENS, max_size=4))
+    name = data.draw(st.one_of(st.none(), st.lists(TOKENS, min_size=1, max_size=3)))
+
+    def line(words):
+        gaps = [data.draw(GAPS) for _ in range(len(words) + 1)]
+        text = gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+        if data.draw(st.booleans()):
+            text += "#" + data.draw(st.text(st.characters(blacklist_categories=("Zl", "Zp", "Cc"))))
+        return text
+
+    lines = [line(["f", *f]) for f in faces] + [line(["v", v]) for v in vertices]
+    if name is not None:
+        lines.append(line(["name", *name]))
+    lines += ["", line([])]
+    order = data.draw(st.permutations(lines))
+    text = "".join(ln + data.draw(BREAKS) for ln in order)
+    got = parse_scx(text, name="fallback")
+    want_name = None
+    if name is not None:
+        named = next(ln for ln in order if ln.split() and ln.split()[0] == "name")
+        want_name = named.split("#", 1)[0].strip()[len("name"):].strip()
+    want = build_complex(faces, explicit_vertices=vertices, name=want_name or "fallback")
+    assert (got, got.name) == (want, want.name)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("f a b\nx c d\n", "line 2: unknown directive 'x'"),
+        ("\n# c\n  F a\n", "line 3: unknown directive 'F'"),
+        ("f\n", "line 1: facet line with no vertices"),
+        ("v a\n f  # b c\n", "line 2: facet line with no vertices"),
+        ("name a\nf a\nname b\n", "line 3: repeated name directive"),
+        ("f a b\nname   # x\n", "line 2: name directive without a name"),
+        ("f a\r\nnamex b\n", "line 2: unknown directive 'namex'"),
+    ],
+)
+def test_malformed_text_names_its_line(text, message):
+    with pytest.raises(ScxError) as exc:
+        parse_scx(text)
+    assert str(exc.value) == message
