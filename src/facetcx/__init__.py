@@ -54,7 +54,6 @@ from .homsearch import (
     SearchResult,
     UndecidedError,
     find_map,
-    group_feasible,
 )
 from .maps import MapClass, VertexMap, classify, compose, image_inverse
 from .oracle import (
@@ -111,7 +110,6 @@ __all__ = [
     "facet_graph",
     "find_map",
     "generate",
-    "group_feasible",
     "image_inverse",
     "metrics",
     "parse_map",

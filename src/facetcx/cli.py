@@ -227,9 +227,6 @@ def _cmd_map_check(args) -> int:
         except ScxError as exc:
             raise _UsageError(f"{args.map}: {exc}") from exc
         cls = classify(m)
-        ok = (cls.facet if kind == "facet" else cls.strict) and (
-            cls.injective or not args.injective
-        )
         payload.update({
             "mode": "classify",
             "map": m.as_dict(),
@@ -240,7 +237,7 @@ def _cmd_map_check(args) -> int:
                 "injective": cls.injective,
             },
             "witness": sorted(cls.witness) if cls.witness else None,
-            "satisfies": ok,
+            "satisfies": cls.meets(kind, args.injective),
         })
         _emit(args, payload)
         return 0
@@ -453,9 +450,9 @@ def _build_parser() -> _Parser:
     p.add_argument("target", help="target .scx file")
     _add_kind_flags(p)
     p.add_argument("--facet-cap", type=int, default=20)
+    _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_complexity, bounds_only=True,
-                   node_budget=SearchLimits.max_nodes, time_budget=0)
+    p.set_defaults(fn=_cmd_complexity, bounds_only=True)
 
     p = sub.add_parser("gen", help="generate an .scx file")
     gsub = p.add_subparsers(dest="generator", required=True)

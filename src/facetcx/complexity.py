@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 from .complexes import Complex, _bits, _key, _precedes, _subcomplex, facet_automorphisms, facet_graph
 from .coloring import chromatic_number
-from .homsearch import FeasibilityCache, SearchLimits, UndecidedError
-from .maps import VertexMap, classify
+from .homsearch import FeasibilityCache, SearchLimits, UndecidedError, _candidate_rows
+from .maps import VertexMap, check_kind, classify
 
 INFINITY = math.inf
 
@@ -66,8 +66,7 @@ class ComplexityQuery:
     limits: SearchLimits = field(default_factory=SearchLimits)
 
     def __post_init__(self):
-        if self.kind not in ("facet", "strict"):
-            raise ValueError(f"kind must be 'facet' or 'strict', not {self.kind!r}")
+        check_kind(self.kind)
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,14 @@ def _group_labels(source: Complex, masks: tuple[int, ...]) -> tuple[frozenset[st
     return tuple(frozenset(source.members(m)) for m in masks)
 
 
-def compute(
-    q: ComplexityQuery,
-    facet_cap: int = 20,
-    cache: FeasibilityCache | None = None,
-) -> ComplexityResult:
+def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
     """Exact minimum cover size with a canonical optimal cover.
 
     The reported cover is canonical: groups are listed in the order
     found by repeatedly covering the least-indexed uncovered facet, and
     each group is the lexicographically least (as a sorted tuple of
-    facet indices) among the optimal choices at its step.  Passing a
-    ``cache`` shares feasibility results across related queries; it
-    must have been built for the same source, target, kind, injective
-    flag, facets picked by :func:`required_facet_indices` and limits;
-    any other cache is rejected with ``ValueError``.  ``q.limits``
-    bounds all searches together, counted from the cache's construction.
+    facet indices) among the optimal choices at its step.  ``q.limits``
+    bounds all searches together.
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
@@ -150,9 +141,7 @@ def compute(
             f"{len(required)} constrained facets exceed the cap of {facet_cap}"
         )
     req_masks = tuple(source.facets[i] for i in required)
-    if cache is None:
-        cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
-    cache._check(source, target, q.kind, q.injective, req_masks, q.limits)
+    cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
 
     n_req = len(required)
     full = (1 << n_req) - 1
@@ -323,9 +312,7 @@ def check_cover(q: ComplexityQuery, cover: Cover) -> None:
             raise ValueError("witness map is not defined on the group's closure")
         if g.map.target != q.target:
             raise ValueError("witness map has the wrong target")
-        cls = classify(g.map)
-        ok = cls.facet if q.kind == "facet" else cls.strict
-        if not ok or (q.injective and not cls.injective):
+        if not classify(g.map).meets(q.kind, q.injective):
             raise ValueError("witness map does not have the required kind")
     if len(seen) != len(source.facets):
         missing = sorted(list(source.members(m)) for m in source.facets if m not in seen)
@@ -374,21 +361,6 @@ class BoundReport:
         return self.eta_upper
 
 
-def _is_finite_query(q: ComplexityQuery) -> bool:
-    source, target = q.source, q.target
-    if source.n == 0:
-        return True
-    if target.n == 0:
-        return False
-    if q.kind == "strict":
-        return source.dim <= target.dim
-    s_sizes = {f.bit_count() for f in source.facets if f.bit_count() >= 2}
-    t_sizes = {f.bit_count() for f in target.facets if f.bit_count() >= 2}
-    if q.injective:
-        return s_sizes <= t_sizes
-    return not s_sizes or bool(t_sizes) and min(t_sizes) <= min(s_sizes)
-
-
 def _chromatic_floor(chi_source: int, chi_target: int) -> float:
     """Least m with chi_target ** m >= chi_source."""
     if chi_source <= 1:
@@ -427,7 +399,11 @@ def bounds(
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
-    finite = _is_finite_query(q)
+    # finite exactly when every facet maps on its own, as ``compute``'s
+    # one-facet probes read it; a plain query's lone vertex needs only a
+    # target vertex, so an empty target fails any non-empty source
+    rows = _candidate_rows(q.target, q.kind, q.injective)
+    finite = all(rows[min(f.bit_count(), len(rows) - 1)] for f in q.source.facets)
     required = required_facet_indices(q)
     eta_upper = max(1, len(required)) if finite else INFINITY
 

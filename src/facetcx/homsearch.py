@@ -58,10 +58,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .complexes import Complex, _bits, _degree_tables, _subcomplex
-from .maps import VertexMap, _classify_masks
+from .maps import VertexMap, _classify_masks, _meets, check_kind
 
 TIME_EXHAUSTED = "time budget exhausted"
 
@@ -99,17 +99,40 @@ class SearchLimits:
         return SearchLimits(self.max_nodes - nodes, seconds)
 
 
+def _candidate_rows(target: Complex, kind: str, injective: bool) -> tuple[tuple[int, ...], ...]:
+    """Per source facet size, where a facet of that size may map.
+
+    ``rows[s]`` lists, in canonical order, the target facets a source
+    facet of size ``s`` may map onto (kind ``facet``) or into (kind
+    ``strict``); sizes above the target's largest facet share the last
+    row.  A lone vertex of kind ``facet`` may go to any target vertex,
+    so its row is the mask of all of them, or empty for an empty target.
+    A facet maps on its own exactly when its row is non-empty (the
+    ``one_facet`` rule of ``FeasibilityCache``).
+    """
+    sizes = [g.bit_count() for g in target.facets]
+    rows = []
+    for s in range(max(sizes, default=0) + 2):
+        if kind == "facet" and s == 1:
+            rows.append(((1 << target.n) - 1,) if target.n else ())
+            continue
+        if kind == "facet":
+            ok = [2 <= t and (t == s if injective else t <= s) for t in sizes]
+        else:
+            ok = [t >= s for t in sizes]
+        rows.append(tuple(g for g, keep in zip(target.facets, ok) if keep))
+    return tuple(rows)
+
+
 class _TargetTables:
     """What a search needs of one target for one kind and injectivity.
 
-    ``cands[s]`` lists, in canonical order, the target facets a source
-    facet of size ``s`` may map onto (kind ``facet``) or into (kind
-    ``strict``); sizes above the target's largest facet share the last
-    entry.  For injective searches ``at_least[d][k]`` is the mask of
-    target vertices whose d-degree is at least ``k``.  ``facet_set``
-    holds the target's facets for the final kind check, and ``row``
-    memoises, per source facet mask, its vertex indices and candidates,
-    so a cache's searches set up their stages without recomputing them.
+    ``cands`` are the target's ``_candidate_rows``.  For injective
+    searches ``at_least[d][k]`` is the mask of target vertices whose
+    d-degree is at least ``k``.  ``facet_set`` holds the target's facets
+    for the final kind check, and ``row`` memoises, per source facet
+    mask, its vertex indices and candidates, so a cache's searches set
+    up their stages without recomputing them.
     """
 
     def __init__(self, target: Complex, kind: str, injective: bool):
@@ -117,15 +140,7 @@ class _TargetTables:
         self.full = (1 << target.n) - 1
         self.facet_set = frozenset(target.facets)
         self._rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        sizes = [g.bit_count() for g in target.facets]
-        cands = []
-        for s in range(max(sizes, default=0) + 2):
-            if kind == "facet":
-                ok = [2 <= t and (t == s if injective else t <= s) for t in sizes]
-            else:
-                ok = [t >= s for t in sizes]
-            cands.append(tuple(g for g, keep in zip(target.facets, ok) if keep))
-        self.cands = tuple(cands)
+        self.cands = _candidate_rows(target, kind, injective)
         self.at_least: dict[int, list[int]] = {}
         if injective:
             for d, row in _degree_tables(target.facets, target.n).items():
@@ -177,8 +192,7 @@ class SearchProblem:
     tables: _TargetTables | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("facet", "strict"):
-            raise ValueError(f"kind must be 'facet' or 'strict', not {self.kind!r}")
+        check_kind(self.kind)
         if self.group is not None and not 0 <= self.group < 1 << len(self.source.facets):
             raise ValueError("group must be a mask over the source's facets")
         if self.tables is not None and self.tables.key != (
@@ -425,9 +439,8 @@ def find_map(problem: SearchProblem) -> SearchResult:
     if not searched:
         return SearchResult(False, None, nodes)
     found = solution[0]
-    _, strict, facet_ok, injective, _ = _classify_masks(facets, found, tgt, tables.facet_set)
-    ok = (facet_ok if kind == "facet" else strict) and (injective or not inj)
-    if not ok:  # pragma: no cover - guards the search itself
+    flags = _classify_masks(facets, found, tgt, tables.facet_set)[1:4]
+    if not _meets(kind, inj, *flags):  # pragma: no cover - guards the search itself
         raise RuntimeError("search produced a map failing its own constraints")
     images = tuple(found[v] for v in _bits(vertices))
     return SearchResult(True, VertexMap(src, tgt, images) if whole else None, nodes, images)
@@ -441,10 +454,10 @@ class FeasibilityCache:
     applies, each exact, so every verdict is the one a search would give:
 
     * ``exact``: the mask was searched before.
-    * ``one_facet``: a single facet F maps exactly when the target has a
-      candidate facet for its size (``_TargetTables.candidates``), and a
-      lone vertex of kind ``facet`` exactly when the target has a vertex:
-      F then maps onto or into that facet vertex by vertex.  The degree
+    * ``one_facet``: a single facet F maps exactly when its size has a
+      candidate (``_candidate_rows``; for a lone vertex of kind
+      ``facet``, the target's vertex set): F then maps onto or into that
+      candidate vertex by vertex.  The degree
       filter of an injective search cannot reject such a map, because
       inside a simplex of size s every d-degree is s - 1 and every vertex
       of a target facet of size at least s has at least that.
@@ -499,6 +512,7 @@ class FeasibilityCache:
         facets: tuple[int, ...] | None = None,
         limits: SearchLimits | None = None,
     ):
+        check_kind(kind)
         self.source = source
         self.target = target
         self.kind = kind
@@ -511,11 +525,7 @@ class FeasibilityCache:
         self._positions = tuple(1 << position[f] for f in self.facets)
         self._tables = _TargetTables(target, kind, injective)
         # each facet's verdict on its own (the ``one_facet`` rule)
-        self._alone = tuple(
-            bool(self._tables.candidates(f.bit_count()))
-            if kind == "strict" or f.bit_count() >= 2 else target.n > 0
-            for f in self.facets
-        )
+        self._alone = tuple(bool(self._tables.candidates(f.bit_count())) for f in self.facets)
         self._results: dict[int, SearchResult] = {}
         self._answered = dict.fromkeys(
             ("exact", "one_facet", "below_feasible", "above_infeasible", "pigeonhole",
@@ -540,13 +550,6 @@ class FeasibilityCache:
     def answered_by(self) -> dict[str, int]:
         """``feasible`` probes of a nonempty mask so far, by answering rule."""
         return dict(self._answered)
-
-    def _check(self, source, target, kind, injective, facets, limits) -> None:
-        """Reject use of this cache for a query it was not built for."""
-        if (self.source, self.target, self.kind, self.injective, self.facets, self.limits) != (
-            source, target, kind, injective, tuple(facets), limits
-        ):
-            raise ValueError("the cache was built for a different query")
 
     def _check_mask(self, mask: int) -> None:
         if not 0 <= mask < 1 << len(self.facets):
@@ -594,7 +597,8 @@ class FeasibilityCache:
         to the first candidate target facet g holding its placed images:
         onto the vertices of g the image misses, any left over folding
         onto g's first vertex (kind ``facet``), or onto distinct vertices
-        of g outside the image (kind ``strict``); under injectivity only
+        of g outside the image (kind ``strict``, and a lone vertex, whose
+        candidate is the target's vertex set); under injectivity only
         unused target vertices are taken.  A facet no candidate takes is
         left out.  The extended map is checked on the grown group before
         the group is returned.
@@ -618,11 +622,8 @@ class FeasibilityCache:
                 else:
                     pre |= 1 << assign[v]
             onto = self.kind == "facet" and len(bits) >= 2
-            if not onto:
-                if pre.bit_count() != len(bits) - len(new):
-                    continue
-                if self.kind == "facet":  # a lone vertex: any target vertex
-                    cands = (tables.full,)
+            if not onto and pre.bit_count() != len(bits) - len(new):
+                continue
             for g in cands:
                 if pre & ~g:
                     continue
@@ -646,10 +647,8 @@ class FeasibilityCache:
                 break
         if grown != mask:
             group = tuple(self.facets[i] for i in _bits(grown))
-            _, strict, facet_ok, injective, _ = _classify_masks(
-                group, assign, self.target, self._tables.facet_set
-            )
-            if not ((facet_ok if self.kind == "facet" else strict) and (injective or not inj)):
+            flags = _classify_masks(group, assign, self.target, tables.facet_set)[1:4]
+            if not _meets(self.kind, inj, *flags):
                 raise RuntimeError(  # pragma: no cover - guards the growth itself
                     "a grown map fails its own constraints")
         return grown
@@ -702,31 +701,3 @@ class FeasibilityCache:
         chosen = [self.facets[i] for i in _bits(mask)]
         return VertexMap(_subcomplex(self.source, chosen), self.target, res.images)
 
-
-def group_feasible(
-    c: Complex,
-    group: Iterable[Iterable[str]],
-    target: Complex,
-    kind: str = "facet",
-    injective: bool = False,
-    cache: FeasibilityCache | None = None,
-    limits: SearchLimits | None = None,
-) -> bool:
-    """Can the subcomplex generated by ``group`` map to ``target``?
-
-    ``group`` must consist of facets of ``c``; the empty group is
-    trivially feasible.  A ``cache`` must have been built for ``c``'s
-    facets and these arguments, ``limits`` if given (anything else is
-    rejected with ``ValueError``); repeated queries then cost one lookup.
-    """
-    facet_index = {f: i for i, f in enumerate(c.facets)}
-    mask = 0
-    for g in group:
-        m = c.mask_of(g)
-        if m not in facet_index:
-            raise ValueError(f"{sorted(g)!r} is not a facet of the complex")
-        mask |= 1 << facet_index[m]
-    if cache is None:
-        cache = FeasibilityCache(c, target, kind, injective, limits=limits)
-    cache._check(c, target, kind, injective, c.facets, limits or cache.limits)
-    return cache.feasible(mask)

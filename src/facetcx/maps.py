@@ -79,6 +79,12 @@ class VertexMap:
         return m
 
 
+def check_kind(kind: str) -> None:
+    """Reject a map kind other than ``'facet'`` and ``'strict'``."""
+    if kind not in ("facet", "strict"):
+        raise ValueError(f"kind must be 'facet' or 'strict', not {kind!r}")
+
+
 @dataclass(frozen=True)
 class MapClass:
     simplicial: bool
@@ -86,6 +92,16 @@ class MapClass:
     facet: bool
     injective: bool
     witness: frozenset[str] | None = field(default=None)
+
+    def meets(self, kind: str, injective: bool) -> bool:
+        """Is the map of ``kind``, and injective when ``injective`` asks for it?"""
+        return _meets(kind, injective, self.strict, self.facet, self.injective)
+
+
+def _meets(kind: str, injective: bool, strict: bool, facet: bool, is_injective: bool) -> bool:
+    """``MapClass.meets`` on the strict, facet and injective flags of
+    ``_classify_masks``."""
+    return (facet if kind == "facet" else strict) and (is_injective or not injective)
 
 
 def classify(m: VertexMap) -> MapClass:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complexes import Complex, _bits, _subcomplex
-from .maps import VertexMap, classify
+from .maps import VertexMap, check_kind, classify
 
 INFINITY = float("inf")
 
@@ -29,12 +29,6 @@ class OracleLimits:
     max_chromatic_vertices: int = 8
 
 
-def _matches(m: VertexMap, kind: str, injective: bool) -> bool:
-    cls = classify(m)
-    flag = cls.facet if kind == "facet" else cls.strict
-    return flag and (cls.injective or not injective)
-
-
 def brute_force_map_search(
     source: Complex,
     target: Complex,
@@ -46,8 +40,7 @@ def brute_force_map_search(
 
     Enumerates all |V(target)|^|V(source)| total maps.
     """
-    if kind not in ("facet", "strict"):
-        raise ValueError(f"kind must be 'facet' or 'strict', not {kind!r}")
+    check_kind(kind)
     if source.n > limits.max_source_vertices:
         raise ValueError(
             f"oracle limit: source has {source.n} vertices "
@@ -60,7 +53,7 @@ def brute_force_map_search(
         )
     for assignment in product(range(target.n), repeat=source.n):
         m = VertexMap(source, target, assignment)
-        if _matches(m, kind, injective):
+        if classify(m).meets(kind, injective):
             return m
     return None
 

@@ -80,6 +80,10 @@ class VerifyConfig:
     max_facet_size: int = 4
     suites: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+
 
 @dataclass(frozen=True)
 class Failure:
@@ -334,9 +338,7 @@ def check_search_vs_oracle(ctx: _Ctx, inst: dict[str, Complex]) -> None:
             f"{'injective ' if inj else ''}{kind} search disagrees with exhaustion",
         )
         if got.found:
-            cls = classify(got.map)
-            flag = cls.facet if kind == "facet" else cls.strict
-            _need(flag and (cls.injective or not inj), "found map fails its own kind")
+            _need(classify(got.map).meets(kind, inj), "found map fails its own kind")
 
 
 def check_solver_vs_oracle(ctx: _Ctx, inst: dict[str, Complex]) -> None:

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import facetcx
 
-REMOVED = ("GraphView", "underlying_graph", "graph_as_complex", "graph_chromatic_number")
+REMOVED = (
+    "GraphView", "underlying_graph", "graph_as_complex", "graph_chromatic_number",
+    "group_feasible",
+)
 
 
 def _imported_names():

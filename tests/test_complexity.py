@@ -188,43 +188,6 @@ def test_feasible_full_group_skips_the_cover_search():
     assert len(res.cover.groups[0].facets) == 40
 
 
-def test_explicit_cache_is_honored(bowtie, tailed):
-    query = q(bowtie, tailed)
-    cache = FeasibilityCache(bowtie, tailed, "facet", False)
-    first = compute(query, cache=cache)
-    warm = cache.searches
-    second = compute(query, cache=cache)
-    assert first.value == second.value == 2
-    assert cache.searches == warm  # nothing new searched on reuse
-
-
-def test_cache_for_another_target_is_rejected():
-    query = q(HOLLOW_PLUS_POINT, complete_complex(2))
-    masks = tuple(HOLLOW_PLUS_POINT.facets[i] for i in required_facet_indices(query))
-    wrong = FeasibilityCache(HOLLOW_PLUS_POINT, complete_complex(3), "facet", False, masks)
-    with pytest.raises(ValueError, match="cache"):
-        compute(query, cache=wrong)
-    right = FeasibilityCache(HOLLOW_PLUS_POINT, complete_complex(2), "facet", False, masks)
-    assert compute(query, cache=right).value == 2
-
-
-@pytest.mark.parametrize(
-    "kind, injective, drop_first, limits",
-    [
-        ("strict", False, False, None),
-        ("facet", True, False, None),
-        ("facet", False, True, None),
-        ("facet", False, False, SearchLimits(max_nodes=10)),
-    ],
-    ids=["kind", "injective", "facet-list", "limits"],
-)
-def test_cache_for_another_query_is_rejected(bowtie, tailed, kind, injective, drop_first, limits):
-    masks = bowtie.facets[1:] if drop_first else None
-    cache = FeasibilityCache(bowtie, tailed, kind, injective, masks, limits)
-    with pytest.raises(ValueError, match="cache"):
-        compute(q(bowtie, tailed), cache=cache)
-
-
 def test_results_independent_across_calls(bowtie, tailed):
     # no hidden cross-call state: same value from fresh computations
     a = compute(q(bowtie, tailed)).value
@@ -250,6 +213,37 @@ def test_bounds_reuse_solved_result(kind, injective):
         for a, b in (("L", "H"), ("L", "K"), ("H", "K")):
             query = q(inst[a], inst[b], kind, injective)
             assert bounds(query, solved=compute(query)) == bounds(query)
+
+
+def _is_finite_query(q: ComplexityQuery) -> bool:
+    """The size rule ``bounds`` used before it read the target's candidate rows."""
+    source, target = q.source, q.target
+    if source.n == 0:
+        return True
+    if target.n == 0:
+        return False
+    if q.kind == "strict":
+        return source.dim <= target.dim
+    s_sizes = {f.bit_count() for f in source.facets if f.bit_count() >= 2}
+    t_sizes = {f.bit_count() for f in target.facets if f.bit_count() >= 2}
+    if q.injective:
+        return s_sizes <= t_sizes
+    return not s_sizes or bool(t_sizes) and min(t_sizes) <= min(s_sizes)
+
+
+def test_finiteness_matches_the_size_rule_and_the_solver():
+    """Differential over the verify stream: the candidate-row verdict of
+    ``bounds`` against the size rule it replaced and against ``compute``."""
+    for seed in (1, 2, 3):
+        cfg = VerifyConfig(seed=seed)
+        for trial in range(cfg.trials):
+            inst = _instances(cfg, trial)
+            for a, b in ("LH", "LK", "HK", "HL", "KL"):
+                for kind, injective in KINDS:
+                    query = q(inst[a], inst[b], kind, injective)
+                    want = _is_finite_query(query)
+                    assert bounds(query).finite == want, (seed, trial, a + b, kind, injective)
+                    assert (compute(query).value != INFINITY) == want
 
 
 def test_bounds_strict_suppresses_chromatic():
@@ -425,11 +419,20 @@ def test_orbit_sharing_keeps_canonical_covers():
         "k5-edges-to-edge", "k5-triangles-to-triangle-strict",
     ],
 )
-def test_symmetry_cuts_map_searches(source, target, kind, value, cover, searches, nodes):
+def test_symmetry_cuts_map_searches(
+    monkeypatch, source, target, kind, value, cover, searches, nodes
+):
     """Exact counts: the cover search makes the same probes in the same order."""
-    query = q(source, target, kind)
-    cache = FeasibilityCache(source, target, kind, False, _required_masks(query))
-    res = compute(query, cache=cache)
+    caches = []
+
+    class Recorded(FeasibilityCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(complexity, "FeasibilityCache", Recorded)
+    res = compute(q(source, target, kind))
+    [cache] = caches
     assert res.value == value
     assert [
         " ".join(sorted("".join(sorted(f)) for f in g.facets)) for g in res.cover.groups

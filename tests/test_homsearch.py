@@ -20,7 +20,6 @@ from facetcx import (
     complete_complex,
     find_map,
     generate,
-    group_feasible,
 )
 from facetcx.complexes import _bits
 from facetcx.homsearch import TIME_EXHAUSTED
@@ -120,17 +119,10 @@ def test_edge_to_triangle_strict_but_not_facet():
 
 def test_group_feasibility(bowtie, tailed):
     # {abc, cd} admits a facet map; all four facets together do not
-    assert group_feasible(bowtie, [("a", "b", "c"), ("c", "d")], tailed)
-    assert not group_feasible(bowtie, bowtie.facet_lists(), tailed)
-
-
-def test_group_feasible_rejects_cache_of_another_kind(bowtie, tailed):
-    wheel = [("c", "d"), ("c", "e"), ("d", "e")]
-    strict = FeasibilityCache(bowtie, tailed, "strict", False)
-    assert not group_feasible(bowtie, wheel, tailed)
-    with pytest.raises(ValueError, match="cache"):
-        group_feasible(bowtie, wheel, tailed, cache=strict)
-    assert group_feasible(bowtie, wheel, tailed, "strict", cache=strict)
+    cache = FeasibilityCache(bowtie, tailed, "facet", False)
+    index = {frozenset(f): 1 << i for i, f in enumerate(bowtie.facet_sets())}
+    assert cache.feasible(index[frozenset("abc")] | index[frozenset("cd")])
+    assert not cache.feasible((1 << len(bowtie.facets)) - 1)
 
 
 def test_feasibility_cache_hereditary(bowtie, tailed):

@@ -1,6 +1,10 @@
 import pytest
 
 from facetcx import (
+    ComplexityQuery,
+    FeasibilityCache,
+    SearchProblem,
+    brute_force_map_search,
     build_complex,
     classify,
     complete_complex,
@@ -9,6 +13,7 @@ from facetcx import (
     samples,
 )
 from facetcx.maps import VertexMap
+from facetcx.verify import KINDS
 
 
 def identity(c):
@@ -30,6 +35,7 @@ def test_fold_map_is_strict_not_facet():
     # first violation in canonical facet order: the tail edge folds into
     # the triangle's interior instead of landing on a facet
     assert cls.witness == frozenset({"c", "d"})
+    assert [cls.meets(k, inj) for k, inj in KINDS] == [False, False, True, False]
 
 
 def test_main_part_map_is_facet():
@@ -114,3 +120,14 @@ def test_image_inverse(bowtie, tailed):
     pre = image_inverse(m, sub)
     # only vertices mapping into {c', d'} survive: c alone
     assert pre.labels == ("c",)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ComplexityQuery, SearchProblem, FeasibilityCache, brute_force_map_search],
+    ids=["query", "search", "cache", "oracle"],
+)
+def test_every_kind_taker_rejects_an_unknown_kind(bowtie, make):
+    """One message from one check, before any probe can answer."""
+    with pytest.raises(ValueError, match="kind must be 'facet' or 'strict', not 'Facet'"):
+        make(bowtie, complete_complex(3), "Facet")

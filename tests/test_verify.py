@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from facetcx import VerifyConfig, replay_bundle, run_verify
+from facetcx import VerifyConfig, cli, replay_bundle, run_verify
 from facetcx import verify as verify_mod
 
 
@@ -41,6 +41,14 @@ def test_suite_selection():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suites"):
         run_verify(small_cfg(suites=("nope",)))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trials_below_one_rejected(capsys, trials):
+    with pytest.raises(ValueError, match="trials"):
+        small_cfg(trials=trials)
+    assert cli.run(["verify", "--trials", str(trials)]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
 
 
 def test_report_text_shape():
