@@ -8,6 +8,8 @@ bounds, exhaustive reference oracles, and a randomized property
 harness.
 """
 
+import importlib
+
 from .coloring import (
     ChromaticResult,
     Coloring,
@@ -56,16 +58,24 @@ from .homsearch import (
     find_map,
 )
 from .maps import MapClass, VertexMap, classify, compose, image_inverse
-from .oracle import (
-    OracleLimits,
-    brute_force_chromatic,
-    brute_force_cover_complexity,
-    brute_force_map_search,
-)
 from .scx import ScxError, parse_map, parse_scx, serialize_map, serialize_scx
-from .verify import VerifyConfig, VerifyReport, replay_bundle, run_verify
 
 __version__ = "0.1.0"
+
+# The reference oracles and the property harness serve only their own
+# commands, so they load on first use (PEP 562): a solver query does not
+# pay for compiling them.  Public name -> home submodule.
+_LAZY = {
+    "OracleLimits": "oracle",
+    "brute_force_chromatic": "oracle",
+    "brute_force_cover_complexity": "oracle",
+    "brute_force_map_search": "oracle",
+    "VerifyConfig": "verify",
+    "VerifyReport": "verify",
+    "replay_bundle": "verify",
+    "run_verify": "verify",
+}
+_LAZY_SUBMODULES = ("oracle", "samples", "verify")
 
 __all__ = [
     "BoundReport",
@@ -126,3 +136,17 @@ __all__ = [
     "strict_chromatic_number",
     "union",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -30,14 +30,7 @@ from .complexes import (
 from .complexity import INFINITY, ComplexityQuery, bounds, compute
 from .homsearch import SearchLimits, SearchProblem, UndecidedError, find_map
 from .maps import classify
-from .oracle import (
-    OracleLimits,
-    brute_force_chromatic,
-    brute_force_cover_complexity,
-    brute_force_map_search,
-)
 from .scx import ScxError, parse_map, parse_scx, serialize_scx
-from .verify import VerifyConfig, replay_bundle, run_verify
 
 SCHEMA = 1
 
@@ -341,6 +334,8 @@ def _write_scx(args, c: Complex) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import VerifyConfig, replay_bundle, run_verify  # only this command loads the harness
+
     if args.replay:
         try:
             text = Path(args.replay).read_text()
@@ -376,6 +371,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import (  # only this command loads the oracles
+        OracleLimits,
+        brute_force_chromatic,
+        brute_force_cover_complexity,
+        brute_force_map_search,
+    )
+
     lims = OracleLimits()
     if args.oracle_command == "chromatic":
         c = _read_complex(args.complex)

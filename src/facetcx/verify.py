@@ -764,12 +764,32 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
 
 
 def replay_bundle(text: str) -> tuple[bool, str]:
-    """Re-run one bundled counterexample; returns (passed, detail)."""
-    data = json.loads(text)
-    check = data["check"]
-    if check not in CHECKS:
-        raise ValueError(f"unknown check {check!r}")
-    inst = {name: parse_scx(s) for name, s in data["instances"].items()}
+    """Re-run one bundled counterexample; returns (passed, detail).
+
+    A bundle is a JSON object as :func:`run_verify` writes it: ``check``
+    names a known check, and ``instances`` maps names, ``L``, ``H`` and
+    ``K`` among them, to ``.scx`` text.  Any other input raises
+    ``ValueError`` naming the problem.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bundle is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError("bundle must be a JSON object")
+    check = data.get("check")
+    if not isinstance(check, str) or check not in CHECKS:
+        raise ValueError(f"bundle 'check' names no known check: {check!r}")
+    instances = data.get("instances")
+    if not isinstance(instances, dict):
+        raise ValueError("bundle 'instances' must be an object")
+    for name, s in instances.items():
+        if not isinstance(s, str):
+            raise ValueError(f"bundle instance {name} is not .scx text")
+    missing = [name for name in ("L", "H", "K") if name not in instances]
+    if missing:
+        raise ValueError(f"bundle instances lack {', '.join(missing)}")
+    inst = {name: parse_scx(s) for name, s in instances.items()}
     ctx = _Ctx()
     try:
         CHECKS[check](ctx, inst)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from facetcx import (
-    build_complex, cli, complete_complex, complexity, generate, samples, skeleton,
+    build_complex, cli, complete_complex, complexity, generate, samples, skeleton, verify,
 )
 from facetcx.scx import serialize_scx
 from facetcx.verify import Failure, VerifyConfig, VerifyReport
@@ -393,7 +393,7 @@ def test_verify_failure_writes_bundle(capsys, tmp_path, monkeypatch):
             )
         ],
     )
-    monkeypatch.setattr(cli, "run_verify", lambda cfg: failing)
+    monkeypatch.setattr(verify, "run_verify", lambda cfg: failing)
     code, out, _ = run(capsys, "verify", "-o", str(tmp_path / "bundles"))
     assert code == 5
     assert "counterexample bundle:" in out

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -87,6 +88,30 @@ def test_replay_good_bundle_passes():
     bundle = verify_mod._bundle(cfg, "check_structure", 0, inst)
     ok, detail = replay_bundle(bundle)
     assert ok, detail
+
+
+MALFORMED_BUNDLES = [
+    ('{}', "no known check: None"),
+    ('[1, 2]', "must be a JSON object"),
+    ('{"check": "check_structure"}', "'instances' must be an object"),
+    ('{"check": "check_structure", "instances": {}}', "lack L, H, K"),
+    ('{"check": "check_structure", "instances": {"L": 5}}', "instance L is not .scx text"),
+    ('{"check": ["x"], "instances": {}}', "no known check: ['x']"),
+    ('{check', "bundle is not JSON"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_BUNDLES)
+def test_malformed_bundle_is_input_error(capsys, tmp_path, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replay_bundle(text)
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    assert cli.run(["verify", "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert message in captured.err
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch):
