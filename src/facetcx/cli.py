@@ -13,8 +13,6 @@ import functools
 import json
 import math
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import samples
@@ -28,7 +26,7 @@ from .complexes import (
     skeleton,
 )
 from .complexity import INFINITY, ComplexityQuery, bounds, compute
-from .homsearch import SearchLimits, SearchProblem, UndecidedError, find_map
+from .homsearch import SearchLimits, SearchProblem, UndecidedError, _Budget, find_map
 from .maps import classify
 from .scx import ScxError, parse_map, parse_scx, serialize_scx
 
@@ -147,11 +145,12 @@ def _render(p: dict) -> list[str]:
     return lines
 
 
-def _limits(args) -> SearchLimits:
-    return SearchLimits(
+def _budget(args) -> _Budget:
+    """The run's one budget, which all its searches charge."""
+    return _Budget(SearchLimits(
         max_nodes=args.node_budget,
         max_seconds=args.time_budget if args.time_budget else math.inf,
-    )
+    ))
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
@@ -235,7 +234,7 @@ def _cmd_map_check(args) -> int:
         _emit(args, payload)
         return 0
     try:
-        res = find_map(SearchProblem(source, target, kind, args.injective, _limits(args)))
+        res = find_map(SearchProblem(source, target, kind, args.injective, _budget(args)))
     except UndecidedError as exc:
         payload.update({"found": "undecided", "nodes": exc.nodes})
         _emit(args, payload)
@@ -253,15 +252,13 @@ def _cmd_complexity(args) -> int:
     """``complexity``, and ``bounds`` as ``complexity --bounds-only``."""
     source = _read_complex(args.source)
     target = _read_complex(args.target)
-    q = ComplexityQuery(source, target, _kind_of(args), args.injective, _limits(args))
+    q = ComplexityQuery(source, target, _kind_of(args), args.injective, _budget(args))
     res = solved = None
     if not args.bounds_only:
-        started = time.monotonic()
         try:
             res = solved = compute(q, facet_cap=args.facet_cap)
-            q = replace(q, limits=q.limits.left(res.nodes, started))  # for graph_lower
-        except UndecidedError as exc:  # from the solve, or nothing left after it
-            res, solved = res or exc, exc
+        except UndecidedError as exc:
+            res = solved = exc
     b = bounds(q, facet_cap=args.facet_cap, solved=solved)
     payload = {
         "kind": q.kind,
@@ -440,7 +437,8 @@ def _build_parser() -> _Parser:
                    "the cover search allocates 6 bytes per mask over all 2**m "
                    "masks of m constrained facets before its first probe, "
                    "whatever the budget: 6 MB at 20, about 100 MB at 24, "
-                   "1.6 GB at 28")
+                   "1.6 GB at 28; tables that cannot be allocated exit 2, "
+                   "but a granted allocation can still fill memory")
     p.add_argument("--bounds-only", action="store_true",
                    help="report theorem bounds without solving")
     _add_limit_flags(p)

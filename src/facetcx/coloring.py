@@ -15,12 +15,11 @@ deterministic and uses exactly the optimal number of colors.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import ceil, inf
 
 from .complexes import Complex, _bits, metrics, skeleton
-from .homsearch import TIME_EXHAUSTED, SearchLimits, UndecidedError
+from .homsearch import SearchLimits, _Budget, _budget
 from .maps import VertexMap, classify
 
 
@@ -90,23 +89,19 @@ class ChromaticResult:
     witness: Coloring
 
 
-def _search(n: int, last_checks: list[list[list[int]]], limits: SearchLimits | None):
+def _search(n: int, last_checks: list[list[list[int]]], budget: _Budget):
     """Least k from 2 up, and the first valid assignment with colors <= k,
     under symmetry breaking.
 
     ``last_checks[v]`` lists the facets completed by coloring vertex v,
     each as its other members' indices; a facet fails when all of them
-    share v's color.  Each color placed is a search node, counted over
-    every k against ``limits`` (none: unbounded).
+    share v's color.  Each color placed is a search node, charged over
+    every k to ``budget``.
     """
     colors = [0] * n
-    k = nodes = 0
-    max_nodes = limits.max_nodes if limits else inf
-    deadline = (
-        time.monotonic() + limits.max_seconds
-        if limits and limits.max_seconds != inf
-        else None
-    )
+    k = 0
+    nodes = budget.nodes
+    stop = budget.check(nodes)
 
     def admissible(v: int, col: int) -> bool:
         for members in last_checks[v]:
@@ -115,17 +110,15 @@ def _search(n: int, last_checks: list[list[list[int]]], limits: SearchLimits | N
         return True
 
     def place(v: int, opened: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, stop
         if v == n:
             return True
         top = min(opened + 1, k)
         for col in range(1, top + 1):
             if admissible(v, col):
                 nodes += 1
-                if nodes > max_nodes:
-                    raise UndecidedError(nodes)
-                if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                    raise UndecidedError(nodes, TIME_EXHAUSTED)
+                if nodes >= stop:
+                    stop = budget.check(nodes)
                 colors[v] = col
                 if place(v + 1, max(opened, col)):
                     return True
@@ -137,18 +130,20 @@ def _search(n: int, last_checks: list[list[list[int]]], limits: SearchLimits | N
             if place(0, 0):
                 return k, tuple(colors)
     finally:
+        budget.nodes = nodes
         # ``place`` reaches itself through a closure cell; emptying it
         # frees the search on return, not at the next cyclic collection
         del place
     raise AssertionError("n colors always suffice")  # pragma: no cover
 
 
-def chromatic_number(c: Complex, limits: SearchLimits | None = None) -> ChromaticResult:
+def chromatic_number(c: Complex, limits: SearchLimits | _Budget | None = None) -> ChromaticResult:
     """Least k such that no facet of size >= 2 is monochromatic.
 
     For a complex of dimension <= 1 (a graph) this is the least k
     admitting a proper coloring.  ``limits`` bounds the search (by
     default it is unbounded); running out raises ``UndecidedError``.
+    A query's running ``_Budget`` there is charged, as ``bounds`` does.
     """
     n = c.n
     checks: list[list[list[int]]] = [[] for _ in range(n)]
@@ -160,7 +155,7 @@ def chromatic_number(c: Complex, limits: SearchLimits | None = None) -> Chromati
         return ChromaticResult(0, Coloring(c, 0, ()))
     if not any(checks):
         return ChromaticResult(1, Coloring(c, 1, (1,) * n))
-    k, found = _search(n, checks, limits)
+    k, found = _search(n, checks, _budget(limits or SearchLimits(max_nodes=inf)))
     return ChromaticResult(k, Coloring(c, k, found))
 
 

@@ -33,37 +33,39 @@ and each optimum is stored once per orbit, at its representative: two
 byte tables plus 4 bytes per mask, 6 MB at the default cap, allocated
 before the first probe whatever the budget.  A source
 without symmetry has orbits of one mask.  A query's budget bounds the
-whole run, ``bounds``' ``graph_lower`` sub-solve included.
+whole run, ``bounds``' colourings and ``graph_lower`` sub-solve included.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from array import array
 from dataclasses import dataclass, field
 
 from .complexes import Complex, _bits, _key, _precedes, _subcomplex, facet_automorphisms, facet_graph
 from .coloring import chromatic_number
 from .homsearch import FeasibilityCache, SearchLimits, UndecidedError, _candidate_rows
+from .homsearch import _Budget, _budget
 from .maps import VertexMap, check_kind, classify
 
 INFINITY = math.inf
 
 
 class FacetCapError(ValueError):
-    """Raised when a query has more constrained facets than the cap allows."""
+    """Raised when a query has more constrained facets than the cap allows,
+    or than the cover search's tables can be allocated for."""
 
 
 @dataclass(frozen=True)
 class ComplexityQuery:
-    """A source/target pair plus the map kind the cover parts must admit."""
+    """A source/target pair plus the map kind the cover parts must admit;
+    ``limits`` (or a running ``_Budget``) bound all its searches together."""
 
     source: Complex
     target: Complex
     kind: str = "facet"
     injective: bool = False
-    limits: SearchLimits = field(default_factory=SearchLimits)
+    limits: SearchLimits | _Budget = field(default_factory=SearchLimits)
 
     def __post_init__(self):
         check_kind(self.kind)
@@ -210,11 +212,12 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
     or without them; only the probes are fewer.
     """
     full = (1 << m) - 1
-    verdict = bytearray(1 << m)
+    try:
+        verdict, rep, cost = bytearray(1 << m), array("I", [0]) * (1 << m), bytearray(1 << m)
+    except (OverflowError, MemoryError):
+        raise FacetCapError(f"cover tables for {m} constrained facets cannot be allocated") from None
     verdict[full] = 1
-    rep = array("I", [0]) * (1 << m)
     rep[full] = full
-    cost = bytearray(1 << m)
     # each permutation as two tables over the low and the high half-mask
     half = (m + 1) // 2
     low = (1 << half) - 1
@@ -391,11 +394,9 @@ def bounds(
     when it is the query's own: a plain facet query whose source has
     dimension at most 1 onto a non-empty target; after its
     ``UndecidedError`` the budget is spent and the sub-solve skipped.
-    A caller that solved passes ``q`` with the limits left
-    (``SearchLimits.left``).  The chromatic numbers search within
-    ``q.limits`` too, each with its node budget and all on one clock
-    with the sub-solve; ``chromatic_lower`` is ``None`` when they run
-    out.
+    The chromatic numbers and the sub-solve charge one budget of
+    ``q.limits``, the solve's own when a caller that solved passes it
+    there; ``chromatic_lower`` is ``None`` when the colourings run out.
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
@@ -410,11 +411,11 @@ def bounds(
     chromatic_lower = None
     graph_lower = None
     if q.kind == "facet":
-        started = time.monotonic()
+        budget = _budget(q.limits)
         try:
             chromatic_lower = _chromatic_floor(
-                chromatic_number(q.source, q.limits).value,
-                chromatic_number(q.target, q.limits.left(0, started)).value,
+                chromatic_number(q.source, budget).value,
+                chromatic_number(q.target, budget).value,
             )
         except UndecidedError:
             pass  # a bound, not an answer: skip it rather than fail
@@ -428,8 +429,7 @@ def bounds(
             if res is None:
                 try:
                     gq = ComplexityQuery(
-                        facet_graph(q.source), facet_graph(q.target), "facet", False,
-                        q.limits.left(0, started),
+                        facet_graph(q.source), facet_graph(q.target), "facet", False, budget
                     )
                     res = compute(gq, facet_cap)
                 except (FacetCapError, UndecidedError):
@@ -474,7 +474,7 @@ def disjoint_decompose(
     is the maximum of the components'.  Injectivity breaks the
     combination step (a merged part may need more target vertices than
     either piece), so injective queries are rejected.  ``q.limits``
-    bounds the whole call: each component gets what the earlier left.
+    bounds the whole call: every component charges one budget.
     """
     if q.kind != "facet" or q.injective:
         raise ValueError("componentwise solving applies to plain facet queries only")
@@ -501,15 +501,10 @@ def disjoint_decompose(
 
     components = []
     value = 1.0
-    nodes, started = 0, time.monotonic()
+    budget = _budget(q.limits)
     for root in sorted(groups, key=lambda r: min(groups[r])):
         sub = _subcomplex(source, [source.facets[i] for i in groups[root]])
-        query = ComplexityQuery(sub, q.target, q.kind, q.injective, q.limits.left(nodes, started))
-        try:
-            res = compute(query, facet_cap)
-        except UndecidedError as exc:
-            raise UndecidedError(nodes + exc.nodes, exc.reason) from None
-        nodes += res.nodes
+        res = compute(ComplexityQuery(sub, q.target, q.kind, q.injective, budget), facet_cap)
         components.append((sub, res))
         value = max(value, res.value)
     return DisjointDecomposition(value, tuple(components))

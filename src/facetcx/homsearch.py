@@ -77,8 +77,9 @@ class UndecidedError(Exception):
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """One query's search budget; ``left`` is what remains of it, and
-    a ``FeasibilityCache``'s budget runs from the cache's construction."""
+    """One query's search budget.  Its map searches, colourings and
+    ``graph_lower`` sub-solve charge one ``_Budget`` made of it, so they
+    spend at most ``max_nodes + 1`` nodes in all, by one deadline."""
 
     max_nodes: int = 50_000_000
     max_seconds: float = float("inf")
@@ -88,15 +89,32 @@ class SearchLimits:
         if not (self.max_nodes > 0 and self.max_seconds > 0):
             raise ValueError("budgets must be positive")
 
-    def left(self, nodes: int, since: float) -> SearchLimits:
-        """Left after ``nodes`` nodes and the time since ``since`` (a
-        ``time.monotonic()`` reading); ``UndecidedError`` if nothing is."""
-        if nodes >= self.max_nodes:
+
+class _Budget:
+    """``SearchLimits`` being spent.  A search starts from ``nodes`` with
+    a ``check``, calls it again when its count reaches the checkpoint the
+    last call returned, and stores its count in ``nodes`` when it ends."""
+
+    def __init__(self, limits: SearchLimits):
+        self.max_nodes = limits.max_nodes
+        self.deadline = time.monotonic() + limits.max_seconds
+        self.nodes = 0
+
+    def check(self, nodes: int) -> int:
+        """Record ``nodes``; raise ``UndecidedError`` past the cap or the
+        deadline, else return the next checkpoint: the node past the cap
+        or the next multiple of 1024."""
+        self.nodes = nodes
+        if nodes > self.max_nodes:
             raise UndecidedError(nodes)
-        seconds = self.max_seconds - (time.monotonic() - since)
-        if not seconds > 0:
+        if time.monotonic() > self.deadline:
             raise UndecidedError(nodes, TIME_EXHAUSTED)
-        return SearchLimits(self.max_nodes - nodes, seconds)
+        return min(self.max_nodes + 1, (nodes // 1024 + 1) * 1024)
+
+
+def _budget(limits: SearchLimits | _Budget | None) -> _Budget:
+    """``limits`` if it is a running budget, else a fresh one of them."""
+    return limits if isinstance(limits, _Budget) else _Budget(limits or SearchLimits())
 
 
 def _candidate_rows(target: Complex, kind: str, injective: bool) -> tuple[tuple[int, ...], ...]:
@@ -181,13 +199,14 @@ class SearchProblem:
     a ``VertexMap``.  ``tables`` lets a caller that searches one target
     many times share the target's tables; it must have been built for
     this target, kind and injectivity, and is built afresh when absent.
+    ``limits`` may be a query's running ``_Budget``.
     """
 
     source: Complex
     target: Complex
     kind: str = "facet"
     injective: bool = False
-    limits: SearchLimits = field(default_factory=SearchLimits)
+    limits: SearchLimits | _Budget = field(default_factory=SearchLimits)
     group: int | None = None
     tables: _TargetTables | None = field(default=None, compare=False, repr=False)
 
@@ -266,22 +285,10 @@ def find_map(problem: SearchProblem) -> SearchResult:
 
     assign = [-1] * src.n
     used = 0
-    nodes = 0
-    deadline = (
-        time.monotonic() + problem.limits.max_seconds
-        if problem.limits.max_seconds != float("inf")
-        else None
-    )
-    max_nodes = problem.limits.max_nodes
+    budget = _budget(problem.limits)
+    start = nodes = budget.nodes
+    stop = budget.check(nodes)
     solution: list[tuple[int, ...]] = []
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise UndecidedError(nodes)
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise UndecidedError(nodes, TIME_EXHAUSTED)
 
     def fits_later(v: int) -> bool:
         """Can every later stage holding ``v`` still reach a target facet?"""
@@ -343,7 +350,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
         return extend_into(si, viable, remaining, 0, pre)
 
     def extend_onto(si, g, remaining, ri, uncovered) -> bool:
-        nonlocal used
+        nonlocal used, nodes, stop
         if ri == len(remaining):
             return run_stage(si + 1)
         v = remaining[ri]
@@ -358,7 +365,9 @@ def find_map(problem: SearchProblem) -> SearchResult:
             rest = uncovered & ~bit
             if left - 1 < rest.bit_count():
                 continue
-            tick()
+            nodes += 1
+            if nodes >= stop:
+                stop = budget.check(nodes)
             assign[v] = u
             if inj:
                 used |= bit
@@ -370,7 +379,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
         return False
 
     def extend_into(si, viable, remaining, ri, fimg) -> bool:
-        nonlocal used
+        nonlocal used, nodes, stop
         if not viable:
             return False
         if ri == len(remaining):
@@ -389,7 +398,9 @@ def find_map(problem: SearchProblem) -> SearchResult:
             narrowed = [g for g in viable if g & bit]
             if not narrowed:
                 continue
-            tick()
+            nodes += 1
+            if nodes >= stop:
+                stop = budget.check(nodes)
             assign[v] = u
             if inj:
                 used |= bit
@@ -402,40 +413,35 @@ def find_map(problem: SearchProblem) -> SearchResult:
         return False
 
     def place_free(fi: int) -> bool:
-        nonlocal used
+        nonlocal used, nodes, stop
         if fi == len(free):
             solution.append(tuple(assign))
             return True
         v = free[fi]
         pool = compat[v]
-        if inj:
-            pool &= ~used
-            for u in _bits(pool):
-                tick()
-                assign[v] = u
-                used |= 1 << u
-                if place_free(fi + 1):
-                    return True
-                assign[v] = -1
-                used &= ~(1 << u)
-            return False
-        if not pool:
-            return False
-        u = (pool & -pool).bit_length() - 1
-        tick()
-        assign[v] = u
-        if place_free(fi + 1):
-            return True
-        assign[v] = -1
+        # without injectivity a free vertex's first image serves as well
+        # as any; ``used`` is read only under injectivity
+        for u in _bits(pool & ~used if inj else pool & -pool):
+            nodes += 1
+            if nodes >= stop:
+                stop = budget.check(nodes)
+            assign[v] = u
+            used |= 1 << u
+            if place_free(fi + 1):
+                return True
+            assign[v] = -1
+            used &= ~(1 << u)
         return False
 
     try:
         searched = run_stage(0)
     finally:
+        budget.nodes = nodes
         # the recursive helpers reach each other through closure cells;
         # emptying them frees the search's tables on return, not at the
         # next cyclic collection
         del run_stage, extend_onto, extend_into, place_free
+    nodes -= start
     if not searched:
         return SearchResult(False, None, nodes)
     found = solution[0]
@@ -499,8 +505,9 @@ class FeasibilityCache:
 
     ``answered_by`` counts the ``feasible`` probes each rule answered.
     ``searches`` and ``nodes`` count the map searches run so far,
-    certificates' included, and their search nodes; all of them share
-    ``limits``, the query's budget, counted from construction.
+    certificates' included, and their search nodes.  All of them charge
+    one budget: ``limits`` when it is the query's running ``_Budget``,
+    else a fresh one of ``limits`` made at construction.
     """
 
     def __init__(
@@ -510,7 +517,7 @@ class FeasibilityCache:
         kind: str = "facet",
         injective: bool = False,
         facets: tuple[int, ...] | None = None,
-        limits: SearchLimits | None = None,
+        limits: SearchLimits | _Budget | None = None,
     ):
         check_kind(kind)
         self.source = source
@@ -518,7 +525,7 @@ class FeasibilityCache:
         self.kind = kind
         self.injective = injective
         self.facets = source.facets if facets is None else tuple(facets)
-        self.limits = limits or SearchLimits()
+        self._budget = _budget(limits)
         position = {f: i for i, f in enumerate(source.facets)}
         if any(f not in position for f in self.facets):
             raise ValueError("the cache's facets must be facets of the source")
@@ -532,7 +539,6 @@ class FeasibilityCache:
              "search"), 0
         )
         self._nodes = 0
-        self._started = time.monotonic()
         self._feasible_max: list[int] = []
         self._infeasible_min: list[int] = []
 
@@ -556,7 +562,7 @@ class FeasibilityCache:
             raise ValueError("mask must be a mask over the cache's facets")
 
     def result(self, mask: int) -> SearchResult:
-        """The search result for ``mask``, searched within the budget left."""
+        """The search result for ``mask``, searched on the cache's budget."""
         hit = self._results.get(mask)
         if hit is None:
             self._check_mask(mask)
@@ -568,14 +574,10 @@ class FeasibilityCache:
                 group |= self._positions[i]
                 vertices |= self.facets[i]
                 rest ^= low
-            limits = self.limits.left(self._nodes, self._started)
-            try:
-                hit = find_map(SearchProblem(
-                    self.source, self.target, self.kind, self.injective, limits, group,
-                    self._tables,
-                ))
-            except UndecidedError as exc:
-                raise UndecidedError(self._nodes + exc.nodes, exc.reason) from None
+            hit = find_map(SearchProblem(
+                self.source, self.target, self.kind, self.injective, self._budget, group,
+                self._tables,
+            ))
             self._results[mask] = hit
             self._nodes += hit.nodes
             if hit.found:

@@ -4,7 +4,8 @@ import time
 import pytest
 
 from facetcx import (
-    build_complex, cli, complete_complex, complexity, generate, samples, skeleton, verify,
+    build_complex, cli, coloring, complete_complex, complexity, generate, homsearch, samples,
+    skeleton, verify,
 )
 from facetcx.scx import serialize_scx
 from facetcx.verify import Failure, VerifyConfig, VerifyReport
@@ -254,19 +255,101 @@ def test_node_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
 
 def test_graph_lower_gets_what_the_solve_left(capsys, tmp_path, monkeypatch):
     """The bowtie's edge-graph query differs from the query, so bounds
-    solves it, with the nodes and time the full solve left."""
+    solves it, on the budget the full solve charged."""
     bowtie, tailed = samples.load("shaded_bowtie"), samples.load("tailed_triangle")
     calls, paths = _count_compute(monkeypatch, tmp_path, bowtie, tailed)
+    start = time.monotonic()
     code, out, _ = run(
         capsys, "complexity", *paths, "--node-budget", "100000", "--time-budget", "100",
         "--json",
     )
     data = json.loads(out)
     assert code == 0 and len(calls) == 2
-    solve, graph = calls[0].limits, calls[1].limits
-    assert (solve.max_nodes, solve.max_seconds) == (100_000, 100)
-    assert graph.max_nodes == 100_000 - data["nodes"]
-    assert graph.max_seconds < 100
+    budget = calls[0].limits
+    assert calls[1].limits is budget
+    assert budget.max_nodes == 100_000 and start + 100 <= budget.deadline <= time.monotonic() + 100
+    assert budget.nodes > data["nodes"] > 0
+
+
+def _grotzsch():
+    """The Grötzsch graph: 11 vertices, 20 edges, chromatic number 4."""
+    edges = [("w", f"v{i}") for i in range(5)]
+    for i in range(5):
+        j = (i + 1) % 5
+        edges += [(f"u{i}", f"u{j}"), (f"v{i}", f"u{j}"), (f"u{i}", f"v{j}")]
+    return build_complex(edges)
+
+
+def _spent(monkeypatch):
+    """Nodes charged by map searches and by colourings, and every budget
+    either charged."""
+    spent, budgets = {"map": 0, "colour": 0}, []
+
+    def hook(kind, real, budget_of):
+        def charging(*args):
+            budget = budget_of(*args)
+            budgets.append(budget)
+            before = budget.nodes
+            try:
+                return real(*args)
+            finally:
+                spent[kind] += budget.nodes - before
+        return charging
+
+    monkeypatch.setattr(homsearch, "find_map", hook("map", homsearch.find_map, lambda p: p.limits))
+    monkeypatch.setattr(coloring, "_search", hook("colour", coloring._search, lambda n, c, b: b))
+    return spent, budgets
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["complexity", "--node-budget", "100"], 100),
+    (["complexity", "--bounds-only", "--node-budget", "500"], 500),
+    (["bounds", "--node-budget", "500"], 500),
+    (None, 500),
+], ids=["complexity", "bounds-only", "bounds", "library"])
+def test_one_budget_for_the_whole_query(capsys, tmp_path, monkeypatch, argv, budget):
+    """Colouring the Grötzsch graph takes about 100 nodes and its cover
+    onto the triangle's edges many more: map searches and colourings,
+    the graph_lower sub-solve's included, spend one budget in all."""
+    source, target = _grotzsch(), skeleton(complete_complex(3), 1)
+    spent, budgets = _spent(monkeypatch)
+    if argv is None:
+        limits = homsearch.SearchLimits(max_nodes=budget)
+        b = complexity.bounds(complexity.ComplexityQuery(source, target, limits=limits))
+        report = {"chromatic_lower": b.chromatic_lower, "graph_lower": b.graph_lower}
+    else:
+        paths = []
+        for name, c in (("source", source), ("target", target)):
+            (tmp_path / name).write_text(serialize_scx(c))
+            paths.append(str(tmp_path / name))
+        code, out, err = run(capsys, argv[0], *paths, *argv[1:], "--json")
+        data = json.loads(out)
+        assert (code, err) == (4 if "value" in data else 0, "")
+        report = data["bounds"]
+        if "value" in data:
+            assert data["value"] == "undecided" and data["nodes"] == spent["map"] == budget + 1
+    assert len({id(b) for b in budgets}) == 1
+    assert sum(spent.values()) <= budget + 1
+    assert report["graph_lower"] is None
+    if budget == 500:
+        assert spent["colour"] > 0 and spent["map"] > 0 and report["chromatic_lower"] == 2
+
+
+def test_raised_facet_cap_past_the_tables_is_input_error(capsys, tmp_path):
+    """K12 has 66 edges: the cover tables cannot be allocated, so the full
+    run exits 2 with one line, and the bounds leave graph_lower out."""
+    paths = []
+    for name, c in (("k12", _kn_edges(12)), ("edge", complete_complex(2))):
+        (tmp_path / name).write_text(serialize_scx(c))
+        paths.append(str(tmp_path / name))
+    code, out, err = run(capsys, "complexity", *paths, "--facet-cap", "100")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "66 constrained facets" in err and "cannot be allocated" in err
+    code, out, err = run(
+        capsys, "complexity", *paths, "--facet-cap", "100", "--bounds-only", "--json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bounds"]["graph_lower"] is None
 
 
 @pytest.mark.parametrize("budget", ["nan", "-1"])

@@ -188,6 +188,15 @@ def test_feasible_full_group_skips_the_cover_search():
     assert len(res.cover.groups[0].facets) == 40
 
 
+def test_cover_tables_past_any_memory_raise_facet_cap_error():
+    """K12's 66 edges onto an edge need a 2**66-byte verdict table."""
+    query = q(skeleton(complete_complex(12), 1), complete_complex(2))
+    with pytest.raises(FacetCapError, match="66 constrained facets"):
+        compute(query, facet_cap=100)
+    b = bounds(query, facet_cap=100)
+    assert b.finite and b.graph_lower is None and b.chromatic_lower == 4
+
+
 def test_results_independent_across_calls(bowtie, tailed):
     # no hidden cross-call state: same value from fresh computations
     a = compute(q(bowtie, tailed)).value

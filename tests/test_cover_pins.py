@@ -1,0 +1,195 @@
+"""Pinned canonical covers: the full answer of each pinned query.
+
+Each row of ``cover_pins.json`` holds one query's value, its cover's
+groups as tuples of source facet indices, each group's witness images
+(target vertex indices over the group's vertices in canonical order),
+every field of ``bounds(q)``, and ``nodes``, the solve's map-search
+nodes.  The test recomputes every row and compares all of it except
+``nodes``.  The rows:
+
+* ``verify``: the queries of ``facetcx verify``'s instance stream with a
+  finite value of at least 2, seeds 1-3 x 200 trials x the source/target
+  pairs ``PAIRS`` x the four kinds, rebuilt with ``verify._instances``;
+* ``family``: the edges of K4-K6 onto an edge, skeleta of K5 and K6 into
+  a triangle (strict kind), and the README fixtures in the four kinds;
+* ``random``: the random pairs of the benchmark corpus with a finite
+  value of at least 2, their complexes stored in the row as ``.scx``.
+
+Regenerate with ``PYTHONPATH=src python tests/test_cover_pins.py`` only
+when an answer change is intended; it prints each row that changed and
+flags any change other than ``nodes``.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+import facetcx
+from facetcx import (
+    ComplexityQuery, bounds, build_complex, compute, complete_complex, samples, skeleton,
+)
+from facetcx.scx import parse_scx, serialize_scx
+from facetcx.verify import VerifyConfig, _instances
+
+PINS = Path(__file__).with_name("cover_pins.json")
+SEEDS = (1, 2, 3)
+TRIALS = 200
+PAIRS = ("LH", "LK", "HK", "HL", "KL")
+KINDS = (("facet", False), ("facet", True), ("strict", False), ("strict", True))
+BOUND_FIELDS = (
+    "finite", "eta_upper", "chromatic_lower", "graph_lower", "complete_target_ic", "exact",
+)
+
+
+def _num(x):
+    return "infinity" if x == math.inf else x
+
+
+def answer(source, target, kind: str, injective: bool) -> dict:
+    """Everything a row pins about one query."""
+    q = ComplexityQuery(source, target, kind, injective)
+    res = compute(q)
+    index = {f: i for i, f in enumerate(source.facet_sets())}
+    groups = res.cover.groups if res.cover else ()
+    b = bounds(q)
+    return {
+        "value": _num(res.value),
+        "groups": [sorted(index[f] for f in g.facets) for g in groups],
+        "images": [list(g.map.assignment) for g in groups],
+        "bounds": {name: _num(getattr(b, name)) for name in BOUND_FIELDS},
+        "nodes": res.nodes,
+    }
+
+
+def _key(*parts) -> str:
+    return "/".join(str(p) for p in parts)
+
+
+def _kind_name(kind: str, injective: bool) -> str:
+    return kind + ("-inj" if injective else "")
+
+
+def verify_queries():
+    """Every query of the verify stream: (key, source, target, kind, injective)."""
+    for seed in SEEDS:
+        cfg = VerifyConfig(seed=seed, trials=TRIALS)
+        for trial in range(TRIALS):
+            inst = _instances(cfg, trial)
+            for pair in PAIRS:
+                for kind, inj in KINDS:
+                    key = _key("verify", seed, trial, pair, _kind_name(kind, inj))
+                    yield key, inst[pair[0]], inst[pair[1]], kind, inj
+
+
+def family_queries():
+    edge, triangle = complete_complex(2), complete_complex(3)
+    for n in (4, 5, 6):
+        source = skeleton(complete_complex(n), 1)
+        yield _key("family", f"K{n}-edges"), source, edge, "facet", False
+    for n, q in ((5, 1), (6, 1), (5, 2)):
+        source = skeleton(complete_complex(n), q)
+        yield _key("family", f"K{n}-{q}skel"), source, triangle, "strict", False
+    bowtie, tailed = samples.load("shaded_bowtie"), samples.load("tailed_triangle")
+    for kind, inj in KINDS:
+        yield _key("family", "fixture", _kind_name(kind, inj)), bowtie, tailed, kind, inj
+
+
+def _pinned(group: str) -> dict:
+    return {k: row for k, row in json.loads(PINS.read_text()).items() if k.split("/")[0] == group}
+
+
+def _rows(group: str, pinned: dict):
+    """(key, pinned row, recomputed answer) for every pinned row of ``group``."""
+    if group == "random":
+        for key, row in pinned.items():
+            yield key, row, answer(parse_scx(row["source"]), parse_scx(row["target"]),
+                                   row["kind"], row["injective"])
+        return
+    if group == "verify":
+        # rebuild only the trials a row names
+        for key, row in pinned.items():
+            _, seed, trial, pair, kind = key.split("/")
+            inst = _instances(VerifyConfig(seed=int(seed), trials=TRIALS), int(trial))
+            yield key, row, answer(inst[pair[0]], inst[pair[1]], kind.removesuffix("-inj"),
+                                   kind.endswith("-inj"))
+        return
+    for key, source, target, kind, inj in family_queries():
+        yield key, pinned.get(key), answer(source, target, kind, inj)
+
+
+def _compared(row: dict) -> dict:
+    """A row's answer without ``nodes`` (and without a stored query)."""
+    return {k: row[k] for k in ("value", "groups", "images", "bounds")}
+
+
+@pytest.mark.parametrize("group, rows", [("verify", 288), ("family", 10), ("random", 112)])
+def test_cover_pins(group, rows):
+    pinned = _pinned(group)
+    assert len(pinned) == rows
+    changed = [
+        key for key, row, new in _rows(group, pinned)
+        if row is None or _compared(row) != _compared(new)
+    ]
+    assert changed == []
+
+
+def _random_queries():
+    """The benchmark corpus's random pairs: (key, source, target, kind, injective)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads  # the regenerator alone reads the benchmark
+
+    for p in workloads.corpus_pairs(facetcx):
+        source = build_complex(p.source_facets, explicit_vertices=p.source_vertices)
+        target = build_complex(p.target_facets, explicit_vertices=p.target_vertices)
+        key = _key("random", p.name, _kind_name(p.kind, p.injective))
+        yield key, source, target, p.kind, p.injective
+
+
+def changed_rows(old: dict, new: dict) -> list[str]:
+    """One report line per row that differs: ``nodes only`` or flagged."""
+    report = []
+    for key in sorted(set(old) | set(new)):
+        before, after = old.get(key), new.get(key)
+        if before == after:
+            continue
+        if before is None or after is None:
+            report.append(f"{key}: {'added' if before is None else 'removed'}")
+        elif _compared(before) == _compared(after):
+            report.append(f"{key}: nodes only")
+        else:
+            report.append(f"{key}: CHANGED BEYOND NODES")
+    return report
+
+
+def test_changed_rows_flags_all_but_nodes():
+    row = {"value": 2, "groups": [[0], [1]], "images": [[0], [1]], "bounds": {}, "nodes": 4}
+    old = {"same": row, "nodes": row, "value": row, "gone": row}
+    new = {"same": row, "nodes": {**row, "nodes": 5}, "value": {**row, "value": 3}, "new": row}
+    assert changed_rows(old, new) == [
+        "gone: removed", "new: added", "nodes: nodes only", "value: CHANGED BEYOND NODES",
+    ]
+
+
+if __name__ == "__main__":
+    pins = {}
+    for key, source, target, kind, inj in verify_queries():
+        value = compute(ComplexityQuery(source, target, kind, inj)).value
+        if 2 <= value < math.inf:
+            pins[key] = answer(source, target, kind, inj)
+    for key, source, target, kind, inj in family_queries():
+        pins[key] = answer(source, target, kind, inj)
+    for key, source, target, kind, inj in _random_queries():
+        value = compute(ComplexityQuery(source, target, kind, inj)).value
+        if 2 <= value < math.inf:
+            pins[key] = {
+                "source": serialize_scx(source), "target": serialize_scx(target),
+                "kind": kind, "injective": inj, **answer(source, target, kind, inj),
+            }
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
+    print("\n".join(changed_rows(old, pins)) or "no row changed")
+    # one row a line, so a changed row is one changed line
+    rows = (f"{json.dumps(k)}: {json.dumps(pins[k], sort_keys=True)}" for k in sorted(pins))
+    PINS.write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -1,7 +1,5 @@
 import json
-import math
 import random
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from facetcx import (
     generate,
 )
 from facetcx.complexes import _bits
-from facetcx.homsearch import TIME_EXHAUSTED
+from facetcx.homsearch import TIME_EXHAUSTED, _Budget
 from facetcx.scx import serialize_scx
 
 PINS = Path(__file__).with_name("homsearch_pins.json")
@@ -67,17 +65,22 @@ def test_budget_exhaustion_raises():
     assert exc.value.nodes <= 3
 
 
-def test_limits_left_of_a_budget():
-    limits = SearchLimits(max_nodes=10, max_seconds=5.0)
-    now = time.monotonic()
-    rest = limits.left(4, now)
-    assert rest.max_nodes == 6 and 0 < rest.max_seconds <= 5.0
-    assert SearchLimits().left(0, now).max_seconds == math.inf
+def test_budget_check_reports_reason_and_nodes():
+    """``check`` records the nodes spent and returns the next checkpoint:
+    the node past the cap, or the next multiple of 1024, where the clock
+    is read."""
+    budget = _Budget(SearchLimits(max_nodes=3000, max_seconds=5.0))
+    assert (budget.check(4), budget.nodes) == (1024, 4)
+    assert budget.check(2048) == 3001
+    assert _Budget(SearchLimits(max_nodes=10)).check(4) == 11
     with pytest.raises(UndecidedError) as exc:
-        limits.left(10, now)
-    assert (exc.value.nodes, exc.value.reason) == (10, "node budget exhausted")
+        budget.check(3001)
+    assert (exc.value.nodes, exc.value.reason) == (3001, "node budget exhausted")
+    assert budget.nodes == 3001
+    budget = _Budget(SearchLimits(max_seconds=5.0))
+    budget.deadline -= 5.0
     with pytest.raises(UndecidedError) as exc:
-        limits.left(3, now - 5.0)
+        budget.check(3)
     assert (exc.value.nodes, exc.value.reason) == (3, TIME_EXHAUSTED)
 
 
