@@ -91,6 +91,8 @@ def _text(x) -> str:
 def _render(p: dict) -> list[str]:
     """The text form of a schema-1 payload."""
     command = p["command"]
+    if "undecided" in (p.get("found"), p.get("value")):
+        return [f"UNDECIDED after {p['nodes']} nodes"]
     if command == "info":
         return [
             f"name:        {p['name'] or '-'}",
@@ -121,8 +123,6 @@ def _render(p: dict) -> list[str]:
             )
         lines.append(f"satisfies requested kind: {'yes' if p['satisfies'] else 'no'}")
         return lines
-    if "undecided" in (p.get("found"), p.get("value")):
-        return [f"UNDECIDED after {p['nodes']} nodes"]
     if "found" in p:  # map-check and oracle map-search: a map listing
         if not p["found"]:
             return ["NONE"]
@@ -195,12 +195,13 @@ def _cmd_info(args) -> int:
 
 def _cmd_chromatic(args) -> int:
     c = _read_complex(args.complex)
-    if args.graph:
-        res, mode = chromatic_number(skeleton(c, 1)), "graph"
-    elif args.strict:
-        res, mode = strict_chromatic_number(c), "strict"
-    else:
-        res, mode = chromatic_number(c), "complex"
+    mode = "graph" if args.graph else "strict" if args.strict else "complex"
+    number = strict_chromatic_number if args.strict else chromatic_number
+    try:
+        res = number(skeleton(c, 1) if args.graph else c, _budget(args))
+    except UndecidedError as exc:
+        _emit(args, {"mode": mode, "value": "undecided", "nodes": exc.nodes})
+        return 4
     witness = res.witness.as_dict() if res.witness else None
     _emit(args, {"mode": mode, "value": res.value, "witness": witness})
     return 0
@@ -416,6 +417,7 @@ def _build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--graph", action="store_true", help="underlying graph's number")
     mode.add_argument("--strict", action="store_true", help="rainbow (per-facet) number")
+    _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_chromatic)
 

@@ -159,12 +159,15 @@ def chromatic_number(c: Complex, limits: SearchLimits | _Budget | None = None) -
     return ChromaticResult(k, Coloring(c, k, found))
 
 
-def strict_chromatic_number(c: Complex) -> ChromaticResult:
+def strict_chromatic_number(
+    c: Complex, limits: SearchLimits | _Budget | None = None
+) -> ChromaticResult:
     """Least k admitting a coloring injective on every simplex.
 
-    Equals the chromatic number of the 1-skeleton, computed as such.
+    Equals the chromatic number of the 1-skeleton, computed as such,
+    under ``limits`` as in ``chromatic_number``.
     """
-    return chromatic_number(skeleton(c, 1))
+    return chromatic_number(skeleton(c, 1), limits)
 
 
 def block_coloring(c: Complex, graph_witness: Coloring) -> Coloring:

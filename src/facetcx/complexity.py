@@ -34,6 +34,14 @@ byte tables plus 4 bytes per mask, 6 MB at the default cap, allocated
 before the first probe whatever the budget.  A source
 without symmetry has orbits of one mask.  A query's budget bounds the
 whole run, ``bounds``' colourings and ``graph_lower`` sub-solve included.
+
+The DP first finds the optimum; only ``compute`` then picks the
+canonical cover over the same tables and certifies it.  ``graph_lower``
+is the optimum of the cover problem between the two edge graphs,
+computed without a cover, so its sub-solve spends no nodes on
+certificate searches and builds no witness map, subcomplex or cover
+check; it also stops scanning an uncovered set's groups at a two-group
+cover, which nothing beats, where ``compute`` scans them all.
 """
 
 from __future__ import annotations
@@ -130,36 +138,19 @@ def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
+    value, cache, chosen = _optimum(q, facet_cap, True)
     source, target = q.source, q.target
     if source.n == 0:
         empty_map = VertexMap(source, target, ())
         return ComplexityResult(1, Cover((CoverGroup((), empty_map),)))
-    if target.n == 0:
-        return ComplexityResult(INFINITY, None)
-
-    required = required_facet_indices(q)
-    if len(required) > facet_cap:
-        raise FacetCapError(
-            f"{len(required)} constrained facets exceed the cap of {facet_cap}"
-        )
-    req_masks = tuple(source.facets[i] for i in required)
-    cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
-
-    n_req = len(required)
-    full = (1 << n_req) - 1
-    for bit in range(n_req):
-        if not cache.feasible(1 << bit):
-            return ComplexityResult(INFINITY, None, cache.nodes)
-    chosen = [full] if cache.feasible(full) else _cover_masks(
-        n_req, cache.feasible, facet_automorphisms(req_masks)
-    )
+    if chosen is None:
+        return ComplexityResult(INFINITY, None, cache.nodes if cache else 0)
 
     # Without injectivity the isolated vertices join the first group (an
     # empty one when no facet is required) and go to target vertex 0; a
     # lone vertex constrains no map kind.
-    extra = () if q.injective else tuple(
-        f for i, f in enumerate(source.facets) if i not in required
-    )
+    req_masks = cache.facets
+    extra = tuple(f for f in source.facets if f not in req_masks)
     groups = []
     for pos, mask in enumerate(chosen):
         masks = tuple(req_masks[i] for i in _bits(mask))
@@ -176,15 +167,59 @@ def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
     return result
 
 
-def _cover_masks(m: int, probe, gens) -> list[int]:
-    """The canonical optimal cover of ``m`` facets whose full group fails.
+def _optimum(
+    q: ComplexityQuery, facet_cap: int, pick: bool
+) -> tuple[float, FeasibilityCache | None, list[int] | None]:
+    """``compute``'s value, and with ``pick`` the masks of its cover.
+
+    Returns ``(value, cache, chosen)``: ``cache`` answered the probes
+    (``None`` for an empty source or target), and ``chosen`` lists the
+    canonical cover's groups as masks over ``cache.facets`` when
+    ``pick`` is set and the value is finite, else it is ``None``.
+    Without ``pick`` no group is certified, so ``bounds`` reads the
+    optimum here at the cost of the probes alone.
+    """
+    source, target = q.source, q.target
+    if source.n == 0:
+        return 1, None, None
+    if target.n == 0:
+        return INFINITY, None, None
+
+    required = required_facet_indices(q)
+    if len(required) > facet_cap:
+        raise FacetCapError(
+            f"{len(required)} constrained facets exceed the cap of {facet_cap}"
+        )
+    req_masks = tuple(source.facets[i] for i in required)
+    cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
+
+    n_req = len(required)
+    full = (1 << n_req) - 1
+    for bit in range(n_req):
+        if not cache.feasible(1 << bit):
+            return INFINITY, cache, None
+    if cache.feasible(full):
+        return 1, cache, [full] if pick else None
+    found = _cover_masks(n_req, cache.feasible, facet_automorphisms(req_masks), pick)
+    return (len(found), cache, found) if pick else (found, cache, None)
+
+
+def _cover_masks(m: int, probe, gens, pick: bool = True) -> list[int] | int:
+    """The canonical optimal cover of ``m`` facets whose full group
+    fails, as group masks; with ``pick`` off, only its size.
 
     ``probe(group)`` decides a group over the ``m`` facets; every
     singleton must be feasible.  A submask DP pivoting on the
-    least-indexed uncovered facet finds the optimum, then each step
-    picks the lexicographically least optimal group.  The DP asks for
-    most groups many times, so each group's verdict is read through a
-    ``1 << m`` byte table (0 unknown, 1 infeasible, 2 feasible).
+    least-indexed uncovered facet finds the optimum ``best(full)``;
+    with ``pick`` each step then picks the lexicographically least
+    optimal group over the same tables.  Without it ``best`` stops
+    scanning an infeasible set's groups at a two-group cover, which no
+    cover of that set beats; with it the scan stays whole, so that
+    ``compute``'s probes, and its ``nodes``, do not depend on the
+    split.
+    The DP asks for most groups many times, so each group's verdict is
+    read through a ``1 << m`` byte table (0 unknown, 1 infeasible, 2
+    feasible).
 
     An undecided group of two or more facets first has its prefix
     ``group ^ top`` (``top`` its highest facet bit) decided the same
@@ -264,6 +299,8 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
             group = sub | pivot
             if feasible(group):
                 out = min(out, 1 + best(mask & ~group))
+                if out == 2 and not pick:
+                    break
             if sub == 0:
                 break
             sub = (sub - 1) & rest
@@ -273,22 +310,24 @@ def _cover_masks(m: int, probe, gens) -> list[int]:
     chosen: list[int] = []
     uncovered = full
     try:
+        if not pick:
+            return best(full)
         while uncovered:
             pivot = uncovered & -uncovered
             rest = uncovered ^ pivot
             target_cost = best(uncovered)
-            pick = 0
+            least = 0
             sub = rest
             while True:
                 group = sub | pivot
                 if feasible(group) and 1 + best(uncovered & ~group) == target_cost:
-                    if not pick or _precedes(group, pick):
-                        pick = group
+                    if not least or _precedes(group, least):
+                        least = group
                 if sub == 0:
                     break
                 sub = (sub - 1) & rest
-            chosen.append(pick)
-            uncovered &= ~pick
+            chosen.append(least)
+            uncovered &= ~least
     finally:
         # the recursive helpers reach each other through closure cells;
         # emptying them frees the tables on return (as in ``find_map``)
@@ -333,9 +372,11 @@ class BoundReport:
     finite cover exists.  ``complete_target_ic`` is a lower bound
     available when the target is complete and the query is injective;
     ``exact`` carries the value when a theorem pins it down.
-    ``graph_lower`` is also ``None`` when its derived cover problem has
-    more constrained facets than the cap or runs out of search budget,
-    and ``chromatic_lower`` when its colouring searches run out of it.
+    ``graph_lower`` is the optimum of the cover problem between the two
+    edge graphs, computed without a cover; it is also ``None`` when that
+    problem has more constrained facets than the cap or runs out of
+    search budget, and ``chromatic_lower`` when its colouring searches
+    run out of it.
     """
 
     finite: bool
@@ -384,12 +425,15 @@ def bounds(
 ) -> BoundReport:
     """Theorem-backed bounds without running the exact cover search.
 
-    The one exception is ``graph_lower``, which solves the smaller
-    derived cover problem between the two edge-facet graphs; it is
-    reported only when the target has no isolated vertices, where a
-    part's witness map restricts to a graph homomorphism between them,
-    and only when that problem stays within ``facet_cap`` and the
-    query's search limits; otherwise it is skipped, never raised.
+    The one exception is ``graph_lower``, the optimum of the smaller
+    derived cover problem between the two edge-facet graphs, which the
+    cover search computes without a cover: no certificate search,
+    witness map or ``check_cover``, so a tight budget leaves more of
+    itself to that sub-solve.  It is reported only when the target has
+    no isolated vertices, where a part's witness map restricts to a
+    graph homomorphism between them, and only when that problem stays
+    within ``facet_cap`` and the query's search limits; otherwise it
+    is skipped, never raised.
     ``solved``, the outcome of ``compute(q)``, answers that problem
     when it is the query's own: a plain facet query whose source has
     dimension at most 1 onto a non-empty target; after its
@@ -426,16 +470,16 @@ def bounds(
             # target edges can take source edges
             same = not q.injective and q.source.dim <= 1 and q.target.n > 0
             res = solved if same or isinstance(solved, UndecidedError) else None
-            if res is None:
+            if isinstance(res, ComplexityResult):
+                graph_lower = res.value
+            elif res is None:
                 try:
                     gq = ComplexityQuery(
                         facet_graph(q.source), facet_graph(q.target), "facet", False, budget
                     )
-                    res = compute(gq, facet_cap)
+                    graph_lower = _optimum(gq, facet_cap, False)[0]
                 except (FacetCapError, UndecidedError):
                     pass  # a bound, not an answer: skip it rather than fail
-            if isinstance(res, ComplexityResult):
-                graph_lower = res.value
 
     complete_target_ic = None
     exact = None

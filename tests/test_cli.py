@@ -171,21 +171,30 @@ def test_bounds_only_chromatic_search_keeps_to_the_time_budget(capsys, tmp_path)
         assert json.loads(out)["bounds"]["chromatic_lower"] is None
 
 
-def _count_compute(monkeypatch, tmp_path, source, target):
-    """Calls to ``complexity.compute`` for ``source`` onto ``target``, and the paths."""
-    real, calls = complexity.compute, []
+def _count_solves(monkeypatch, tmp_path, source, target):
+    """Solves for ``source`` onto ``target``, and the paths.
+
+    Counts calls to the optimum entry, which ``compute`` and the
+    ``graph_lower`` sub-solve of ``bounds`` both go through, so one
+    call means the run solved once.
+    """
+    real, calls = complexity._optimum, []
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(complexity, "compute", counting)
-    monkeypatch.setattr(cli, "compute", counting)
+    monkeypatch.setattr(complexity, "_optimum", counting)
+    return calls, _paths(tmp_path, source, target)
+
+
+def _paths(tmp_path, source, target):
+    """``source`` and ``target`` written as ``.scx`` files, and their paths."""
     paths = []
     for name, c in (("source", source), ("target", target)):
         (tmp_path / name).write_text(serialize_scx(c))
         paths.append(str(tmp_path / name))
-    return calls, paths
+    return paths
 
 
 def _kn_edges(n):
@@ -194,7 +203,7 @@ def _kn_edges(n):
 
 def test_complexity_solves_once(capsys, tmp_path, monkeypatch):
     """For K4 edges onto an edge the graph_lower query is the query itself."""
-    calls, paths = _count_compute(monkeypatch, tmp_path, _kn_edges(4), complete_complex(2))
+    calls, paths = _count_solves(monkeypatch, tmp_path, _kn_edges(4), complete_complex(2))
     code, out, _ = run(capsys, "complexity", *paths, "--json")
     data = json.loads(out)
     assert code == 0 and len(calls) == 1
@@ -210,7 +219,7 @@ def test_undecided_complexity_solves_once(capsys, tmp_path, monkeypatch):
     ]
     for source, target, budget in cases:
         with monkeypatch.context() as patch:
-            calls, paths = _count_compute(patch, tmp_path, source, target)
+            calls, paths = _count_solves(patch, tmp_path, source, target)
             code, out, _ = run(capsys, "complexity", *paths, "--node-budget", budget, "--json")
         data = json.loads(out)
         assert code == 4 and len(calls) == 1
@@ -221,7 +230,7 @@ def test_undecided_complexity_solves_once(capsys, tmp_path, monkeypatch):
 def test_time_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
     """No single search of K6 edges onto an edge nears the budget; the
     cover search as a whole runs for about 0.1 s."""
-    calls, paths = _count_compute(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
+    calls, paths = _count_solves(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
     code, out, err = run(capsys, "complexity", *paths, "--time-budget", "0.01", "--json")
     assert (code, err, len(calls)) == (4, "", 1)
     assert json.loads(out)["value"] == "undecided"
@@ -233,7 +242,7 @@ def test_time_budget_holds_at_a_raised_cap(capsys, tmp_path, monkeypatch):
     front, so the budget stops it after about 0.5 s."""
     triangle = build_complex([("x", "y"), ("y", "z"), ("x", "z")])
     source = build_complex(_kn_edges(7).facet_lists() + triangle.facet_lists())
-    calls, paths = _count_compute(monkeypatch, tmp_path, source, complete_complex(2))
+    calls, paths = _count_solves(monkeypatch, tmp_path, source, complete_complex(2))
     start = time.monotonic()
     code, out, err = run(
         capsys, "complexity", *paths, "--facet-cap", "25", "--time-budget", "0.5", "--json"
@@ -246,7 +255,7 @@ def test_time_budget_holds_at_a_raised_cap(capsys, tmp_path, monkeypatch):
 def test_node_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
     """No single search of K6 edges onto an edge nears 200 nodes; the
     cover search as a whole takes about 1 500."""
-    calls, paths = _count_compute(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
+    calls, paths = _count_solves(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
     code, out, err = run(capsys, "complexity", *paths, "--node-budget", "200", "--json")
     assert (code, err, len(calls)) == (4, "", 1)
     data = json.loads(out)
@@ -255,9 +264,10 @@ def test_node_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
 
 def test_graph_lower_gets_what_the_solve_left(capsys, tmp_path, monkeypatch):
     """The bowtie's edge-graph query differs from the query, so bounds
-    solves it, on the budget the full solve charged."""
+    solves it, on the budget the full solve charged: the optimum entry
+    runs for the solve and again for the sub-solve."""
     bowtie, tailed = samples.load("shaded_bowtie"), samples.load("tailed_triangle")
-    calls, paths = _count_compute(monkeypatch, tmp_path, bowtie, tailed)
+    calls, paths = _count_solves(monkeypatch, tmp_path, bowtie, tailed)
     start = time.monotonic()
     code, out, _ = run(
         capsys, "complexity", *paths, "--node-budget", "100000", "--time-budget", "100",
@@ -269,6 +279,38 @@ def test_graph_lower_gets_what_the_solve_left(capsys, tmp_path, monkeypatch):
     assert calls[1].limits is budget
     assert budget.max_nodes == 100_000 and start + 100 <= budget.deadline <= time.monotonic() + 100
     assert budget.nodes > data["nodes"] > 0
+
+
+def test_bounds_build_no_cover(capsys, tmp_path, monkeypatch):
+    """``graph_lower`` is the edge problem's optimum: bounds search no
+    certificate and check no cover, in the library and under
+    ``--bounds-only``, while a full run checks its one cover."""
+    bowtie, tailed = samples.load("shaded_bowtie"), samples.load("tailed_triangle")
+    pairs = [(bowtie, tailed, 2), (_kn_edges(5), complete_complex(2), 3)]
+    queries = [
+        complexity.ComplexityQuery(source, target, kind, inj)
+        for source, target, _ in pairs for kind, inj in verify.KINDS
+    ]
+    expected = [complexity.bounds(query) for query in queries]
+    assert [b.graph_lower for b in expected] == [2, 2, None, None, 3, 3, None, None]
+
+    def refuse(*args):
+        raise AssertionError("bounds built a cover")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homsearch.FeasibilityCache, "certificate", refuse)
+        patch.setattr(complexity, "check_cover", refuse)
+        assert [complexity.bounds(query) for query in queries] == expected
+        for source, target, graph_lower in pairs:
+            paths = _paths(tmp_path, source, target)
+            code, out, err = run(capsys, "complexity", *paths, "--bounds-only", "--json")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["bounds"]["graph_lower"] == graph_lower
+
+    real, checks = complexity.check_cover, []
+    monkeypatch.setattr(complexity, "check_cover", lambda *a: checks.append(a) or real(*a))
+    code, out, _ = run(capsys, "complexity", *_paths(tmp_path, bowtie, tailed), "--json")
+    assert (code, json.loads(out)["value"], len(checks)) == (0, 2, 1)
 
 
 def _grotzsch():
@@ -401,6 +443,32 @@ def test_chromatic_command(capsys, fixture_files):
     data = json.loads(out)
     assert data["value"] == 3
     assert set(data["witness"]) == {"a", "b", "c", "d", "e"}
+
+
+def test_chromatic_keeps_to_the_budget(capsys, tmp_path, fixture_files):
+    """Colouring the 40-vertex graph runs for longer than any test; a
+    budget makes each mode exit 4 with an undecided payload, while runs
+    within their budget print what runs without the flags print (the
+    goldens pin those)."""
+    dense = generate("random", 40, {"seed": 5, "density": 0.5, "max_facet_size": 2})
+    (tmp_path / "r40.scx").write_text(serialize_scx(dense))
+    start = time.monotonic()
+    code, out, err = run(capsys, "chromatic", str(tmp_path / "r40.scx"), "--time-budget", "1",
+                         "--json")
+    assert time.monotonic() - start < 5
+    assert (code, err) == (4, "")
+    data = json.loads(out)
+    assert (data["mode"], data["value"]) == ("complex", "undecided") and data["nodes"] > 0
+    for mode in (["--graph"], ["--strict"]):
+        code, out, err = run(capsys, "chromatic", str(tmp_path / "r40.scx"), *mode,
+                             "--node-budget", "50")
+        assert (code, out, err) == (4, "UNDECIDED after 51 nodes\n", "")
+    l_path, _ = fixture_files
+    for mode in ([], ["--graph"], ["--strict"], ["--json"]):
+        plain = run(capsys, "chromatic", l_path, *mode)
+        assert plain[0] == 0
+        assert run(capsys, "chromatic", l_path, *mode, "--node-budget", "1000",
+                   "--time-budget", "100") == plain
 
 
 def test_info_command(capsys, fixture_files):

@@ -29,7 +29,8 @@ import pytest
 
 import facetcx
 from facetcx import (
-    ComplexityQuery, bounds, build_complex, compute, complete_complex, samples, skeleton,
+    ComplexityQuery, bounds, build_complex, complexity, compute, complete_complex, samples,
+    skeleton,
 )
 from facetcx.scx import parse_scx, serialize_scx
 from facetcx.verify import VerifyConfig, _instances
@@ -101,20 +102,21 @@ def _pinned(group: str) -> dict:
     return {k: row for k, row in json.loads(PINS.read_text()).items() if k.split("/")[0] == group}
 
 
+def _query(key: str, row: dict) -> tuple:
+    """The query of a ``verify`` or ``random`` row: (source, target, kind, injective)."""
+    if key.startswith("random/"):
+        return parse_scx(row["source"]), parse_scx(row["target"]), row["kind"], row["injective"]
+    # rebuild only the trial the row names
+    _, seed, trial, pair, kind = key.split("/")
+    inst = _instances(VerifyConfig(seed=int(seed), trials=TRIALS), int(trial))
+    return inst[pair[0]], inst[pair[1]], kind.removesuffix("-inj"), kind.endswith("-inj")
+
+
 def _rows(group: str, pinned: dict):
     """(key, pinned row, recomputed answer) for every pinned row of ``group``."""
-    if group == "random":
+    if group != "family":
         for key, row in pinned.items():
-            yield key, row, answer(parse_scx(row["source"]), parse_scx(row["target"]),
-                                   row["kind"], row["injective"])
-        return
-    if group == "verify":
-        # rebuild only the trials a row names
-        for key, row in pinned.items():
-            _, seed, trial, pair, kind = key.split("/")
-            inst = _instances(VerifyConfig(seed=int(seed), trials=TRIALS), int(trial))
-            yield key, row, answer(inst[pair[0]], inst[pair[1]], kind.removesuffix("-inj"),
-                                   kind.endswith("-inj"))
+            yield key, row, answer(*_query(key, row))
         return
     for key, source, target, kind, inj in family_queries():
         yield key, pinned.get(key), answer(source, target, kind, inj)
@@ -134,6 +136,28 @@ def test_cover_pins(group, rows):
         if row is None or _compared(row) != _compared(new)
     ]
     assert changed == []
+
+
+def _pinned_queries():
+    """Every pinned row's query: (key, source, target, kind, injective)."""
+    family = {key: query for key, *query in family_queries()}
+    for key, row in json.loads(PINS.read_text()).items():
+        yield key, *(family[key] if key in family else _query(key, row))
+
+
+def test_optimum_is_the_solved_value():
+    """The optimum entry, which ``bounds`` asks for ``graph_lower``,
+    returns ``compute``'s value and no cover, on every pinned query and on
+    the verify stream's queries (pairs LH, LK and HK, the four kinds),
+    although its DP ends a set's scan at a two-group cover."""
+    stream = (query for query in verify_queries() if query[0].split("/")[3] in ("LH", "LK", "HK"))
+    checked = 0
+    for key, source, target, kind, inj in (*_pinned_queries(), *stream):
+        q = ComplexityQuery(source, target, kind, inj)
+        value, _, chosen = complexity._optimum(q, 20, False)
+        assert (value, chosen) == (compute(q).value, None), key
+        checked += 1
+    assert checked == 410 + len(SEEDS) * TRIALS * 3 * len(KINDS)
 
 
 def _random_queries():
