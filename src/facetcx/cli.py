@@ -42,15 +42,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _read_complex(path: str) -> Complex:
-    file = Path(path)
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``; an unreadable one is a usage error."""
     try:
-        with open(file) as fh:
-            text = fh.read()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path: Path, text: str, parents: bool = False) -> None:
+    """Write ``text`` to ``path``, with ``parents`` in a directory made
+    on demand; a path that cannot be written is a usage error."""
     try:
-        return parse_scx(text, name=file.stem)
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _read_complex(path: str) -> Complex:
+    try:
+        return parse_scx(_read_text(path), name=Path(path).stem)
     except ScxError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
@@ -214,9 +228,7 @@ def _cmd_map_check(args) -> int:
     payload = {"kind": kind, "injective": args.injective}
     if args.map:
         try:
-            m = parse_map(Path(args.map).read_text(), source, target)
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.map}: {exc.strerror or exc}") from exc
+            m = parse_map(_read_text(args.map), source, target)
         except ScxError as exc:
             raise _UsageError(f"{args.map}: {exc}") from exc
         cls = classify(m)
@@ -325,7 +337,7 @@ def _cmd_skeleton(args) -> int:
 def _write_scx(args, c: Complex) -> int:
     text = serialize_scx(c)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_text(Path(args.output), text)
     else:
         sys.stdout.write(text)
     return 0
@@ -335,11 +347,7 @@ def _cmd_verify(args) -> int:
     from .verify import VerifyConfig, replay_bundle, run_verify  # only this command loads the harness
 
     if args.replay:
-        try:
-            text = Path(args.replay).read_text()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.replay}: {exc.strerror or exc}") from exc
-        ok, detail = replay_bundle(text)
+        ok, detail = replay_bundle(_read_text(args.replay))
         _emit(args, {"mode": "replay", "passed": ok, "detail": detail})
         return 0 if ok else 5
     suites = tuple(args.suites.split(",")) if args.suites else None
@@ -347,10 +355,9 @@ def _cmd_verify(args) -> int:
     bundle_paths = []
     if not report.ok:
         out_dir = Path(args.output or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
         for i, f in enumerate(report.failures):
             path = out_dir / f"counterexample-{f.check}-{f.trial}-{i}.json"
-            path.write_text(f.bundle + "\n")
+            _write_text(path, f.bundle + "\n", parents=True)
             bundle_paths.append(str(path))
     payload = {
         "passed": report.ok,

@@ -28,6 +28,7 @@ facet_automorphisms generators of the facet permutations automorphisms induce
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, combinations, pairwise
@@ -56,6 +57,10 @@ def _precedes(a: int, b: int) -> bool:
     return b > d if a & d else a < d
 
 
+# what the whitespace-separated ``.scx`` text cannot carry in a label
+_SCX_UNSAFE = re.compile(r"[\s#]")
+
+
 def _key(mask: int) -> tuple[int, ...]:
     """``tuple(_bits(mask))``, without the generator: it orders every facet."""
     out = []
@@ -74,7 +79,8 @@ class Complex:
     ----------
     labels : tuple[str, ...]
         Vertex labels, sorted lexicographically.  The position of a label
-        is its bit index in every facet mask.
+        is its bit index in every facet mask.  Labels are non-empty and
+        hold no whitespace or ``#``, so ``.scx`` text can carry them.
     facets : tuple[int, ...]
         Maximal faces as bitmasks over ``labels``, pairwise incomparable,
         jointly covering every vertex, sorted by member index tuples.
@@ -90,6 +96,12 @@ class Complex:
         labels, facets = self.labels, self.facets
         if any(a >= b for a, b in pairwise(labels)):
             raise ValueError("labels must be sorted and unique")
+        # the ``.scx`` text must carry every label: sorted, an empty one is first
+        if labels and not labels[0]:
+            raise ValueError("empty vertex label")
+        if _SCX_UNSAFE.search("".join(labels)):
+            bad = next(lab for lab in labels if _SCX_UNSAFE.search(lab))
+            raise ValueError(f"vertex label {bad!r} contains whitespace or '#'")
         full = (1 << len(labels)) - 1
         covered = 0
         for m in facets:
@@ -189,14 +201,11 @@ def build_complex(
     Non-maximal faces are absorbed; vertices listed in
     ``explicit_vertices`` but covered by no face become singleton facets.
     An empty face is rejected with its position in the input; so are
-    empty labels and labels containing whitespace or ``#``, which the
-    ``.scx`` format could not write back.
+    empty labels and labels containing whitespace or ``#``
+    (``Complex``), which the ``.scx`` format could not write back.
     """
     face_list = [tuple(f) for f in faces]
     extra = tuple(explicit_vertices)
-    # each distinct label once, in order of first occurrence
-    for lab in dict.fromkeys(chain(chain.from_iterable(face_list), extra)):
-        _check_label(lab)
     for pos, face in enumerate(face_list):
         if not face:
             raise ValueError(f"face {pos} is empty")
@@ -210,8 +219,9 @@ def _canonical(
 
     Each face becomes a mask over the sorted labels; the maximal masks,
     plus a singleton for every vertex no face covers, are the facets.
-    Callers check the labels and faces first (:func:`build_complex`), or
-    read them from text that cannot hold a bad one (``scx.parse_scx``).
+    Callers check the faces first (:func:`build_complex`), or read them
+    from text that cannot hold a bad one (``scx.parse_scx``); ``Complex``
+    checks the labels.
     """
     labels = sorted(set(chain(chain.from_iterable(faces), vertices)))
     bit = {lab: 1 << i for i, lab in enumerate(labels)}
@@ -234,14 +244,6 @@ def _canonical(
     maximal.extend(1 << i for i in range(len(labels)) if not covered >> i & 1)
     maximal.sort(key=_key)
     return Complex(tuple(labels), tuple(maximal), name)
-
-
-def _check_label(lab: str) -> None:
-    """Reject labels the whitespace-separated ``.scx`` text cannot carry."""
-    if lab == "":
-        raise ValueError("empty vertex label")
-    if "#" in lab or any(ch.isspace() for ch in lab):
-        raise ValueError(f"vertex label {lab!r} contains whitespace or '#'")
 
 
 # -- generators --------------------------------------------------------

@@ -10,6 +10,9 @@ a closure of source facets are exactly those facets, so inflating each
 part to such a closure keeps it mappable while covering at least as
 much.  The solver therefore optimizes over facet groups only.
 
+The value is finite exactly when every source facet maps on its own,
+which the target's candidate rows decide with no search, for
+``compute`` and ``bounds`` alike (``_maps_facetwise``).
 Group feasibility is hereditary (subsets of a mappable group are
 mappable), so a branch-and-memo set-cover over facet bitmasks with a
 least-uncovered-facet pivot is exact.  Each group is decided by a
@@ -138,13 +141,13 @@ def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
-    value, cache, chosen = _optimum(q, facet_cap, True)
     source, target = q.source, q.target
     if source.n == 0:
         empty_map = VertexMap(source, target, ())
         return ComplexityResult(1, Cover((CoverGroup((), empty_map),)))
-    if chosen is None:
-        return ComplexityResult(INFINITY, None, cache.nodes if cache else 0)
+    value, cache, chosen = _optimum(q, facet_cap, True)
+    if value == INFINITY:
+        return ComplexityResult(INFINITY, None)
 
     # Without injectivity the isolated vertices join the first group (an
     # empty one when no facet is required) and go to target vertex 0; a
@@ -162,51 +165,56 @@ def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
             witness = VertexMap(sub, target, tuple(image.get(lab, 0) for lab in sub.labels))
         groups.append(CoverGroup(_group_labels(source, masks), witness))
 
-    result = ComplexityResult(len(groups), Cover(tuple(groups)), cache.nodes)
+    result = ComplexityResult(value, Cover(tuple(groups)), cache.nodes)
     check_cover(q, result.cover)
     return result
 
 
+def _maps_facetwise(q: ComplexityQuery) -> bool:
+    """Whether every source facet maps on its own (the ``one_facet``
+    rule), which is when the value is finite: one-facet parts then cover
+    the source.  An empty target fails any non-empty source."""
+    rows = _candidate_rows(q.target, q.kind, q.injective)
+    return all(rows[min(f.bit_count(), len(rows) - 1)] for f in q.source.facets)
+
+
 def _optimum(
     q: ComplexityQuery, facet_cap: int, pick: bool
-) -> tuple[float, FeasibilityCache | None, list[int] | None]:
+) -> tuple[float, FeasibilityCache | None, list[int]]:
     """``compute``'s value, and with ``pick`` the masks of its cover.
 
-    Returns ``(value, cache, chosen)``: ``cache`` answered the probes
-    (``None`` for an empty source or target), and ``chosen`` lists the
-    canonical cover's groups as masks over ``cache.facets`` when
-    ``pick`` is set and the value is finite, else it is ``None``.
-    Without ``pick`` no group is certified, so ``bounds`` reads the
-    optimum here at the cost of the probes alone.
+    Returns ``(value, cache, masks)``: ``cache`` answered the probes
+    (``None`` for an empty source and for an infinite value), and
+    ``masks`` lists the canonical cover's groups as masks over
+    ``cache.facets`` when ``pick`` is set and the value is finite, else
+    it is empty.  Without ``pick`` no group is certified, so ``bounds``
+    reads the optimum here at the cost of the probes alone.
     """
     source, target = q.source, q.target
     if source.n == 0:
-        return 1, None, None
+        return 1, None, []
     if target.n == 0:
-        return INFINITY, None, None
+        return INFINITY, None, []
 
     required = required_facet_indices(q)
     if len(required) > facet_cap:
         raise FacetCapError(
             f"{len(required)} constrained facets exceed the cap of {facet_cap}"
         )
+    if not _maps_facetwise(q):
+        return INFINITY, None, []
     req_masks = tuple(source.facets[i] for i in required)
     cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
-
-    n_req = len(required)
-    full = (1 << n_req) - 1
-    for bit in range(n_req):
-        if not cache.feasible(1 << bit):
-            return INFINITY, cache, None
+    full = (1 << len(required)) - 1
     if cache.feasible(full):
-        return 1, cache, [full] if pick else None
-    found = _cover_masks(n_req, cache.feasible, facet_automorphisms(req_masks), pick)
-    return (len(found), cache, found) if pick else (found, cache, None)
+        return 1, cache, [full] if pick else []
+    value, masks = _cover_masks(len(required), cache.feasible, facet_automorphisms(req_masks), pick)
+    return value, cache, masks
 
 
-def _cover_masks(m: int, probe, gens, pick: bool = True) -> list[int] | int:
-    """The canonical optimal cover of ``m`` facets whose full group
-    fails, as group masks; with ``pick`` off, only its size.
+def _cover_masks(m: int, probe, gens, pick: bool) -> tuple[int, list[int]]:
+    """The optimal cover size of ``m`` facets whose full group fails,
+    and with ``pick`` its canonical cover as group masks (``[]`` without).
 
     ``probe(group)`` decides a group over the ``m`` facets; every
     singleton must be feasible.  A submask DP pivoting on the
@@ -310,9 +318,8 @@ def _cover_masks(m: int, probe, gens, pick: bool = True) -> list[int] | int:
     chosen: list[int] = []
     uncovered = full
     try:
-        if not pick:
-            return best(full)
-        while uncovered:
+        value = best(full)
+        while pick and uncovered:
             pivot = uncovered & -uncovered
             rest = uncovered ^ pivot
             target_cost = best(uncovered)
@@ -332,7 +339,7 @@ def _cover_masks(m: int, probe, gens, pick: bool = True) -> list[int] | int:
         # the recursive helpers reach each other through closure cells;
         # emptying them frees the tables on return (as in ``find_map``)
         del feasible, best
-    return chosen
+    return value, chosen
 
 
 def check_cover(q: ComplexityQuery, cover: Cover) -> None:
@@ -444,11 +451,7 @@ def bounds(
     """
     if facet_cap < 1:
         raise ValueError("facet_cap must be at least 1")
-    # finite exactly when every facet maps on its own, as ``compute``'s
-    # one-facet probes read it; a plain query's lone vertex needs only a
-    # target vertex, so an empty target fails any non-empty source
-    rows = _candidate_rows(q.target, q.kind, q.injective)
-    finite = all(rows[min(f.bit_count(), len(rows) - 1)] for f in q.source.facets)
+    finite = _maps_facetwise(q)
     required = required_facet_indices(q)
     eta_upper = max(1, len(required)) if finite else INFINITY
 

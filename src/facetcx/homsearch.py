@@ -126,7 +126,8 @@ def _candidate_rows(target: Complex, kind: str, injective: bool) -> tuple[tuple[
     row.  A lone vertex of kind ``facet`` may go to any target vertex,
     so its row is the mask of all of them, or empty for an empty target.
     A facet maps on its own exactly when its row is non-empty (the
-    ``one_facet`` rule of ``FeasibilityCache``).
+    ``one_facet`` rule of ``FeasibilityCache``), so the rows also decide
+    whether a query is finite (``complexity._maps_facetwise``).
     """
     sizes = [g.bit_count() for g in target.facets]
     rows = []
@@ -288,7 +289,6 @@ def find_map(problem: SearchProblem) -> SearchResult:
     budget = _budget(problem.limits)
     start = nodes = budget.nodes
     stop = budget.check(nodes)
-    solution: list[tuple[int, ...]] = []
 
     def fits_later(v: int) -> bool:
         """Can every later stage holding ``v`` still reach a target facet?"""
@@ -322,7 +322,8 @@ def find_map(problem: SearchProblem) -> SearchResult:
 
     def run_stage(si: int) -> bool:
         if si == len(stages):
-            return place_free(0)
+            place_free()
+            return True
         f, order, cands = stages[si]
         pre = 0
         remaining = []
@@ -342,10 +343,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
                 if extend_onto(si, g, remaining, 0, uncovered):
                     return True
             return False
-        # strict: assigned facet vertices must already be pairwise distinct
-        assigned = len(order) - len(remaining)
-        if pre.bit_count() != assigned:
-            return False
+        # strict: ``fits_later`` kept the images placed so far distinct
         viable = [g for g in cands if not pre & ~g]
         return extend_into(si, viable, remaining, 0, pre)
 
@@ -395,9 +393,8 @@ def find_map(problem: SearchProblem) -> SearchResult:
             bit = pool & -pool
             pool ^= bit
             u = bit.bit_length() - 1
+            # ``pool`` holds only vertices of viable facets
             narrowed = [g for g in viable if g & bit]
-            if not narrowed:
-                continue
             nodes += 1
             if nodes >= stop:
                 stop = budget.check(nodes)
@@ -412,26 +409,18 @@ def find_map(problem: SearchProblem) -> SearchResult:
                 used &= ~bit
         return False
 
-    def place_free(fi: int) -> bool:
+    def place_free() -> None:
+        # a free vertex is isolated, so ``compat`` is the whole target, and
+        # ``ns <= nt`` leaves it an unused image: its first one never fails
         nonlocal used, nodes, stop
-        if fi == len(free):
-            solution.append(tuple(assign))
-            return True
-        v = free[fi]
-        pool = compat[v]
-        # without injectivity a free vertex's first image serves as well
-        # as any; ``used`` is read only under injectivity
-        for u in _bits(pool & ~used if inj else pool & -pool):
+        for v in free:
+            pool = compat[v] & ~used if inj else compat[v]
+            bit = pool & -pool
             nodes += 1
             if nodes >= stop:
                 stop = budget.check(nodes)
-            assign[v] = u
-            used |= 1 << u
-            if place_free(fi + 1):
-                return True
-            assign[v] = -1
-            used &= ~(1 << u)
-        return False
+            assign[v] = bit.bit_length() - 1
+            used |= bit
 
     try:
         searched = run_stage(0)
@@ -444,11 +433,11 @@ def find_map(problem: SearchProblem) -> SearchResult:
     nodes -= start
     if not searched:
         return SearchResult(False, None, nodes)
-    found = solution[0]
-    flags = _classify_masks(facets, found, tgt, tables.facet_set)[1:4]
+    # a search that succeeds returns without undoing its placements
+    flags = _classify_masks(facets, assign, tgt, tables.facet_set)[1:4]
     if not _meets(kind, inj, *flags):  # pragma: no cover - guards the search itself
         raise RuntimeError("search produced a map failing its own constraints")
-    images = tuple(found[v] for v in _bits(vertices))
+    images = tuple(assign[v] for v in _bits(vertices))
     return SearchResult(True, VertexMap(src, tgt, images) if whole else None, nodes, images)
 
 
@@ -459,7 +448,6 @@ class FeasibilityCache:
     ``feasible`` answers a nonempty mask by the first of these rules that
     applies, each exact, so every verdict is the one a search would give:
 
-    * ``exact``: the mask was searched before.
     * ``one_facet``: a single facet F maps exactly when its size has a
       candidate (``_candidate_rows``; for a lone vertex of kind
       ``facet``, the target's vertex set): F then maps onto or into that
@@ -477,6 +465,9 @@ class FeasibilityCache:
       larger group again.
     * ``search``: a map search on the group's facet masks
       (``SearchProblem.group``) with the target's tables built once here.
+
+    A mask searched before needs no rule of its own: it lies below the
+    group its map certified, or above the nogood its failure left.
 
     Two more rules feed the antichains the last two rules read:
 
@@ -535,8 +526,7 @@ class FeasibilityCache:
         self._alone = tuple(bool(self._tables.candidates(f.bit_count())) for f in self.facets)
         self._results: dict[int, SearchResult] = {}
         self._answered = dict.fromkeys(
-            ("exact", "one_facet", "below_feasible", "above_infeasible", "pigeonhole",
-             "search"), 0
+            ("one_facet", "below_feasible", "above_infeasible", "pigeonhole", "search"), 0
         )
         self._nodes = 0
         self._feasible_max: list[int] = []
@@ -660,10 +650,6 @@ class FeasibilityCache:
         if mask == 0:
             return True
         answered = self._answered
-        cached = self._results.get(mask)
-        if cached is not None:
-            answered["exact"] += 1
-            return cached.found
         if mask & (mask - 1) == 0:
             answered["one_facet"] += 1
             return self._alone[mask.bit_length() - 1]

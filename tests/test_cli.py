@@ -530,21 +530,19 @@ def test_verify_json(capsys):
     assert data["suites"] == {"structure": 3}
 
 
-def test_verify_failure_writes_bundle(capsys, tmp_path, monkeypatch):
+def _failing_verify(monkeypatch):
+    """Make ``verify`` report one failure, so that it writes a bundle."""
     failing = VerifyReport(
         config=VerifyConfig(seed=1, trials=1),
         passed={"doomed": 0},
-        failures=[
-            Failure(
-                suite="doomed",
-                check="check_doom",
-                trial=0,
-                detail="synthetic failure",
-                bundle='{"check": "check_doom", "instances": {}}',
-            )
-        ],
+        failures=[Failure(suite="doomed", check="check_doom", trial=0, detail="synthetic",
+                          bundle='{"check": "check_doom", "instances": {}}')],
     )
     monkeypatch.setattr(verify, "run_verify", lambda cfg: failing)
+
+
+def test_verify_failure_writes_bundle(capsys, tmp_path, monkeypatch):
+    _failing_verify(monkeypatch)
     code, out, _ = run(capsys, "verify", "-o", str(tmp_path / "bundles"))
     assert code == 5
     assert "counterexample bundle:" in out
@@ -557,6 +555,41 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "info", "no-such-file.scx")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_unwritable_output_is_one_line_usage_error(capsys, tmp_path, fixture_files, monkeypatch):
+    """``-o`` into a missing directory, or below a plain file, exits 2
+    with one line naming the path, for every command that writes."""
+    l_path, _ = fixture_files
+    _failing_verify(monkeypatch)
+    missing, under_file = tmp_path / "missing" / "x.scx", f"{l_path}/sub"
+    for argv, path in [
+        (["gen", "gamma", "3", "-o", str(missing)], missing),
+        (["gen", "sample", "shaded_bowtie", "-o", str(missing)], missing),
+        (["skeleton", l_path, "1", "-o", str(missing)], missing),
+        (["verify", "-o", under_file], f"{under_file}/counterexample-check_doom-0-0.json"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1, err
+
+
+def test_unreadable_or_malformed_inputs_are_usage_errors(capsys, tmp_path, fixture_files):
+    """``--map`` and ``--replay`` read through the same rule as complexes."""
+    l_path, k_path = fixture_files
+    nowhere = str(tmp_path / "nowhere")
+    bad_map = tmp_path / "bad.map"
+    bad_map.write_text("x a a'\n")
+    for argv, message in [
+        (["map-check", l_path, k_path, "--map", nowhere], f"cannot read {nowhere}: "),
+        (["map-check", l_path, k_path, "--map", str(bad_map)],
+         f"{bad_map}: line 1: expected 'm <source> <target>'"),
+        (["verify", "--replay", nowhere], f"cannot read {nowhere}: "),
+        (["skeleton", l_path, "-1"], "the skeleton dimension must be nonnegative"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(message) and err.count("\n") == 1, err
 
 
 def test_malformed_scx_is_usage_error(capsys, write_scx):

@@ -7,6 +7,8 @@ import pytest
 from facetcx import (
     INFINITY,
     ComplexityQuery,
+    Cover,
+    CoverGroup,
     FacetCapError,
     FeasibilityCache,
     SearchLimits,
@@ -25,6 +27,7 @@ from facetcx import (
     required_facet_indices,
     samples,
     union,
+    VertexMap,
 )
 from facetcx.complexes import _bits, facet_automorphisms, generate, skeleton
 from facetcx.complexity import _cover_masks, _precedes
@@ -59,10 +62,30 @@ def test_cover_groups_partition_facets(bowtie, tailed):
 
 
 def test_check_cover_rejects_bad_cover(bowtie, tailed):
+    """Every rejection of ``check_cover``: a valid two-group cover broken
+    one way at a time, and the one-group strict cover, whose map is not a
+    facet map."""
     query = q(bowtie, tailed)
-    res = compute(q(bowtie, tailed, "strict"))  # strict cover: one group
-    with pytest.raises(ValueError):
-        check_cover(query, res.cover)  # its map is not a facet map
+    first, second = compute(query).cover.groups
+    elsewhere = VertexMap(first.map.source, complete_complex(4), first.map.assignment)
+    strict = compute(q(bowtie, tailed, "strict")).cover.groups  # one group, not a facet map
+    for groups, reason in [
+        ((), "at least one group"),
+        ((CoverGroup((frozenset("ab"),), first.map), second), "not a source facet"),
+        ((CoverGroup(first.facets, second.map), second), "group's closure"),
+        ((CoverGroup(first.facets, elsewhere), second), "wrong target"),
+        (strict, "required kind"),
+        ((first,), "misses source facets"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            check_cover(query, Cover(groups))
+    check_cover(query, Cover((first, second)))
+
+
+def test_facet_cap_below_one_is_rejected(bowtie, tailed):
+    for call in (compute, bounds):
+        with pytest.raises(ValueError, match="facet_cap must be at least 1"):
+            call(q(bowtie, tailed), facet_cap=0)
 
 
 def test_hollow_triangle_values():
@@ -392,8 +415,9 @@ def test_orbit_sharing_keeps_canonical_covers():
                     if not all(probe(1 << i) for i in range(m)):
                         continue
                     gens = facet_automorphisms(masks)
-                    shared = _cover_masks(m, _fresh_probe(query), gens)
-                    assert shared == _cover_masks(m, _fresh_probe(query), ()), (seed, trial, a + b)
+                    shared = _cover_masks(m, _fresh_probe(query), gens, pick=True)[1]
+                    alone = _cover_masks(m, _fresh_probe(query), (), pick=True)[1]
+                    assert shared == alone, (seed, trial, a + b)
                     compared += 1
                     symmetric += bool(gens)
     assert compared >= 250 and symmetric >= 150
@@ -509,7 +533,7 @@ def test_cover_masks_decides_prefixes_first():
             return group in family
 
         gens = (perm,) if perm else ()
-        assert _cover_masks(m, probe, gens) == _brute_cover(m, family), trial
+        assert _cover_masks(m, probe, gens, pick=True)[1] == _brute_cover(m, family), trial
 
 
 def _lex_least(options):

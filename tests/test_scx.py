@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facetcx import (
+    Complex,
     ScxError,
     build_complex,
     parse_map,
@@ -99,6 +100,20 @@ def test_labels_scx_cannot_carry_are_rejected(label):
         build_complex([(label, "c")])
     with pytest.raises(ValueError, match="whitespace or '#'"):
         build_complex([("c",)], explicit_vertices=[label])
+
+
+@pytest.mark.parametrize(
+    "label, reason",
+    [("a b", "whitespace or '#'"), ("x#y", "whitespace or '#'"), ("", "empty vertex label"),
+     ("a\nb", "whitespace or '#'")],
+)
+def test_complex_rejects_labels_scx_cannot_carry(label, reason):
+    """Built directly, a complex is held to the label rule too, so every
+    complex the library accepts survives an ``.scx`` round-trip."""
+    with pytest.raises(ValueError, match=reason):
+        Complex((label,), (1,))
+    with pytest.raises(ValueError, match=reason):
+        Complex(tuple(sorted(("a", label))), (1, 2))  # beside a valid label
 
 
 @pytest.mark.parametrize(
