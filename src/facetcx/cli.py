@@ -17,20 +17,20 @@ from pathlib import Path
 
 from . import samples
 from .coloring import chromatic_number, strict_chromatic_number
-from .complexes import (
-    Complex,
-    boundary_complex,
-    complete_complex,
-    generate,
-    metrics,
-    skeleton,
-)
+from .complexes import Complex, generate, metrics, skeleton
 from .complexity import INFINITY, ComplexityQuery, bounds, compute
 from .homsearch import SearchLimits, SearchProblem, UndecidedError, _Budget, find_map
 from .maps import classify
 from .scx import ScxError, parse_map, parse_scx, serialize_scx
 
 SCHEMA = 1
+_FACET_CAP_HELP = (
+    "refuse sources with more constrained facets than this; the cover search "
+    "allocates 6 bytes per mask over all 2**m masks of m constrained facets before "
+    "its first probe, whatever the budget: 6 MB at 20, about 100 MB at 24, 1.6 GB "
+    "at 28; tables that cannot be allocated exit 2, but a granted allocation can "
+    "still fill memory"
+)
 
 
 class _UsageError(ValueError):
@@ -310,20 +310,10 @@ def _cmd_gen(args) -> int:
             c = samples.load(args.name)
         except KeyError as exc:
             raise _UsageError(str(exc.args[0])) from exc
-    elif args.generator == "gamma":
-        c = complete_complex(args.n)
-    elif args.generator == "kn":
-        c = boundary_complex(args.n)
     else:
-        c = generate(
-            "random",
-            args.n,
-            {
-                "seed": args.seed,
-                "density": args.density,
-                "max_facet_size": args.max_facet_size,
-            },
-        )
+        # the ``random`` generator's flags; ``gamma`` and ``kn`` have none
+        params = {k: v for k, v in vars(args).items() if k in ("seed", "density", "max_facet_size")}
+        c = generate(args.generator, args.n, params)
     return _write_scx(args, c)
 
 
@@ -441,13 +431,7 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="source .scx file")
     p.add_argument("target", help="target .scx file")
     _add_kind_flags(p)
-    p.add_argument("--facet-cap", type=int, default=20,
-                   help="refuse sources with more constrained facets than this; "
-                   "the cover search allocates 6 bytes per mask over all 2**m "
-                   "masks of m constrained facets before its first probe, "
-                   "whatever the budget: 6 MB at 20, about 100 MB at 24, "
-                   "1.6 GB at 28; tables that cannot be allocated exit 2, "
-                   "but a granted allocation can still fill memory")
+    p.add_argument("--facet-cap", type=int, default=20, help=_FACET_CAP_HELP)
     p.add_argument("--bounds-only", action="store_true",
                    help="report theorem bounds without solving")
     _add_limit_flags(p)
@@ -458,7 +442,7 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="source .scx file")
     p.add_argument("target", help="target .scx file")
     _add_kind_flags(p)
-    p.add_argument("--facet-cap", type=int, default=20)
+    p.add_argument("--facet-cap", type=int, default=20, help=_FACET_CAP_HELP)
     _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_complexity, bounds_only=True)

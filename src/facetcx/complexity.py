@@ -13,15 +13,21 @@ much.  The solver therefore optimizes over facet groups only.
 The value is finite exactly when every source facet maps on its own,
 which the target's candidate rows decide with no search, for
 ``compute`` and ``bounds`` alike (``_maps_facetwise``).
+The search runs on the constrained subcomplex, the one the constrained
+facets (``required_facet_indices``) generate: the source itself when no
+facet is dropped.  Its facets are the constrained ones in source order
+and its vertices keep the source's order, so one facet numbering serves
+the cover masks, the cache and the automorphisms, and each map search
+takes the same steps as on the source.
 Group feasibility is hereditary (subsets of a mappable group are
 mappable), so a branch-and-memo set-cover over facet bitmasks with a
 least-uncovered-facet pivot is exact.  Each group is decided by a
-``FeasibilityCache`` probe: a single facet from the target's candidate
-table, a group that earlier verdicts settle (by heredity, or because a
-map found earlier already serves it) with no search, and any other group
-by a map search run on the source's own facet masks; a group's
-subcomplex and witness map are built only for the groups of the
-reported cover.  When the whole constrained group fails,
+``FeasibilityCache`` probe on that subcomplex: a single facet from the
+target's candidate table, a group that earlier verdicts settle (by
+heredity, or because a map found earlier already serves it) with no
+search, and any other group by a map search run on the subcomplex's own
+facet masks; a group's subcomplex and witness map are built only for
+the groups of the reported cover.  When the whole constrained group fails,
 the DP reads each group's verdict through a byte table of ``2**m``
 entries for ``m`` constrained facets, so a repeated probe costs one
 lookup.  A group of two or more facets is searched only after its
@@ -152,7 +158,7 @@ def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
     # Without injectivity the isolated vertices join the first group (an
     # empty one when no facet is required) and go to target vertex 0; a
     # lone vertex constrains no map kind.
-    req_masks = cache.facets
+    req_masks = tuple(source.facets[i] for i in required_facet_indices(q))
     extra = tuple(f for f in source.facets if f not in req_masks)
     groups = []
     for pos, mask in enumerate(chosen):
@@ -185,10 +191,15 @@ def _optimum(
 
     Returns ``(value, cache, masks)``: ``cache`` answered the probes
     (``None`` for an empty source and for an infinite value), and
-    ``masks`` lists the canonical cover's groups as masks over
-    ``cache.facets`` when ``pick`` is set and the value is finite, else
-    it is empty.  Without ``pick`` no group is certified, so ``bounds``
-    reads the optimum here at the cost of the probes alone.
+    ``masks`` lists the canonical cover's groups when ``pick`` is set and
+    the value is finite, else it is empty.  The cache works on the
+    subcomplex the constrained facets generate (the source itself when
+    none is dropped), whose facets are ``required_facet_indices(q)`` in
+    order, so ``masks``, the cache's keys and the facet automorphisms
+    are all masks over them.  That subcomplex keeps the source's vertex
+    order, so each search takes the same steps as on the source.
+    Without ``pick`` no group is certified, so ``bounds`` reads the
+    optimum here at the cost of the probes alone.
     """
     source, target = q.source, q.target
     if source.n == 0:
@@ -203,12 +214,13 @@ def _optimum(
         )
     if not _maps_facetwise(q):
         return INFINITY, None, []
-    req_masks = tuple(source.facets[i] for i in required)
-    cache = FeasibilityCache(source, target, q.kind, q.injective, req_masks, q.limits)
+    core = source if len(required) == len(source.facets) else _subcomplex(
+        source, [source.facets[i] for i in required])
+    cache = FeasibilityCache(core, target, q.kind, q.injective, q.limits)
     full = (1 << len(required)) - 1
     if cache.feasible(full):
         return 1, cache, [full] if pick else []
-    value, masks = _cover_masks(len(required), cache.feasible, facet_automorphisms(req_masks), pick)
+    value, masks = _cover_masks(len(required), cache.feasible, facet_automorphisms(core.facets), pick)
     return value, cache, masks
 
 
@@ -216,9 +228,11 @@ def _cover_masks(m: int, probe, gens, pick: bool) -> tuple[int, list[int]]:
     """The optimal cover size of ``m`` facets whose full group fails,
     and with ``pick`` its canonical cover as group masks (``[]`` without).
 
-    ``probe(group)`` decides a group over the ``m`` facets; every
-    singleton must be feasible.  A submask DP pivoting on the
-    least-indexed uncovered facet finds the optimum ``best(full)``;
+    The ``m`` facets are those of the constrained subcomplex, and
+    ``probe(group)``, a ``FeasibilityCache`` on it in ``_optimum``,
+    decides a group of them; every singleton must be feasible.  A
+    submask DP pivoting on the least-indexed uncovered facet finds the
+    optimum ``best(full)``;
     with ``pick`` each step then picks the lexicographically least
     optimal group over the same tables.  Without it ``best`` stops
     scanning an infeasible set's groups at a two-group cover, which no
@@ -547,11 +561,9 @@ def disjoint_decompose(
         groups.setdefault(find(i), []).append(i)
 
     components = []
-    value = 1.0
     budget = _budget(q.limits)
     for root in sorted(groups, key=lambda r: min(groups[r])):
         sub = _subcomplex(source, [source.facets[i] for i in groups[root]])
         res = compute(ComplexityQuery(sub, q.target, q.kind, q.injective, budget), facet_cap)
         components.append((sub, res))
-        value = max(value, res.value)
-    return DisjointDecomposition(value, tuple(components))
+    return DisjointDecomposition(max(res.value for _, res in components), tuple(components))

@@ -444,7 +444,12 @@ def find_map(problem: SearchProblem) -> SearchResult:
 class FeasibilityCache:
     """Memoized group feasibility for one complexity computation.
 
-    Keys are bitmasks over ``facets`` (default: the source's facets).
+    Keys are bitmasks over the source's facets, handed to the map search
+    as they are (``SearchProblem.group``).  ``complexity`` builds the
+    cache on the subcomplex its constrained facets generate, so the cover
+    search's masks, these keys and the facet automorphisms share one
+    numbering.
+
     ``feasible`` answers a nonempty mask by the first of these rules that
     applies, each exact, so every verdict is the one a search would give:
 
@@ -472,7 +477,7 @@ class FeasibilityCache:
     Two more rules feed the antichains the last two rules read:
 
     * Witness growth: a map found for a group is extended over the
-      cache's other facets, one at a time in cache order (``_grow``).  A
+      source's other facets, one at a time in facet order (``_grow``).  A
       facet whose vertices the map places joins when its image meets
       the kind; a facet with unplaced vertices joins when they can be
       placed so that it maps onto (kind ``facet``) or into (kind
@@ -491,7 +496,7 @@ class FeasibilityCache:
 
     Only a group's own search is kept; ``certificate`` searches a mask
     answered without one, then builds the group's subcomplex and witness
-    map.  A mask outside ``[0, 1 << len(facets))`` is rejected with
+    map.  A mask outside ``[0, 1 << len(source.facets))`` is rejected with
     ``ValueError``.
 
     ``answered_by`` counts the ``feasible`` probes each rule answered.
@@ -507,7 +512,6 @@ class FeasibilityCache:
         target: Complex,
         kind: str = "facet",
         injective: bool = False,
-        facets: tuple[int, ...] | None = None,
         limits: SearchLimits | _Budget | None = None,
     ):
         check_kind(kind)
@@ -515,15 +519,10 @@ class FeasibilityCache:
         self.target = target
         self.kind = kind
         self.injective = injective
-        self.facets = source.facets if facets is None else tuple(facets)
         self._budget = _budget(limits)
-        position = {f: i for i, f in enumerate(source.facets)}
-        if any(f not in position for f in self.facets):
-            raise ValueError("the cache's facets must be facets of the source")
-        self._positions = tuple(1 << position[f] for f in self.facets)
         self._tables = _TargetTables(target, kind, injective)
         # each facet's verdict on its own (the ``one_facet`` rule)
-        self._alone = tuple(bool(self._tables.candidates(f.bit_count())) for f in self.facets)
+        self._alone = tuple(bool(self._tables.candidates(f.bit_count())) for f in source.facets)
         self._results: dict[int, SearchResult] = {}
         self._answered = dict.fromkeys(
             ("one_facet", "below_feasible", "above_infeasible", "pigeonhole", "search"), 0
@@ -548,7 +547,7 @@ class FeasibilityCache:
         return dict(self._answered)
 
     def _check_mask(self, mask: int) -> None:
-        if not 0 <= mask < 1 << len(self.facets):
+        if not 0 <= mask < 1 << len(self.source.facets):
             raise ValueError("mask must be a mask over the cache's facets")
 
     def result(self, mask: int) -> SearchResult:
@@ -556,22 +555,14 @@ class FeasibilityCache:
         hit = self._results.get(mask)
         if hit is None:
             self._check_mask(mask)
-            group = vertices = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                group |= self._positions[i]
-                vertices |= self.facets[i]
-                rest ^= low
             hit = find_map(SearchProblem(
-                self.source, self.target, self.kind, self.injective, self._budget, group,
+                self.source, self.target, self.kind, self.injective, self._budget, mask,
                 self._tables,
             ))
             self._results[mask] = hit
             self._nodes += hit.nodes
             if hit.found:
-                mask = self._grow(mask, vertices, hit.images)
+                mask = self._grow(mask, hit.images)
                 self._feasible_max = [
                     m for m in self._feasible_max if m & ~mask
                 ] + [mask]
@@ -581,28 +572,31 @@ class FeasibilityCache:
                 ] + [mask]
         return hit
 
-    def _grow(self, mask: int, vertices: int, images: tuple[int, ...]) -> int:
+    def _grow(self, mask: int, images: tuple[int, ...]) -> int:
         """``mask`` with every facet the map found for it absorbs.
 
-        The map (``images`` of ``vertices``, ascending) is extended one
-        facet at a time, in cache order.  A facet's unplaced vertices go
+        The map (``images`` of the group's vertices, ascending) is extended
+        one facet at a time, in facet order.  A facet's unplaced vertices go
         to the first candidate target facet g holding its placed images:
-        onto the vertices of g the image misses, any left over folding
-        onto g's first vertex (kind ``facet``), or onto distinct vertices
-        of g outside the image (kind ``strict``, and a lone vertex, whose
-        candidate is the target's vertex set); under injectivity only
-        unused target vertices are taken.  A facet no candidate takes is
-        left out.  The extended map is checked on the grown group before
-        the group is returned.
+        onto the vertices of g the image misses, any left over folding onto
+        g's first vertex (kind ``facet``), or onto distinct vertices of g
+        outside the image (kind ``strict``, and a lone vertex, whose
+        candidate is the target's vertex set); under injectivity only unused
+        target vertices are taken.  A facet no candidate takes is left out.
+        The extended map is checked on the grown group before the group is
+        returned.
         """
-        tables, inj = self._tables, self.injective
+        tables, inj, facets = self._tables, self.injective, self.source.facets
+        vertices = 0
+        for i in _bits(mask):
+            vertices |= facets[i]
         assign = [-1] * self.source.n
         used = 0
         for v, u in zip(_bits(vertices), images):
             assign[v] = u
             used |= 1 << u
         grown = mask
-        for i, f in enumerate(self.facets):
+        for i, f in enumerate(facets):
             if grown >> i & 1:
                 continue
             bits, cands = tables.row(f)
@@ -638,7 +632,7 @@ class FeasibilityCache:
                 grown |= 1 << i
                 break
         if grown != mask:
-            group = tuple(self.facets[i] for i in _bits(grown))
+            group = tuple(facets[i] for i in _bits(grown))
             flags = _classify_masks(group, assign, self.target, tables.facet_set)[1:4]
             if not _meets(self.kind, inj, *flags):
                 raise RuntimeError(  # pragma: no cover - guards the growth itself
@@ -661,10 +655,11 @@ class FeasibilityCache:
             if m & ~mask == 0:
                 answered["above_infeasible"] += 1
                 return False
+        facets = self.source.facets
         if self.injective:
             span = 0
             for i in _bits(mask):
-                span |= self.facets[i]
+                span |= facets[i]
             if span.bit_count() > self.target.n:
                 answered["pigeonhole"] += 1
                 return False
@@ -676,7 +671,7 @@ class FeasibilityCache:
             top = mask.bit_length() - 1
             core = 0
             for i in _bits(mask):
-                if self.facets[i] & self.facets[top]:
+                if facets[i] & facets[top]:
                     core |= 1 << i
             if core != mask and core & (core - 1):
                 self.feasible(core)
@@ -686,6 +681,6 @@ class FeasibilityCache:
         res = self.result(mask)
         if not res.found:
             raise ValueError("no certificate for an infeasible group")
-        chosen = [self.facets[i] for i in _bits(mask)]
+        chosen = [self.source.facets[i] for i in _bits(mask)]
         return VertexMap(_subcomplex(self.source, chosen), self.target, res.images)
 

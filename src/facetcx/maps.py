@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .complexes import Complex, _bits
+from .complexes import Complex, _bits, build_complex
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,6 @@ def image_inverse(m: VertexMap, sub: Complex) -> Complex:
                     keep |= 1 << i
             if keep:
                 faces.append(m.source.members(keep))
-    from .complexes import build_complex
-
     return build_complex(
         faces,
         explicit_vertices=(m.source.labels[i] for i in pre),

@@ -97,10 +97,7 @@ def parse_map(text: str, source: Complex, target: Complex) -> VertexMap:
     missing = [v for v in source.labels if v not in assignment]
     if missing:
         raise ScxError(f"source vertex {missing[0]!r} has no image")
-    try:
-        return VertexMap.from_dict(source, target, assignment)
-    except ValueError as exc:
-        raise ScxError(str(exc)) from exc
+    return VertexMap.from_dict(source, target, assignment)
 
 
 def serialize_map(m: VertexMap) -> str:

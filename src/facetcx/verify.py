@@ -616,8 +616,6 @@ def check_pullback(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     if not res.found or H.n == 0:
         return
     tw = chromatic_number(H).witness
-    if tw is None:
-        return
     col = pullback_coloring(res.map, tw)
     _need(col.k == tw.k, "pulled-back coloring changed the color count")
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import facetcx
 from facetcx import samples
 from facetcx.scx import serialize_scx
@@ -88,7 +90,100 @@ print(json.dumps({{
 def test_submodules_resolve_after_a_plain_import():
     code = """
 import json
+import pytest
+
 import facetcx
 print(json.dumps([facetcx.samples.__name__, facetcx.oracle.__name__, facetcx.verify.__name__]))
 """
     assert _fresh_python(code) == ["facetcx.samples", "facetcx.oracle", "facetcx.verify"]
+
+
+EDGE = facetcx.complete_complex(2)
+TRIANGLE = facetcx.complete_complex(3)
+
+
+def _tables_of_another_target():
+    from facetcx.homsearch import _TargetTables
+
+    facetcx.SearchProblem(EDGE, TRIANGLE, tables=_TargetTables(EDGE, "facet", False))
+
+
+REJECTIONS = {
+    "complex-mask-out-of-range": (
+        lambda: facetcx.Complex(("a",), (2,)), "facet mask out of range"),
+    "complex-facets-miss-a-label": (
+        lambda: facetcx.Complex(("a", "b"), (1,)), "facets must cover every vertex"),
+    "map-wrong-length": (
+        lambda: facetcx.VertexMap(EDGE, EDGE, (0,)), "assignment must cover every source vertex"),
+    "map-image-out-of-range": (
+        lambda: facetcx.VertexMap(EDGE, EDGE, (0, 2)), "assignment image out of range"),
+    "coloring-wrong-length": (
+        lambda: facetcx.Coloring(EDGE, 2, (1,)), "assignment must color every vertex"),
+    "coloring-k-below-1": (
+        lambda: facetcx.Coloring(EDGE, 0, (1, 1)), "k must be positive for a non-empty subject"),
+    "coloring-colour-outside-k": (
+        lambda: facetcx.Coloring(EDGE, 2, (1, 3)), "color 3 outside 1..2"),
+    "coloring-monochromatic-facet": (
+        lambda: facetcx.Coloring(EDGE, 2, (1, 1)), "monochromatic constraint ('1', '2')"),
+    "search-group-out-of-range": (
+        lambda: facetcx.SearchProblem(EDGE, EDGE, group=2),
+        "group must be a mask over the source's facets"),
+    "search-tables-of-another-target": (
+        _tables_of_another_target, "the tables were built for a different target or kind"),
+    "generate-n-below-1": (
+        lambda: facetcx.generate("random", 0, {"seed": 1}), "random generator requires n >= 1"),
+    "generate-no-seed": (
+        lambda: facetcx.generate("random", 3), "random generator requires a seed"),
+    "generate-max-facet-size-below-1": (
+        lambda: facetcx.generate("random", 3, {"seed": 1, "max_facet_size": 0}),
+        "max_facet_size must be >= 1"),
+    "generate-density-outside-0-1": (
+        lambda: facetcx.generate("random", 3, {"seed": 1, "density": 1.5}),
+        "density must lie in [0, 1]"),
+    "complete-complex-0": (
+        lambda: facetcx.complete_complex(0), "complete_complex requires n >= 1"),
+    "boundary-complex-1": (
+        lambda: facetcx.boundary_complex(1), "boundary_complex requires n >= 2"),
+    "union-of-nothing": (
+        lambda: facetcx.union([]), "union requires at least one complex"),
+    "relabel-partial-mapping": (
+        lambda: facetcx.relabel(EDGE, {"1": "x"}), "mapping must cover exactly the vertex set"),
+    "decompose-empty-source": (
+        lambda: facetcx.disjoint_decompose(facetcx.ComplexityQuery(facetcx.Complex(), EDGE)),
+        "componentwise solving needs a nonempty source"),
+    "block-coloring-isolated-vertex": (
+        lambda: facetcx.block_coloring(
+            facetcx.build_complex([("1", "2"), ("3",)]), facetcx.Coloring(EDGE, 2, (1, 2))),
+        "block_coloring requires every facet dimension > 0"),
+    "block-coloring-foreign-witness": (
+        lambda: facetcx.block_coloring(EDGE, facetcx.Coloring(TRIANGLE, 3, (1, 2, 3))),
+        "witness must color the 1-skeleton"),
+    "product-coloring-foreign-part": (
+        lambda: facetcx.product_coloring(EDGE, [(EDGE, facetcx.Coloring(TRIANGLE, 3, (1, 2, 3)))]),
+        "each coloring must color its own part"),
+    "product-coloring-uncovered-facet": (
+        lambda: facetcx.product_coloring(TRIANGLE, [(EDGE, facetcx.Coloring(EDGE, 2, (1, 2)))]),
+        "facet ['1', '2', '3'] is covered by no part"),
+    "pullback-not-a-facet-map": (
+        lambda: facetcx.pullback_coloring(
+            facetcx.VertexMap(EDGE, EDGE, (0, 0)), facetcx.Coloring(EDGE, 2, (1, 2))),
+        "pullback requires a facet simplicial map"),
+    "pullback-foreign-witness": (
+        lambda: facetcx.pullback_coloring(
+            facetcx.VertexMap(EDGE, EDGE, (0, 1)), facetcx.Coloring(TRIANGLE, 3, (1, 2, 3))),
+        "witness must color the map's target"),
+    "image-inverse-not-simplicial": (
+        lambda: facetcx.image_inverse(
+            facetcx.VertexMap(EDGE, facetcx.build_complex([("1",), ("2",)]), (0, 1)), EDGE),
+        "image_inverse requires a simplicial map"),
+    "image-inverse-not-a-subcomplex": (
+        lambda: facetcx.image_inverse(facetcx.VertexMap(EDGE, EDGE, (0, 1)), TRIANGLE),
+        "['1', '2', '3'] is not a simplex of the target"),
+}
+
+
+@pytest.mark.parametrize("make, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_library_rejects_bad_input(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -29,7 +29,7 @@ from facetcx import (
     union,
     VertexMap,
 )
-from facetcx.complexes import _bits, facet_automorphisms, generate, skeleton
+from facetcx.complexes import _bits, _subcomplex, facet_automorphisms, generate, skeleton
 from facetcx.complexity import _cover_masks, _precedes
 from facetcx.verify import KINDS, VerifyConfig, _instances
 
@@ -323,6 +323,15 @@ def test_disjoint_union_equality():
     assert len(dd.components) == 2
 
 
+def test_disjoint_decompose_value_is_compute_value():
+    """Components of value 1 give the int 1, as ``compute`` does, not 1.0."""
+    query = q(build_complex([("a",), ("b",)]), complete_complex(2))
+    dd = disjoint_decompose(query)
+    assert [res.value for _, res in dd.components] == [1, 1]
+    assert dd.value == compute(query).value
+    assert type(dd.value) is int
+
+
 def test_disjoint_decompose_budget_covers_all_components():
     """Each K5 edge set alone needs 132 nodes; the second gets what the
     first left of 200."""
@@ -351,15 +360,15 @@ def test_jump_under_union():
 # -- symmetry in the cover search -------------------------------------
 
 
-def _required_masks(query):
-    return tuple(query.source.facets[i] for i in required_facet_indices(query))
+def _core(query):
+    """The constrained subcomplex, the one the cover search runs on."""
+    masks = [query.source.facets[i] for i in required_facet_indices(query)]
+    return _subcomplex(query.source, masks)
 
 
 def _fresh_probe(query):
-    """``feasible`` of a new cache for the query's constrained facets."""
-    return FeasibilityCache(
-        query.source, query.target, query.kind, query.injective, _required_masks(query)
-    ).feasible
+    """``feasible`` of a new cache on the query's constrained subcomplex."""
+    return FeasibilityCache(_core(query), query.target, query.kind, query.injective).feasible
 
 
 def _permute(p, mask):
@@ -384,7 +393,7 @@ def test_feasibility_is_constant_on_facet_orbits():
         for kind, injective in KINDS:
             for target in targets:
                 query = q(source, target, kind, injective)
-                masks = _required_masks(query)
+                masks = _core(query).facets
                 gens = facet_automorphisms(masks)
                 for _ in range(3 if gens else 0):
                     group = rng.randrange(1, 1 << len(masks))
@@ -407,7 +416,7 @@ def test_orbit_sharing_keeps_canonical_covers():
                     continue
                 for kind, injective in KINDS:
                     query = q(inst[a], inst[b], kind, injective)
-                    masks = _required_masks(query)
+                    masks = _core(query).facets
                     m = len(masks)
                     probe = _fresh_probe(query)
                     if not m or probe((1 << m) - 1):

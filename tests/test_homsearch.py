@@ -432,6 +432,31 @@ def test_node_budget_on_pruned_search_exits_4(capsys, tmp_path, command):
         assert json.loads(out)["value"] == "undecided"
 
 
+def _edge_plus_isolated(count: int):
+    return build_complex([("a", "b")] + [(f"v{i:02d}",) for i in range(count)])
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_budget_runs_out_while_placing_free_vertices(injective):
+    """The edge takes 2 nodes and each isolated vertex one more, so a cap
+    of 5 runs out among the free vertices, at the node past the cap."""
+    problem = SearchProblem(_edge_plus_isolated(20), _edge_plus_isolated(28),
+                            "facet", injective)
+    res = find_map(problem)
+    assert (res.found, res.nodes) == (True, 22)
+    with pytest.raises(UndecidedError) as exc:
+        find_map(replace(problem, limits=SearchLimits(max_nodes=5)))
+    assert exc.value.nodes == 6
+
+
+def test_map_check_budget_runs_out_while_placing_free_vertices(capsys, tmp_path):
+    source, target = tmp_path / "s.scx", tmp_path / "t.scx"
+    source.write_text(serialize_scx(_edge_plus_isolated(20)))
+    target.write_text(serialize_scx(_edge_plus_isolated(28)))
+    code = cli.run(["map-check", str(source), str(target), "--node-budget", "5"])
+    assert (code, capsys.readouterr().out) == (4, "UNDECIDED after 6 nodes\n")
+
+
 if __name__ == "__main__":
     # Pins the search this file compares against; see the differential test.
     pins = []
