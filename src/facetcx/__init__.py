@@ -66,7 +66,6 @@ __version__ = "0.1.0"
 # commands, so they load on first use (PEP 562): a solver query does not
 # pay for compiling them.  Public name -> home submodule.
 _LAZY = {
-    "OracleLimits": "oracle",
     "brute_force_chromatic": "oracle",
     "brute_force_cover_complexity": "oracle",
     "brute_force_map_search": "oracle",
@@ -93,7 +92,6 @@ __all__ = [
     "INFINITY",
     "MapClass",
     "Metrics",
-    "OracleLimits",
     "ScxError",
     "SearchLimits",
     "SearchProblem",

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or input error, 3 proven non-existence
+Exit codes: 0 success, 1 standard output closed before the command
+finished writing, 2 usage or input error, 3 proven non-existence
 (map search), 4 undecided within budget, 5 property violation
 (verification).  ``--json`` switches every command to a single
 machine-readable object with a ``schema`` version field.
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -49,6 +51,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path: Path, text: str, parents: bool = False) -> None:
@@ -74,8 +78,6 @@ def _num(x) -> object:
         return None
     if x == INFINITY:
         return "infinity"
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
     return x
 
 
@@ -265,14 +267,16 @@ def _cmd_complexity(args) -> int:
     """``complexity``, and ``bounds`` as ``complexity --bounds-only``."""
     source = _read_complex(args.source)
     target = _read_complex(args.target)
-    q = ComplexityQuery(source, target, _kind_of(args), args.injective, _budget(args))
+    q = ComplexityQuery(
+        source, target, _kind_of(args), args.injective, _budget(args), args.facet_cap
+    )
     res = solved = None
     if not args.bounds_only:
         try:
-            res = solved = compute(q, facet_cap=args.facet_cap)
+            res = solved = compute(q)
         except UndecidedError as exc:
             res = solved = exc
-    b = bounds(q, facet_cap=args.facet_cap, solved=solved)
+    b = bounds(q, solved)
     payload = {
         "kind": q.kind,
         "injective": q.injective,
@@ -367,27 +371,25 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from .oracle import (  # only this command loads the oracles
-        OracleLimits,
         brute_force_chromatic,
         brute_force_cover_complexity,
         brute_force_map_search,
     )
 
-    lims = OracleLimits()
     if args.oracle_command == "chromatic":
         c = _read_complex(args.complex)
-        _emit(args, {"value": brute_force_chromatic(c, lims)})
+        _emit(args, {"value": brute_force_chromatic(c)})
         return 0
     source = _read_complex(args.source)
     target = _read_complex(args.target)
     kind = _kind_of(args)
     payload = {"kind": kind, "injective": args.injective}
     if args.oracle_command == "map-search":
-        m = brute_force_map_search(source, target, kind, args.injective, lims)
+        m = brute_force_map_search(source, target, kind, args.injective)
         payload.update({"found": m is not None, "map": m.as_dict() if m else None})
         _emit(args, payload)
         return 0 if m else 3
-    value = brute_force_cover_complexity(source, target, kind, args.injective, lims)
+    value = brute_force_cover_complexity(source, target, kind, args.injective)
     payload["value"] = _num(value)
     _emit(args, payload)
     return 0
@@ -431,7 +433,7 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="source .scx file")
     p.add_argument("target", help="target .scx file")
     _add_kind_flags(p)
-    p.add_argument("--facet-cap", type=int, default=20, help=_FACET_CAP_HELP)
+    p.add_argument("--facet-cap", type=int, default=ComplexityQuery.facet_cap, help=_FACET_CAP_HELP)
     p.add_argument("--bounds-only", action="store_true",
                    help="report theorem bounds without solving")
     _add_limit_flags(p)
@@ -442,7 +444,7 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="source .scx file")
     p.add_argument("target", help="target .scx file")
     _add_kind_flags(p)
-    p.add_argument("--facet-cap", type=int, default=20, help=_FACET_CAP_HELP)
+    p.add_argument("--facet-cap", type=int, default=ComplexityQuery.facet_cap, help=_FACET_CAP_HELP)
     _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_complexity, bounds_only=True)
@@ -524,4 +526,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at
+        # devnull so that flush cannot fail and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -50,9 +50,8 @@ class Coloring:
             raise ValueError(f"monochromatic constraint {bad!r}")
 
     @classmethod
-    def from_dict(
-        cls, subject: Complex, colors: dict[str, int], k: int | None = None
-    ) -> "Coloring":
+    def from_dict(cls, subject: Complex, colors: dict[str, int]) -> "Coloring":
+        """The colouring with these colours, and ``k`` the largest of them."""
         missing = [lab for lab in subject.labels if lab not in colors]
         if missing:
             raise ValueError(f"no color for vertices {missing!r}")
@@ -60,9 +59,7 @@ class Coloring:
         if extra:
             raise ValueError(f"colors given for unknown vertices {extra!r}")
         assignment = tuple(colors[lab] for lab in subject.labels)
-        if k is None:
-            k = max(assignment, default=0)
-        return cls(subject, k, assignment)
+        return cls(subject, max(assignment, default=0), assignment)
 
     @property
     def surjective(self) -> bool:

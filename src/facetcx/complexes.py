@@ -123,10 +123,6 @@ class Complex:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
-    def facet_count(self) -> int:
-        return len(self.facets)
-
     def index(self, label: str) -> int:
         i = bisect_left(self.labels, label)
         if i == len(self.labels) or self.labels[i] != label:
@@ -249,22 +245,22 @@ def _canonical(
 # -- generators --------------------------------------------------------
 
 
-def complete_complex(n: int, name: str | None = None) -> Complex:
+def complete_complex(n: int) -> Complex:
     """The complex on vertices 1..n whose single facet is the whole set."""
     if n < 1:
         raise ValueError("complete_complex requires n >= 1")
     labels = tuple(sorted(str(i) for i in range(1, n + 1)))
-    return Complex(labels, ((1 << n) - 1,), name or f"complete-{n}")
+    return Complex(labels, ((1 << n) - 1,), f"complete-{n}")
 
 
-def boundary_complex(n: int, name: str | None = None) -> Complex:
+def boundary_complex(n: int) -> Complex:
     """All subsets of size <= n-1 of an n-set: n facets of dimension n-2."""
     if n < 2:
         raise ValueError("boundary_complex requires n >= 2")
     labels = tuple(sorted(str(i) for i in range(1, n + 1)))
     full = (1 << n) - 1
     masks = tuple(sorted((full ^ (1 << i) for i in range(n)), key=_key))
-    return Complex(labels, masks, name or f"boundary-{n}")
+    return Complex(labels, masks, f"boundary-{n}")
 
 
 def generate(kind: str, n: int, params: Mapping[str, object] | None = None) -> Complex:

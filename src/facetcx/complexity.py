@@ -76,16 +76,21 @@ class FacetCapError(ValueError):
 @dataclass(frozen=True)
 class ComplexityQuery:
     """A source/target pair plus the map kind the cover parts must admit;
-    ``limits`` (or a running ``_Budget``) bound all its searches together."""
+    ``limits`` (or a running ``_Budget``) bound all its searches together,
+    and ``facet_cap`` is the most constrained facets its cover search, or
+    the ``graph_lower`` sub-solve of ``bounds``, may take on."""
 
     source: Complex
     target: Complex
     kind: str = "facet"
     injective: bool = False
     limits: SearchLimits | _Budget = field(default_factory=SearchLimits)
+    facet_cap: int = 20
 
     def __post_init__(self):
         check_kind(self.kind)
+        if self.facet_cap < 1:
+            raise ValueError("facet_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -136,22 +141,23 @@ def _group_labels(source: Complex, masks: tuple[int, ...]) -> tuple[frozenset[st
     return tuple(frozenset(source.members(m)) for m in masks)
 
 
-def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
+def compute(q: ComplexityQuery) -> ComplexityResult:
     """Exact minimum cover size with a canonical optimal cover.
 
     The reported cover is canonical: groups are listed in the order
     found by repeatedly covering the least-indexed uncovered facet, and
     each group is the lexicographically least (as a sorted tuple of
     facet indices) among the optimal choices at its step.  ``q.limits``
-    bounds all searches together.
+    bounds all searches together.  A query with more constrained facets
+    than ``q.facet_cap`` raises ``FacetCapError``.  The cover is checked
+    with ``check_cover`` before it is returned; a cover that fails is a
+    fault of the solver, raised as ``RuntimeError``.
     """
-    if facet_cap < 1:
-        raise ValueError("facet_cap must be at least 1")
     source, target = q.source, q.target
     if source.n == 0:
         empty_map = VertexMap(source, target, ())
         return ComplexityResult(1, Cover((CoverGroup((), empty_map),)))
-    value, cache, chosen = _optimum(q, facet_cap, True)
+    value, cache, chosen = _optimum(q, True)
     if value == INFINITY:
         return ComplexityResult(INFINITY, None)
 
@@ -172,7 +178,10 @@ def compute(q: ComplexityQuery, facet_cap: int = 20) -> ComplexityResult:
         groups.append(CoverGroup(_group_labels(source, masks), witness))
 
     result = ComplexityResult(value, Cover(tuple(groups)), cache.nodes)
-    check_cover(q, result.cover)
+    try:
+        check_cover(q, result.cover)
+    except ValueError as exc:
+        raise RuntimeError(f"solver produced an invalid cover: {exc}") from exc
     return result
 
 
@@ -184,9 +193,7 @@ def _maps_facetwise(q: ComplexityQuery) -> bool:
     return all(rows[min(f.bit_count(), len(rows) - 1)] for f in q.source.facets)
 
 
-def _optimum(
-    q: ComplexityQuery, facet_cap: int, pick: bool
-) -> tuple[float, FeasibilityCache | None, list[int]]:
+def _optimum(q: ComplexityQuery, pick: bool) -> tuple[float, FeasibilityCache | None, list[int]]:
     """``compute``'s value, and with ``pick`` the masks of its cover.
 
     Returns ``(value, cache, masks)``: ``cache`` answered the probes
@@ -199,7 +206,8 @@ def _optimum(
     are all masks over them.  That subcomplex keeps the source's vertex
     order, so each search takes the same steps as on the source.
     Without ``pick`` no group is certified, so ``bounds`` reads the
-    optimum here at the cost of the probes alone.
+    optimum here at the cost of the probes alone.  More constrained
+    facets than ``q.facet_cap`` raise ``FacetCapError``.
     """
     source, target = q.source, q.target
     if source.n == 0:
@@ -208,9 +216,9 @@ def _optimum(
         return INFINITY, None, []
 
     required = required_facet_indices(q)
-    if len(required) > facet_cap:
+    if len(required) > q.facet_cap:
         raise FacetCapError(
-            f"{len(required)} constrained facets exceed the cap of {facet_cap}"
+            f"{len(required)} constrained facets exceed the cap of {q.facet_cap}"
         )
     if not _maps_facetwise(q):
         return INFINITY, None, []
@@ -409,7 +417,7 @@ class BoundReport:
 
     @property
     def lower(self) -> float:
-        candidates = [1.0]
+        candidates = [1]
         for b in (self.chromatic_lower, self.graph_lower, self.complete_target_ic):
             if b is not None:
                 candidates.append(b)
@@ -440,9 +448,7 @@ def _chromatic_floor(chi_source: int, chi_target: int) -> float:
 
 
 def bounds(
-    q: ComplexityQuery,
-    facet_cap: int = 20,
-    solved: ComplexityResult | UndecidedError | None = None,
+    q: ComplexityQuery, solved: ComplexityResult | UndecidedError | None = None
 ) -> BoundReport:
     """Theorem-backed bounds without running the exact cover search.
 
@@ -453,7 +459,7 @@ def bounds(
     itself to that sub-solve.  It is reported only when the target has
     no isolated vertices, where a part's witness map restricts to a
     graph homomorphism between them, and only when that problem stays
-    within ``facet_cap`` and the query's search limits; otherwise it
+    within ``q.facet_cap`` and the query's search limits; otherwise it
     is skipped, never raised.
     ``solved``, the outcome of ``compute(q)``, answers that problem
     when it is the query's own: a plain facet query whose source has
@@ -463,8 +469,6 @@ def bounds(
     ``q.limits``, the solve's own when a caller that solved passes it
     there; ``chromatic_lower`` is ``None`` when the colourings run out.
     """
-    if facet_cap < 1:
-        raise ValueError("facet_cap must be at least 1")
     finite = _maps_facetwise(q)
     required = required_facet_indices(q)
     eta_upper = max(1, len(required)) if finite else INFINITY
@@ -492,9 +496,10 @@ def bounds(
             elif res is None:
                 try:
                     gq = ComplexityQuery(
-                        facet_graph(q.source), facet_graph(q.target), "facet", False, budget
+                        facet_graph(q.source), facet_graph(q.target), "facet", False, budget,
+                        q.facet_cap,
                     )
-                    graph_lower = _optimum(gq, facet_cap, False)[0]
+                    graph_lower = _optimum(gq, False)[0]
                 except (FacetCapError, UndecidedError):
                     pass  # a bound, not an answer: skip it rather than fail
 
@@ -525,9 +530,7 @@ class DisjointDecomposition:
     components: tuple[tuple[Complex, ComplexityResult], ...]
 
 
-def disjoint_decompose(
-    q: ComplexityQuery, facet_cap: int = 20
-) -> DisjointDecomposition:
+def disjoint_decompose(q: ComplexityQuery) -> DisjointDecomposition:
     """Solve a query componentwise.
 
     Valid for the plain facet kind only: parts for components sharing
@@ -535,7 +538,8 @@ def disjoint_decompose(
     is the maximum of the components'.  Injectivity breaks the
     combination step (a merged part may need more target vertices than
     either piece), so injective queries are rejected.  ``q.limits``
-    bounds the whole call: every component charges one budget.
+    bounds the whole call: every component charges one budget, and each
+    component's query keeps ``q.facet_cap``.
     """
     if q.kind != "facet" or q.injective:
         raise ValueError("componentwise solving applies to plain facet queries only")
@@ -564,6 +568,6 @@ def disjoint_decompose(
     budget = _budget(q.limits)
     for root in sorted(groups, key=lambda r: min(groups[r])):
         sub = _subcomplex(source, [source.facets[i] for i in groups[root]])
-        res = compute(ComplexityQuery(sub, q.target, q.kind, q.injective, budget), facet_cap)
+        res = compute(ComplexityQuery(sub, q.target, q.kind, q.injective, budget, q.facet_cap))
         components.append((sub, res))
     return DisjointDecomposition(max(res.value for _, res in components), tuple(components))

@@ -3,54 +3,53 @@
 Everything here enumerates the full space instead of searching it, and
 deliberately shares no search code with the solvers (only the map
 classifier).  ``brute_force_cover_complexity`` evaluates the covering
-definition directly: when the source has at most ``max_simplices``
+definition directly: when the source has at most ``MAX_SIMPLICES``
 simplices it enumerates arbitrary downward-closed subcomplex covers,
 not just covers by facet groups, which independently validates the
 solvers' canonical-cover reduction.
+
+The enumerations are exponential, so each function refuses an input
+past the vertex and facet limits below with a ``ValueError`` naming
+the limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .complexes import Complex, _bits, _subcomplex
+from .complexes import Complex, _bits, _subcomplex, build_complex
 from .maps import VertexMap, check_kind, classify
 
 INFINITY = float("inf")
 
+MAX_SOURCE_VERTICES = 5
+MAX_TARGET_VERTICES = 4
+MAX_FACETS = 5  # source facets of a cover problem
+MAX_SIMPLICES = 12
+MAX_CHROMATIC_VERTICES = 8
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_source_vertices: int = 5
-    max_target_vertices: int = 4
-    max_facets: int = 5
-    max_simplices: int = 12
-    max_chromatic_vertices: int = 8
+
+def _check_sizes(source: Complex, target: Complex) -> None:
+    if source.n > MAX_SOURCE_VERTICES:
+        raise ValueError(
+            f"oracle limit: source has {source.n} vertices (max {MAX_SOURCE_VERTICES})"
+        )
+    if target.n > MAX_TARGET_VERTICES:
+        raise ValueError(
+            f"oracle limit: target has {target.n} vertices (max {MAX_TARGET_VERTICES})"
+        )
 
 
 def brute_force_map_search(
-    source: Complex,
-    target: Complex,
-    kind: str = "facet",
-    injective: bool = False,
-    limits: OracleLimits = OracleLimits(),
+    source: Complex, target: Complex, kind: str = "facet", injective: bool = False
 ):
     """First matching assignment in lexicographic order, or None.
 
-    Enumerates all |V(target)|^|V(source)| total maps.
+    Enumerates all |V(target)|^|V(source)| total maps, within the
+    source and target vertex limits.
     """
     check_kind(kind)
-    if source.n > limits.max_source_vertices:
-        raise ValueError(
-            f"oracle limit: source has {source.n} vertices "
-            f"(max {limits.max_source_vertices})"
-        )
-    if target.n > limits.max_target_vertices:
-        raise ValueError(
-            f"oracle limit: target has {target.n} vertices "
-            f"(max {limits.max_target_vertices})"
-        )
+    _check_sizes(source, target)
     for assignment in product(range(target.n), repeat=source.n):
         m = VertexMap(source, target, assignment)
         if classify(m).meets(kind, injective):
@@ -58,12 +57,11 @@ def brute_force_map_search(
     return None
 
 
-def brute_force_chromatic(c: Complex, limits: OracleLimits = OracleLimits()) -> int:
-    """Least k with an assignment leaving no facet of size >= 2 monochromatic."""
-    if c.n > limits.max_chromatic_vertices:
-        raise ValueError(
-            f"oracle limit: {c.n} vertices (max {limits.max_chromatic_vertices})"
-        )
+def brute_force_chromatic(c: Complex) -> int:
+    """Least k with an assignment leaving no facet of size >= 2
+    monochromatic, for at most ``MAX_CHROMATIC_VERTICES`` vertices."""
+    if c.n > MAX_CHROMATIC_VERTICES:
+        raise ValueError(f"oracle limit: {c.n} vertices (max {MAX_CHROMATIC_VERTICES})")
     if c.n == 0:
         return 0
     big = [list(_bits(f)) for f in c.facets if f.bit_count() >= 2]
@@ -81,45 +79,31 @@ def _required_facet_indices(source: Complex, kind: str, injective: bool) -> list
 
 
 def brute_force_cover_complexity(
-    source: Complex,
-    target: Complex,
-    kind: str = "facet",
-    injective: bool = False,
-    limits: OracleLimits = OracleLimits(),
+    source: Complex, target: Complex, kind: str = "facet", injective: bool = False
 ):
     """Least cover size by mappable subcomplexes, or infinity.
 
-    Small sources (by simplex count) are solved over arbitrary
-    downward-closed covers; all sources within the facet limit are also
-    solved over facet-group covers.  When both run their answers are
-    compared, so a discrepancy in the canonical-cover reduction would
-    surface here.
+    Sources of at most ``MAX_SIMPLICES`` simplices are solved over
+    arbitrary downward-closed covers; all sources within the vertex and
+    facet limits are also solved over facet-group covers.  When both run
+    their answers are compared, so a discrepancy in the canonical-cover
+    reduction would surface here.
     """
-    if source.n > limits.max_source_vertices:
+    _check_sizes(source, target)
+    if len(source.facets) > MAX_FACETS:
         raise ValueError(
-            f"oracle limit: source has {source.n} vertices "
-            f"(max {limits.max_source_vertices})"
-        )
-    if target.n > limits.max_target_vertices:
-        raise ValueError(
-            f"oracle limit: target has {target.n} vertices "
-            f"(max {limits.max_target_vertices})"
-        )
-    if len(source.facets) > limits.max_facets:
-        raise ValueError(
-            f"oracle limit: source has {len(source.facets)} facets "
-            f"(max {limits.max_facets})"
+            f"oracle limit: source has {len(source.facets)} facets (max {MAX_FACETS})"
         )
     if source.n == 0:
         return 1
     if target.n == 0:
         return INFINITY
 
-    canonical = _canonical_cover_min(source, target, kind, injective, limits)
+    canonical = _canonical_cover_min(source, target, kind, injective)
     simplices = source.simplex_masks()
-    if len(simplices) <= limits.max_simplices:
+    if len(simplices) <= MAX_SIMPLICES:
         arbitrary = _arbitrary_cover_min(
-            source, target, kind, injective, sorted(simplices, key=lambda m: (m.bit_count(), m)), limits
+            source, target, kind, injective, sorted(simplices, key=lambda m: (m.bit_count(), m))
         )
         if arbitrary != canonical:  # pragma: no cover - reduction guard
             raise AssertionError(
@@ -129,7 +113,7 @@ def brute_force_cover_complexity(
     return canonical
 
 
-def _canonical_cover_min(source, target, kind, injective, limits):
+def _canonical_cover_min(source, target, kind, injective):
     required = _required_facet_indices(source, kind, injective)
     if not required:
         return 1
@@ -138,10 +122,7 @@ def _canonical_cover_min(source, target, kind, injective, limits):
     def feasible(group: tuple[int, ...]) -> bool:
         if group not in memo:
             sub = _subcomplex(source, [source.facets[i] for i in group])
-            memo[group] = (
-                brute_force_map_search(sub, target, kind, injective, limits)
-                is not None
-            )
+            memo[group] = brute_force_map_search(sub, target, kind, injective) is not None
         return memo[group]
 
     for k in range(1, len(required) + 1):
@@ -155,7 +136,7 @@ def _canonical_cover_min(source, target, kind, injective, limits):
     return INFINITY
 
 
-def _arbitrary_cover_min(source, target, kind, injective, simplices, limits):
+def _arbitrary_cover_min(source, target, kind, injective, simplices):
     """Minimum over covers by arbitrary subcomplexes.
 
     A subcomplex is a downward-closed subset of the simplex poset; its
@@ -198,13 +179,8 @@ def _arbitrary_cover_min(source, target, kind, injective, simplices, limits):
         ]
         key = frozenset(maximal)
         if key not in part_feasible:
-            from .complexes import build_complex
-
             sub = build_complex([source.members(m) for m in maximal])
-            part_feasible[key] = (
-                brute_force_map_search(sub, target, kind, injective, limits)
-                is not None
-            )
+            part_feasible[key] = brute_force_map_search(sub, target, kind, injective) is not None
         if not part_feasible[key]:
             continue
         cov = 0
@@ -214,8 +190,6 @@ def _arbitrary_cover_min(source, target, kind, injective, simplices, limits):
         coverage_options.add(cov)
 
     # breadth-first minimum cover over coverage masks
-    if full_cover == 0:
-        return 1
     frontier = {0}
     seen = {0}
     steps = 0

@@ -53,7 +53,8 @@ from .complexity import (
 from .homsearch import SearchProblem, find_map
 from .maps import VertexMap, classify, compose, image_inverse
 from .oracle import (
-    OracleLimits,
+    MAX_SOURCE_VERTICES,
+    MAX_TARGET_VERTICES,
     brute_force_chromatic,
     brute_force_cover_complexity,
     brute_force_map_search,
@@ -327,12 +328,11 @@ def check_coloring_builders(ctx: _Ctx, inst: dict[str, Complex]) -> None:
 
 def check_search_vs_oracle(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     L, K = inst["L"], inst["K"]
-    lims = OracleLimits()
-    if L.n > lims.max_source_vertices or K.n > lims.max_target_vertices:
+    if L.n > MAX_SOURCE_VERTICES or K.n > MAX_TARGET_VERTICES:
         return
     for kind, inj in KINDS:
         got = find_map(SearchProblem(L, K, kind, inj))
-        want = brute_force_map_search(L, K, kind, inj, lims)
+        want = brute_force_map_search(L, K, kind, inj)
         _need(
             got.found == (want is not None),
             f"{'injective ' if inj else ''}{kind} search disagrees with exhaustion",
@@ -343,17 +343,16 @@ def check_search_vs_oracle(ctx: _Ctx, inst: dict[str, Complex]) -> None:
 
 def check_solver_vs_oracle(ctx: _Ctx, inst: dict[str, Complex]) -> None:
     L, K = inst["L"], inst["K"]
-    lims = OracleLimits()
     if (
-        L.n > lims.max_source_vertices
-        or K.n > lims.max_target_vertices
+        L.n > MAX_SOURCE_VERTICES
+        or K.n > MAX_TARGET_VERTICES
         or len(L.facets) > 4
         or len(L.simplex_masks()) > 10
     ):
         return
     for kind, inj in KINDS:
         got = ctx.value(L, K, kind, inj)
-        want = brute_force_cover_complexity(L, K, kind, inj, lims)
+        want = brute_force_cover_complexity(L, K, kind, inj)
         _need(
             got == want,
             f"cover value {got} != exhaustive {want} for {kind}, injective={inj}",
@@ -599,15 +598,10 @@ def check_complete_target_chain(ctx: _Ctx, inst: dict[str, Complex]) -> None:
             ctx.observe(f"one_facet_target_{n}_chain_equal")
         else:
             ctx.observe(f"one_facet_target_{n}_chain_strictly_greater")
-        if L.dim <= n - 2:
+        if L.dim <= n - 2:  # so L.dim <= 1 and the cover lifts
             hollow_v = ctx.value(L, boundary_complex(n), "strict")
             _need(graph_v <= hollow_v, "graph value exceeds the hollow-target value")
-            if graph_v == 1 or L.dim <= 1:
-                _need(hollow_v == graph_v, "liftable hollow case fails the equality")
-            elif hollow_v == graph_v:
-                ctx.observe(f"hollow_target_{n}_chain_equal")
-            else:
-                ctx.observe(f"hollow_target_{n}_chain_strictly_greater")
+            _need(hollow_v == graph_v, "liftable hollow case fails the equality")
 
 
 def check_pullback(ctx: _Ctx, inst: dict[str, Complex]) -> None:

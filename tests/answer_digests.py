@@ -1,4 +1,4 @@
-"""Digest every answer of the benchmark's seed-1 invocations.
+"""Digest every answer of the benchmark's seed-1 invocations and of verify.
 
 Usage (from the repository root)::
 
@@ -7,7 +7,9 @@ Usage (from the repository root)::
 
 The script renders the three workloads of ``bench/workloads.py`` for
 seed 1, 620 ``facetcx complexity`` invocations in all, and runs each one
-in this process through ``facetcx.cli.run``.  It records one SHA-256
+in this process through ``facetcx.cli.run``, followed by the six reports
+of ``facetcx verify --seed S --trials 200``, as text and with
+``--json``, for S = 1, 2, 3.  It records one SHA-256
 digest per invocation over its exit code (or the exception it raised),
 stdout and stderr, plus a second digest with every ``"nodes"`` field
 left out of the JSON, so a comparison can tell answers that moved only
@@ -40,6 +42,7 @@ import facetcx.cli  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 1
+VERIFY_SEEDS = (1, 2, 3)
 
 
 def _without_nodes(value):
@@ -54,8 +57,24 @@ def _digest(rc: int | str, out: str, err: str) -> str:
     return hashlib.sha256(json.dumps([rc, out, err]).encode()).hexdigest()
 
 
+def _answer(argv: list[str]) -> list[str]:
+    """``[digest, digest without nodes]`` of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = facetcx.cli.run(argv)
+    except Exception as exc:  # a crash is an answer that differs
+        rc = f"{type(exc).__name__}: {exc}"
+    try:
+        bare = json.dumps(_without_nodes(json.loads(out.getvalue())), sort_keys=True)
+    except json.JSONDecodeError:
+        bare = out.getvalue()
+    return [_digest(rc, out.getvalue(), err.getvalue()), _digest(rc, bare, err.getvalue())]
+
+
 def digests() -> dict[str, list[str]]:
-    """``{invocation: [digest, digest without nodes]}`` over all workloads."""
+    """``{invocation: [digest, digest without nodes]}`` over all workloads
+    and the verify runs."""
     table = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -68,21 +87,12 @@ def digests() -> dict[str, list[str]]:
                 for path, text in files.items():
                     path.write_text(text)
                 for i, query in enumerate(queries):
-                    out, err = io.StringIO(), io.StringIO()
-                    try:
-                        with redirect_stdout(out), redirect_stderr(err):
-                            rc = facetcx.cli.run(query.argv)
-                    except Exception as exc:  # a crash is an answer that differs
-                        rc = f"{type(exc).__name__}: {exc}"
                     mode = "bounds-only" if query.bounds_only else "full"
-                    key = f"{workload} {i:03d} {query.pair.name} {mode}"
-                    try:
-                        bare = json.dumps(_without_nodes(json.loads(out.getvalue())),
-                                          sort_keys=True)
-                    except json.JSONDecodeError:
-                        bare = out.getvalue()
-                    table[key] = [_digest(rc, out.getvalue(), err.getvalue()),
-                                  _digest(rc, bare, err.getvalue())]
+                    table[f"{workload} {i:03d} {query.pair.name} {mode}"] = _answer(query.argv)
+            for seed in VERIFY_SEEDS:
+                argv = ["verify", "--seed", str(seed), "--trials", "200"]
+                table[f"verify seed {seed} text"] = _answer(argv)
+                table[f"verify seed {seed} json"] = _answer(argv + ["--json"])
         finally:
             os.chdir(cwd)
     return table

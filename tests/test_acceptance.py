@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from facetcx import (
     Coloring,
     ComplexityQuery,
-    OracleLimits,
     SearchProblem,
     block_coloring,
     boundary_complex,
@@ -70,7 +69,7 @@ def test_criterion_02_fixture_two_part_cover():
 def test_criterion_03_fixture_injective_value_with_oracle():
     with budget(3, "injective value 3 confirmed by exhaustive cover oracle", 5.0):
         assert compute(ComplexityQuery(L, K, injective=True)).value == 3
-        slow = brute_force_cover_complexity(L, K, "facet", True, OracleLimits())
+        slow = brute_force_cover_complexity(L, K, "facet", True)
         assert slow == 3
 
 
@@ -155,7 +154,6 @@ def test_criterion_09_property_harness():
 
 def test_criterion_10_oracle_equivalence():
     with budget(10, "solver matches exhaustive oracles on 100 seeded pairs", 60.0):
-        lims = OracleLimits()
         kinds = list(itertools.product(("facet", "strict"), (False, True)))
         rng = random.Random(10)
         pairs = tries = 0
@@ -177,11 +175,11 @@ def test_criterion_10_oracle_equivalence():
                 continue  # stay inside the exhaustive cover oracle's range
             for kind, inj in kinds:
                 fast = find_map(SearchProblem(source, target, kind, inj)).found
-                slow = brute_force_map_search(source, target, kind, inj, lims)
+                slow = brute_force_map_search(source, target, kind, inj)
                 assert fast == (slow is not None), (source, target, kind, inj)
                 assert (
                     compute(ComplexityQuery(source, target, kind, inj)).value
-                    == brute_force_cover_complexity(source, target, kind, inj, lims)
+                    == brute_force_cover_complexity(source, target, kind, inj)
                 ), (source, target, kind, inj)
-            assert chromatic_number(source).value == brute_force_chromatic(source, lims)
+            assert chromatic_number(source).value == brute_force_chromatic(source)
             pairs += 1

@@ -14,7 +14,7 @@ from facetcx.scx import serialize_scx
 
 REMOVED = (
     "GraphView", "underlying_graph", "graph_as_complex", "graph_chromatic_number",
-    "group_feasible",
+    "group_feasible", "OracleLimits",
 )
 HARNESS = ("facetcx.oracle", "facetcx.verify")
 
@@ -179,6 +179,18 @@ REJECTIONS = {
     "image-inverse-not-a-subcomplex": (
         lambda: facetcx.image_inverse(facetcx.VertexMap(EDGE, EDGE, (0, 1)), TRIANGLE),
         "['1', '2', '3'] is not a simplex of the target"),
+    "build-complex-empty-face": (
+        lambda: facetcx.build_complex([()]), "face 0 is empty"),
+    "map-from-dict-extra-key": (
+        lambda: facetcx.VertexMap.from_dict(EDGE, EDGE, {"1": "1", "2": "2", "x": "1"}),
+        "'x' is not a source vertex"),
+    "oracle-target-vertices": (
+        lambda: facetcx.brute_force_map_search(EDGE, facetcx.complete_complex(5)),
+        "oracle limit: target has 5 vertices (max 4)"),
+    "oracle-source-facets": (
+        lambda: facetcx.brute_force_cover_complexity(
+            facetcx.skeleton(facetcx.complete_complex(4), 1), EDGE),
+        "oracle limit: source has 6 facets (max 5)"),
 }
 
 

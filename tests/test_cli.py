@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from facetcx import (
-    build_complex, cli, coloring, complete_complex, complexity, generate, homsearch, samples,
-    skeleton, verify,
+    VertexMap, build_complex, cli, coloring, complete_complex, complexity, generate, homsearch,
+    samples, skeleton, verify,
 )
 from facetcx.scx import serialize_scx
 from facetcx.verify import Failure, VerifyConfig, VerifyReport
@@ -590,6 +594,52 @@ def test_unreadable_or_malformed_inputs_are_usage_errors(capsys, tmp_path, fixtu
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith(message) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["scx", "--map", "--replay"])
+def test_undecodable_input_is_usage_error(capsys, tmp_path, fixture_files, flag):
+    """A file that is not UTF-8 exits 2 with one line naming it."""
+    l_path, k_path = fixture_files
+    bad = tmp_path / "latin1"
+    bad.write_bytes("f caf\u00e9\n".encode("latin-1"))
+    argv = {
+        "scx": ["info", str(bad)],
+        "--map": ["map-check", l_path, k_path, "--map", str(bad)],
+        "--replay": ["verify", "--replay", str(bad)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {bad}: ") and err.count("\n") == 1, err
+
+
+def test_failed_self_check_is_a_solver_fault(capsys, monkeypatch, fixture_files):
+    """A cover that fails the solver's own ``check_cover`` is raised as a
+    fault, not reported as bad input with exit 2."""
+    tailed = samples.load("tailed_triangle")
+    constant = VertexMap(tailed, tailed, (0,) * tailed.n)
+    monkeypatch.setattr(homsearch.FeasibilityCache, "certificate", lambda self, mask: constant)
+    query = complexity.ComplexityQuery(samples.load("shaded_bowtie"), tailed)
+    with pytest.raises(RuntimeError, match="solver produced an invalid cover"):
+        complexity.compute(query)
+    with pytest.raises(RuntimeError):
+        cli.run(["complexity", *fixture_files])
+
+
+@pytest.mark.parametrize("argv", [["gen", "random", "9", "--seed", "3"], ["info", "L.scx"]])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv):
+    """Output into a pipe that no process reads, as after ``| head -0``."""
+    (tmp_path / "L.scx").write_text(serialize_scx(samples.load("shaded_bowtie")))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "facetcx", *argv], cwd=tmp_path, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_malformed_scx_is_usage_error(capsys, write_scx):

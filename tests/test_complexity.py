@@ -34,8 +34,8 @@ from facetcx.complexity import _cover_masks, _precedes
 from facetcx.verify import KINDS, VerifyConfig, _instances
 
 
-def q(source, target, kind="facet", injective=False):
-    return ComplexityQuery(source, target, kind, injective)
+def q(source, target, kind="facet", injective=False, **kw):
+    return ComplexityQuery(source, target, kind, injective, **kw)
 
 
 def test_fixture_values(bowtie, tailed):
@@ -85,7 +85,7 @@ def test_check_cover_rejects_bad_cover(bowtie, tailed):
 def test_facet_cap_below_one_is_rejected(bowtie, tailed):
     for call in (compute, bounds):
         with pytest.raises(ValueError, match="facet_cap must be at least 1"):
-            call(q(bowtie, tailed), facet_cap=0)
+            call(q(bowtie, tailed, facet_cap=0))
 
 
 def test_hollow_triangle_values():
@@ -196,7 +196,7 @@ def test_facet_cap(tailed):
     with pytest.raises(FacetCapError):
         compute(q(big, tailed))
     # bounds still work above the cap
-    b = bounds(q(big, tailed), facet_cap=25)
+    b = bounds(q(big, tailed, facet_cap=25))
     assert b.finite
     # at the default cap the graph_lower sub-solve is skipped, not fatal
     b = bounds(q(big, tailed))
@@ -206,17 +206,17 @@ def test_facet_cap(tailed):
 def test_feasible_full_group_skips_the_cover_search():
     """The cover DP's 2**40-byte verdict table is never allocated here."""
     edges = build_complex([(f"u{i}", f"v{i}") for i in range(40)])
-    res = compute(q(edges, complete_complex(2)), facet_cap=40)
+    res = compute(q(edges, complete_complex(2), facet_cap=40))
     assert res.value == 1
     assert len(res.cover.groups[0].facets) == 40
 
 
 def test_cover_tables_past_any_memory_raise_facet_cap_error():
     """K12's 66 edges onto an edge need a 2**66-byte verdict table."""
-    query = q(skeleton(complete_complex(12), 1), complete_complex(2))
+    query = q(skeleton(complete_complex(12), 1), complete_complex(2), facet_cap=100)
     with pytest.raises(FacetCapError, match="66 constrained facets"):
-        compute(query, facet_cap=100)
-    b = bounds(query, facet_cap=100)
+        compute(query)
+    b = bounds(query)
     assert b.finite and b.graph_lower is None and b.chromatic_lower == 4
 
 

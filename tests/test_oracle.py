@@ -6,7 +6,6 @@ import pytest
 from facetcx import (
     INFINITY,
     ComplexityQuery,
-    OracleLimits,
     SearchProblem,
     boundary_complex,
     brute_force_chromatic,
@@ -25,16 +24,15 @@ from facetcx import (
 def test_limits_reject_oversized():
     big = complete_complex(9)
     with pytest.raises(ValueError):
-        brute_force_map_search(big, big, "facet", False, OracleLimits())
+        brute_force_map_search(big, big, "facet", False)
     with pytest.raises(ValueError):
-        brute_force_chromatic(big, OracleLimits())
+        brute_force_chromatic(big)
 
 
 def test_map_search_agrees_on_fixture_shapes():
     k3 = boundary_complex(3)
     g2 = complete_complex(2)
     g3 = complete_complex(3)
-    lims = OracleLimits()
     cases = [
         (k3, g2, "facet", False),
         (k3, g3, "facet", False),
@@ -44,7 +42,7 @@ def test_map_search_agrees_on_fixture_shapes():
     ]
     for s, t, kind, inj in cases:
         fast = find_map(SearchProblem(s, t, kind, inj))
-        slow = brute_force_map_search(s, t, kind, inj, lims)
+        slow = brute_force_map_search(s, t, kind, inj)
         assert fast.found == (slow is not None)
         if slow is not None:
             cls = classify(slow)
@@ -53,7 +51,6 @@ def test_map_search_agrees_on_fixture_shapes():
 
 def test_chromatic_agrees_small():
     rng = random.Random(5)
-    lims = OracleLimits()
     letters = "abcde"
     for _ in range(25):
         faces = [
@@ -61,37 +58,35 @@ def test_chromatic_agrees_small():
             for _ in range(rng.randint(0, 4))
         ]
         c = build_complex(faces)
-        assert chromatic_number(c).value == brute_force_chromatic(c, lims)
+        assert chromatic_number(c).value == brute_force_chromatic(c)
 
 
 def test_cover_complexity_agrees_on_fixture(bowtie, tailed):
-    lims = OracleLimits(max_source_vertices=5, max_target_vertices=4)
     for kind, inj, expected in [
         ("facet", False, 2),
         ("facet", True, 3),
         ("strict", False, 1),
         ("strict", True, 2),
     ]:
-        slow = brute_force_cover_complexity(bowtie, tailed, kind, inj, lims)
+        slow = brute_force_cover_complexity(bowtie, tailed, kind, inj)
         assert slow == expected
 
 
 def test_cover_complexity_infinite():
     edge = complete_complex(2)
     tri = complete_complex(3)
-    v = brute_force_cover_complexity(edge, tri, "facet", False, OracleLimits())
+    v = brute_force_cover_complexity(edge, tri, "facet", False)
     assert v == INFINITY
 
 
 def test_randomized_agreement_sweep():
     # compact version of the full acceptance sweep
     rng = random.Random(314)
-    lims = OracleLimits()
     kinds = list(itertools.product(("facet", "strict"), (False, True)))
     for trial in range(15):
         s = generate("random", rng.randint(1, 4), {"seed": trial, "max_facet_size": 3})
         t = generate("random", rng.randint(1, 4), {"seed": trial + 100, "max_facet_size": 3})
         for kind, inj in kinds:
             fast = compute(ComplexityQuery(s, t, kind, inj)).value
-            slow = brute_force_cover_complexity(s, t, kind, inj, lims)
+            slow = brute_force_cover_complexity(s, t, kind, inj)
             assert fast == slow, (s, t, kind, inj)

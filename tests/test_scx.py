@@ -62,6 +62,12 @@ def test_parse_map(bowtie, tailed):
     assert m.as_dict()["e"] == "a'"
 
 
+def test_parse_map_skips_blank_and_comment_lines(bowtie, tailed):
+    text = "# a comment\n\nm a a'\nm b b'  # trailing\n   \nm c c'\nm d b'\nm e a'\n"
+    plain = "m a a'\nm b b'\nm c c'\nm d b'\nm e a'\n"
+    assert parse_map(text, bowtie, tailed) == parse_map(plain, bowtie, tailed)
+
+
 def test_parse_map_errors(bowtie, tailed):
     with pytest.raises(ScxError, match="unknown source vertex"):
         parse_map("m z a'\n", bowtie, tailed)
