@@ -41,12 +41,10 @@ from .complexity import (
     ComplexityResult,
     Cover,
     CoverGroup,
-    DisjointDecomposition,
     FacetCapError,
     bounds,
     check_cover,
     compute,
-    disjoint_decompose,
     required_facet_indices,
 )
 from .homsearch import (
@@ -85,7 +83,6 @@ __all__ = [
     "ComplexityResult",
     "Cover",
     "CoverGroup",
-    "DisjointDecomposition",
     "EMPTY",
     "FacetCapError",
     "FeasibilityCache",
@@ -114,7 +111,6 @@ __all__ = [
     "complete_complex",
     "compose",
     "compute",
-    "disjoint_decompose",
     "facet_graph",
     "find_map",
     "generate",

@@ -10,6 +10,7 @@ machine-readable object with a ``schema`` version field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import samples
 from .coloring import chromatic_number, strict_chromatic_number
 from .complexes import Complex, generate, metrics, skeleton
-from .complexity import INFINITY, ComplexityQuery, bounds, compute
+from .complexity import INFINITY, ComplexityQuery, _Run
 from .homsearch import SearchLimits, SearchProblem, UndecidedError, _Budget, find_map
 from .maps import classify
 from .scx import ScxError, parse_map, parse_scx, serialize_scx
@@ -171,7 +172,8 @@ def _budget(args) -> _Budget:
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node-budget", type=int, default=SearchLimits.max_nodes,
-                   help="search nodes of the whole run before reporting undecided")
+                   help="map-search and colouring nodes of the whole run before "
+                        "reporting undecided (cover-search steps read only the deadline)")
     p.add_argument("--time-budget", type=float, default=0,
                    help="wall-clock budget in seconds (0 = unlimited)")
 
@@ -270,13 +272,11 @@ def _cmd_complexity(args) -> int:
     q = ComplexityQuery(
         source, target, _kind_of(args), args.injective, _budget(args), args.facet_cap
     )
-    res = solved = None
+    run = _Run(q)
     if not args.bounds_only:
-        try:
-            res = solved = compute(q)
-        except UndecidedError as exc:
-            res = solved = exc
-    b = bounds(q, solved)
+        with contextlib.suppress(UndecidedError):
+            run.result()
+    res, b = run.outcome, run.bounds()
     payload = {
         "kind": q.kind,
         "injective": q.injective,

@@ -10,9 +10,9 @@ a closure of source facets are exactly those facets, so inflating each
 part to such a closure keeps it mappable while covering at least as
 much.  The solver therefore optimizes over facet groups only.
 
-The value is finite exactly when every source facet maps on its own,
-which the target's candidate rows decide with no search, for
-``compute`` and ``bounds`` alike (``_maps_facetwise``).
+One private run per query (``_Run``) serves ``compute``, ``bounds``
+and the CLI.  The value is finite exactly when every source facet maps
+on its own, which the target's candidate rows decide with no search.
 The search runs on the constrained subcomplex, the one the constrained
 facets (``required_facet_indices``) generate: the source itself when no
 facet is dropped.  Its facets are the constrained ones in source order
@@ -42,7 +42,8 @@ and each optimum is stored once per orbit, at its representative: two
 byte tables plus 4 bytes per mask, 6 MB at the default cap, allocated
 before the first probe whatever the budget.  A source
 without symmetry has orbits of one mask.  A query's budget bounds the
-whole run, ``bounds``' colourings and ``graph_lower`` sub-solve included.
+whole run, ``bounds``' colourings and ``graph_lower`` sub-solve included;
+the DP's own steps read its deadline but are not counted as nodes.
 
 The DP first finds the optimum; only ``compute`` then picks the
 canonical cover over the same tables and certifies it.  ``graph_lower``
@@ -58,6 +59,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .complexes import Complex, _bits, _key, _precedes, _subcomplex, facet_automorphisms, facet_graph
 from .coloring import chromatic_number
@@ -153,91 +155,178 @@ def compute(q: ComplexityQuery) -> ComplexityResult:
     with ``check_cover`` before it is returned; a cover that fails is a
     fault of the solver, raised as ``RuntimeError``.
     """
-    source, target = q.source, q.target
-    if source.n == 0:
-        empty_map = VertexMap(source, target, ())
-        return ComplexityResult(1, Cover((CoverGroup((), empty_map),)))
-    value, cache, chosen = _optimum(q, True)
-    if value == INFINITY:
-        return ComplexityResult(INFINITY, None)
-
-    # Without injectivity the isolated vertices join the first group (an
-    # empty one when no facet is required) and go to target vertex 0; a
-    # lone vertex constrains no map kind.
-    req_masks = tuple(source.facets[i] for i in required_facet_indices(q))
-    extra = tuple(f for f in source.facets if f not in req_masks)
-    groups = []
-    for pos, mask in enumerate(chosen):
-        masks = tuple(req_masks[i] for i in _bits(mask))
-        witness = cache.certificate(mask)
-        if pos == 0 and extra:
-            masks = tuple(sorted(masks + extra, key=_key))
-            sub = _subcomplex(source, masks)
-            image = dict(zip(witness.source.labels, witness.assignment))
-            witness = VertexMap(sub, target, tuple(image.get(lab, 0) for lab in sub.labels))
-        groups.append(CoverGroup(_group_labels(source, masks), witness))
-
-    result = ComplexityResult(value, Cover(tuple(groups)), cache.nodes)
-    try:
-        check_cover(q, result.cover)
-    except ValueError as exc:
-        raise RuntimeError(f"solver produced an invalid cover: {exc}") from exc
-    return result
+    return _Run(q).result()
 
 
-def _maps_facetwise(q: ComplexityQuery) -> bool:
-    """Whether every source facet maps on its own (the ``one_facet``
-    rule), which is when the value is finite: one-facet parts then cover
-    the source.  An empty target fails any non-empty source."""
-    rows = _candidate_rows(q.target, q.kind, q.injective)
-    return all(rows[min(f.bit_count(), len(rows) - 1)] for f in q.source.facets)
+class _Run:
+    """One query's solve and bounds, which ``compute``, ``bounds`` and
+    the CLI read.
 
-
-def _optimum(q: ComplexityQuery, pick: bool) -> tuple[float, FeasibilityCache | None, list[int]]:
-    """``compute``'s value, and with ``pick`` the masks of its cover.
-
-    Returns ``(value, cache, masks)``: ``cache`` answered the probes
-    (``None`` for an empty source and for an infinite value), and
-    ``masks`` lists the canonical cover's groups when ``pick`` is set and
-    the value is finite, else it is empty.  The cache works on the
-    subcomplex the constrained facets generate (the source itself when
-    none is dropped), whose facets are ``required_facet_indices(q)`` in
-    order, so ``masks``, the cache's keys and the facet automorphisms
-    are all masks over them.  That subcomplex keeps the source's vertex
-    order, so each search takes the same steps as on the source.
-    Without ``pick`` no group is certified, so ``bounds`` reads the
-    optimum here at the cost of the probes alone.  More constrained
-    facets than ``q.facet_cap`` raise ``FacetCapError``.
+    A run holds the query's one ``_Budget``, which its map searches,
+    colourings and ``graph_lower`` sub-solve all charge; the constrained
+    facets; finiteness, read from the target's candidate rows when first
+    needed; and, once ``result`` has run, the solve's ``outcome``: its
+    ``ComplexityResult`` or the ``UndecidedError`` it raised.  The
+    constrained subcomplex and its ``FeasibilityCache`` are built only
+    when the cover search runs, so bounds alone and an infinite query
+    build no cache.
     """
-    source, target = q.source, q.target
-    if source.n == 0:
-        return 1, None, []
-    if target.n == 0:
-        return INFINITY, None, []
 
-    required = required_facet_indices(q)
-    if len(required) > q.facet_cap:
-        raise FacetCapError(
-            f"{len(required)} constrained facets exceed the cap of {q.facet_cap}"
+    def __init__(self, q: ComplexityQuery):
+        self.q = q
+        self.budget = _budget(q.limits)
+        self.required = required_facet_indices(q)
+        self.outcome: ComplexityResult | UndecidedError | None = None
+
+    @cached_property
+    def finite(self) -> bool:
+        """Whether every source facet maps on its own (the ``one_facet``
+        rule), which is when the value is finite: one-facet parts then
+        cover the source.  An empty target fails any non-empty source."""
+        q = self.q
+        rows = _candidate_rows(q.target, q.kind, q.injective)
+        return all(rows[min(f.bit_count(), len(rows) - 1)] for f in q.source.facets)
+
+    def optimum(self, pick: bool) -> tuple[float, FeasibilityCache | None, list[int]]:
+        """The query's value, and with ``pick`` the masks of its cover.
+
+        Returns ``(value, cache, masks)``: ``cache`` answered the probes
+        (``None`` for an empty source and for an infinite value), and
+        ``masks`` lists the canonical cover's groups when ``pick`` is set and
+        the value is finite, else it is empty.  The cache works on the
+        subcomplex the constrained facets generate (the source itself when
+        none is dropped), whose facets are ``required_facet_indices(q)`` in
+        order, so ``masks``, the cache's keys and the facet automorphisms
+        are all masks over them.  That subcomplex keeps the source's vertex
+        order, so each search takes the same steps as on the source.
+        Without ``pick`` no group is certified, so ``bounds`` reads the
+        optimum here at the cost of the probes alone.  More constrained
+        facets than ``q.facet_cap`` raise ``FacetCapError``.
+        """
+        q = self.q
+        source = q.source
+        if source.n == 0:
+            return 1, None, []
+        if q.target.n == 0:
+            return INFINITY, None, []
+        m = len(self.required)
+        if m > q.facet_cap:
+            raise FacetCapError(f"{m} constrained facets exceed the cap of {q.facet_cap}")
+        if not self.finite:
+            return INFINITY, None, []
+        core = source if m == len(source.facets) else _subcomplex(
+            source, [source.facets[i] for i in self.required])
+        cache = FeasibilityCache(core, q.target, q.kind, q.injective, self.budget)
+        full = (1 << m) - 1
+        if cache.feasible(full):
+            return 1, cache, [full] if pick else []
+        gens = facet_automorphisms(core.facets)
+        value, masks = _cover_masks(m, cache.feasible, gens, pick, self.budget)
+        return value, cache, masks
+
+    def result(self) -> ComplexityResult:
+        """``compute``'s answer, kept as ``outcome``, as is the
+        ``UndecidedError`` it raises."""
+        try:
+            self.outcome = self._solve()
+        except UndecidedError as exc:
+            self.outcome = exc
+            raise
+        return self.outcome
+
+    def _solve(self) -> ComplexityResult:
+        source, target = self.q.source, self.q.target
+        value, cache, chosen = self.optimum(True)
+        if value == INFINITY:
+            return ComplexityResult(INFINITY, None)
+        if cache is None:  # an empty source: one empty part
+            return ComplexityResult(1, Cover((CoverGroup((), VertexMap(source, target, ())),)))
+
+        # Without injectivity the isolated vertices join the first group (an
+        # empty one when no facet is required) and go to target vertex 0; a
+        # lone vertex constrains no map kind.
+        req_masks = tuple(source.facets[i] for i in self.required)
+        extra = tuple(f for f in source.facets if f not in req_masks)
+        groups = []
+        for pos, mask in enumerate(chosen):
+            masks = tuple(req_masks[i] for i in _bits(mask))
+            witness = cache.certificate(mask)
+            if pos == 0 and extra:
+                masks = tuple(sorted(masks + extra, key=_key))
+                sub = _subcomplex(source, masks)
+                image = dict(zip(witness.source.labels, witness.assignment))
+                witness = VertexMap(sub, target, tuple(image.get(lab, 0) for lab in sub.labels))
+            groups.append(CoverGroup(_group_labels(source, masks), witness))
+
+        result = ComplexityResult(value, Cover(tuple(groups)), cache.nodes)
+        try:
+            check_cover(self.q, result.cover)
+        except ValueError as exc:
+            raise RuntimeError(f"solver produced an invalid cover: {exc}") from exc
+        return result
+
+    def bounds(self) -> BoundReport:
+        """``bounds``' report, with ``graph_lower`` read from ``outcome``
+        when the solve answers the edge-graph problem."""
+        q = self.q
+        finite = self.finite
+        eta_upper = max(1, len(self.required)) if finite else INFINITY
+
+        chromatic_lower = None
+        graph_lower = None
+        if q.kind == "facet":
+            try:
+                chromatic_lower = _chromatic_floor(
+                    chromatic_number(q.source, self.budget).value,
+                    chromatic_number(q.target, self.budget).value,
+                )
+            except UndecidedError:
+                pass  # a bound, not an answer: skip it rather than fail
+            no_isolated = all(f.bit_count() >= 2 for f in q.target.facets)
+            if q.source.n > 0 and no_isolated:
+                # the edge graphs pose the query's own cover problem: a plain
+                # query's lone source vertices constrain nothing, and only
+                # target edges can take source edges
+                same = not q.injective and q.source.dim <= 1 and q.target.n > 0
+                solved = self.outcome
+                res = solved if same or isinstance(solved, UndecidedError) else None
+                if isinstance(res, ComplexityResult):
+                    graph_lower = res.value
+                elif res is None:
+                    try:
+                        gq = ComplexityQuery(
+                            facet_graph(q.source), facet_graph(q.target), "facet", False,
+                            self.budget, q.facet_cap,
+                        )
+                        graph_lower = _Run(gq).optimum(False)[0]
+                    except (FacetCapError, UndecidedError):
+                        pass  # a bound, not an answer: skip it rather than fail
+
+        complete_target_ic = None
+        exact = None
+        n = q.target.n
+        if q.kind == "facet" and q.injective and n >= 2 and q.target.facets == ((1 << n) - 1,):
+            sizes = [f.bit_count() for f in q.source.facets]
+            complete_target_ic = max(1, sum(1 for s in sizes if s >= 2))
+            if sizes and all(s == n for s in sizes):  # pure, full dimension
+                exact = complete_target_ic
+
+        return BoundReport(
+            finite=finite,
+            eta_upper=eta_upper,
+            chromatic_lower=chromatic_lower,
+            graph_lower=graph_lower,
+            complete_target_ic=complete_target_ic,
+            exact=exact,
         )
-    if not _maps_facetwise(q):
-        return INFINITY, None, []
-    core = source if len(required) == len(source.facets) else _subcomplex(
-        source, [source.facets[i] for i in required])
-    cache = FeasibilityCache(core, target, q.kind, q.injective, q.limits)
-    full = (1 << len(required)) - 1
-    if cache.feasible(full):
-        return 1, cache, [full] if pick else []
-    value, masks = _cover_masks(len(required), cache.feasible, facet_automorphisms(core.facets), pick)
-    return value, cache, masks
 
 
-def _cover_masks(m: int, probe, gens, pick: bool) -> tuple[int, list[int]]:
+def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int, list[int]]:
     """The optimal cover size of ``m`` facets whose full group fails,
     and with ``pick`` its canonical cover as group masks (``[]`` without).
 
     The ``m`` facets are those of the constrained subcomplex, and
-    ``probe(group)``, a ``FeasibilityCache`` on it in ``_optimum``,
+    ``probe(group)``, a ``FeasibilityCache`` on it in ``_Run.optimum``,
     decides a group of them; every singleton must be feasible.  A
     submask DP pivoting on the least-indexed uncovered facet finds the
     optimum ``best(full)``;
@@ -275,6 +364,11 @@ def _cover_masks(m: int, probe, gens, pick: bool) -> tuple[int, list[int]]:
     its optimum, so its orbit has been walked by then.  Neither value
     changes under the permutations, so the cover chosen is the same with
     or without them; only the probes are fewer.
+
+    ``budget``, the query's, is checked wherever ``best`` computes a new
+    optimum and at each step of the pick, so the deadline holds where
+    the tables answer every probe.  DP steps are not search nodes: they
+    read the deadline and leave ``budget.nodes`` as it is.
     """
     full = (1 << m) - 1
     try:
@@ -321,6 +415,7 @@ def _cover_masks(m: int, probe, gens, pick: bool) -> tuple[int, list[int]]:
         out = cost[rep[mask]]
         if out:
             return out
+        budget.check(budget.nodes)
         pivot = mask & -mask
         rest = mask ^ pivot
         out = m  # singletons are feasible, so this many always works
@@ -342,6 +437,7 @@ def _cover_masks(m: int, probe, gens, pick: bool) -> tuple[int, list[int]]:
     try:
         value = best(full)
         while pick and uncovered:
+            budget.check(budget.nodes)
             pivot = uncovered & -uncovered
             rest = uncovered ^ pivot
             target_cost = best(uncovered)
@@ -447,9 +543,7 @@ def _chromatic_floor(chi_source: int, chi_target: int) -> float:
     return m
 
 
-def bounds(
-    q: ComplexityQuery, solved: ComplexityResult | UndecidedError | None = None
-) -> BoundReport:
+def bounds(q: ComplexityQuery) -> BoundReport:
     """Theorem-backed bounds without running the exact cover search.
 
     The one exception is ``graph_lower``, the optimum of the smaller
@@ -461,113 +555,12 @@ def bounds(
     graph homomorphism between them, and only when that problem stays
     within ``q.facet_cap`` and the query's search limits; otherwise it
     is skipped, never raised.
-    ``solved``, the outcome of ``compute(q)``, answers that problem
-    when it is the query's own: a plain facet query whose source has
-    dimension at most 1 onto a non-empty target; after its
-    ``UndecidedError`` the budget is spent and the sub-solve skipped.
-    The chromatic numbers and the sub-solve charge one budget of
-    ``q.limits``, the solve's own when a caller that solved passes it
-    there; ``chromatic_lower`` is ``None`` when the colourings run out.
+    A run that solved first (the CLI's) reads that problem's answer from
+    its solve when it is the query's own: a plain facet query whose
+    source has dimension at most 1 onto a non-empty target; after the
+    solve's ``UndecidedError`` the budget is spent and the sub-solve
+    skipped.  The chromatic numbers and the sub-solve charge one budget
+    of ``q.limits``; ``chromatic_lower`` is ``None`` when the colourings
+    run out.
     """
-    finite = _maps_facetwise(q)
-    required = required_facet_indices(q)
-    eta_upper = max(1, len(required)) if finite else INFINITY
-
-    chromatic_lower = None
-    graph_lower = None
-    if q.kind == "facet":
-        budget = _budget(q.limits)
-        try:
-            chromatic_lower = _chromatic_floor(
-                chromatic_number(q.source, budget).value,
-                chromatic_number(q.target, budget).value,
-            )
-        except UndecidedError:
-            pass  # a bound, not an answer: skip it rather than fail
-        no_isolated = all(f.bit_count() >= 2 for f in q.target.facets)
-        if q.source.n > 0 and no_isolated:
-            # the edge graphs pose the query's own cover problem: a plain
-            # query's lone source vertices constrain nothing, and only
-            # target edges can take source edges
-            same = not q.injective and q.source.dim <= 1 and q.target.n > 0
-            res = solved if same or isinstance(solved, UndecidedError) else None
-            if isinstance(res, ComplexityResult):
-                graph_lower = res.value
-            elif res is None:
-                try:
-                    gq = ComplexityQuery(
-                        facet_graph(q.source), facet_graph(q.target), "facet", False, budget,
-                        q.facet_cap,
-                    )
-                    graph_lower = _optimum(gq, False)[0]
-                except (FacetCapError, UndecidedError):
-                    pass  # a bound, not an answer: skip it rather than fail
-
-    complete_target_ic = None
-    exact = None
-    n = q.target.n
-    if q.kind == "facet" and q.injective and n >= 2 and q.target.facets == ((1 << n) - 1,):
-        sizes = [f.bit_count() for f in q.source.facets]
-        complete_target_ic = max(1, sum(1 for s in sizes if s >= 2))
-        if sizes and all(s == n for s in sizes):  # pure, full dimension
-            exact = complete_target_ic
-
-    return BoundReport(
-        finite=finite,
-        eta_upper=eta_upper,
-        chromatic_lower=chromatic_lower,
-        graph_lower=graph_lower,
-        complete_target_ic=complete_target_ic,
-        exact=exact,
-    )
-
-
-@dataclass(frozen=True)
-class DisjointDecomposition:
-    """Per-component results whose maximum is the whole query's value."""
-
-    value: float
-    components: tuple[tuple[Complex, ComplexityResult], ...]
-
-
-def disjoint_decompose(q: ComplexityQuery) -> DisjointDecomposition:
-    """Solve a query componentwise.
-
-    Valid for the plain facet kind only: parts for components sharing
-    no vertices combine into parts for the union, so the union's value
-    is the maximum of the components'.  Injectivity breaks the
-    combination step (a merged part may need more target vertices than
-    either piece), so injective queries are rejected.  ``q.limits``
-    bounds the whole call: every component charges one budget, and each
-    component's query keeps ``q.facet_cap``.
-    """
-    if q.kind != "facet" or q.injective:
-        raise ValueError("componentwise solving applies to plain facet queries only")
-    source = q.source
-    if source.n == 0:
-        raise ValueError("componentwise solving needs a nonempty source")
-
-    parent = list(range(len(source.facets)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(source.facets)):
-        for j in range(i + 1, len(source.facets)):
-            if source.facets[i] & source.facets[j]:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(source.facets)):
-        groups.setdefault(find(i), []).append(i)
-
-    components = []
-    budget = _budget(q.limits)
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        sub = _subcomplex(source, [source.facets[i] for i in groups[root]])
-        res = compute(ComplexityQuery(sub, q.target, q.kind, q.injective, budget, q.facet_cap))
-        components.append((sub, res))
-    return DisjointDecomposition(max(res.value for _, res in components), tuple(components))
+    return _Run(q).bounds()

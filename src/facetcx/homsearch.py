@@ -127,7 +127,7 @@ def _candidate_rows(target: Complex, kind: str, injective: bool) -> tuple[tuple[
     so its row is the mask of all of them, or empty for an empty target.
     A facet maps on its own exactly when its row is non-empty (the
     ``one_facet`` rule of ``FeasibilityCache``), so the rows also decide
-    whether a query is finite (``complexity._maps_facetwise``).
+    whether a query is finite (``complexity._Run.finite``).
     """
     sizes = [g.bit_count() for g in target.facets]
     rows = []

@@ -18,6 +18,11 @@ digests as JSON.  ``--compare FILE`` lists each invocation whose digest
 differs from FILE's, as "nodes only" or "CHANGED", and exits 1 when any
 differs.
 
+``tests/answer_digests.json`` holds the digests of the current answers,
+and CI runs ``--compare tests/answer_digests.json``.  A change that
+moves an answer regenerates that file with ``-o`` and declares each
+changed entry, as it would a row of ``tests/cover_pins.json``.
+
 The queries are written to a temporary directory and named relative to
 it, so the digests do not depend on where it lies.  Nothing under
 ``bench/`` is changed.  pytest does not collect this file.

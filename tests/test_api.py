@@ -14,7 +14,7 @@ from facetcx.scx import serialize_scx
 
 REMOVED = (
     "GraphView", "underlying_graph", "graph_as_complex", "graph_chromatic_number",
-    "group_feasible", "OracleLimits",
+    "group_feasible", "OracleLimits", "disjoint_decompose", "DisjointDecomposition",
 )
 HARNESS = ("facetcx.oracle", "facetcx.verify")
 
@@ -148,9 +148,6 @@ REJECTIONS = {
         lambda: facetcx.union([]), "union requires at least one complex"),
     "relabel-partial-mapping": (
         lambda: facetcx.relabel(EDGE, {"1": "x"}), "mapping must cover exactly the vertex set"),
-    "decompose-empty-source": (
-        lambda: facetcx.disjoint_decompose(facetcx.ComplexityQuery(facetcx.Complex(), EDGE)),
-        "componentwise solving needs a nonempty source"),
     "block-coloring-isolated-vertex": (
         lambda: facetcx.block_coloring(
             facetcx.build_complex([("1", "2"), ("3",)]), facetcx.Coloring(EDGE, 2, (1, 2))),

@@ -178,17 +178,17 @@ def test_bounds_only_chromatic_search_keeps_to_the_time_budget(capsys, tmp_path)
 def _count_solves(monkeypatch, tmp_path, source, target):
     """Solves for ``source`` onto ``target``, and the paths.
 
-    Counts calls to the optimum entry, which ``compute`` and the
-    ``graph_lower`` sub-solve of ``bounds`` both go through, so one
+    Counts the runs that reach the optimum entry, which ``compute`` and
+    the ``graph_lower`` sub-solve of ``bounds`` both go through, so one
     call means the run solved once.
     """
-    real, calls = complexity._optimum, []
+    real, calls = complexity._Run.optimum, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(run, *args, **kwargs):
+        calls.append(run)
+        return real(run, *args, **kwargs)
 
-    monkeypatch.setattr(complexity, "_optimum", counting)
+    monkeypatch.setattr(complexity._Run, "optimum", counting)
     return calls, _paths(tmp_path, source, target)
 
 
@@ -279,10 +279,32 @@ def test_graph_lower_gets_what_the_solve_left(capsys, tmp_path, monkeypatch):
     )
     data = json.loads(out)
     assert code == 0 and len(calls) == 2
-    budget = calls[0].limits
-    assert calls[1].limits is budget
+    budget = calls[0].budget
+    assert calls[1].budget is budget
     assert budget.max_nodes == 100_000 and start + 100 <= budget.deadline <= time.monotonic() + 100
     assert budget.nodes > data["nodes"] > 0
+
+
+def test_one_run_reads_finiteness_once(capsys, tmp_path, monkeypatch):
+    """A full run builds the target's candidate rows for finiteness and
+    for the cache's tables, once each; a bounds-only run builds them for
+    finiteness alone, and its sub-solve of an empty edge graph none."""
+    real, calls = homsearch._candidate_rows, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (homsearch, complexity):
+        monkeypatch.setattr(module, "_candidate_rows", counting)
+    cases = [
+        (_kn_edges(4), complete_complex(2), (), 2),
+        (complete_complex(3), complete_complex(2), ("--bounds-only",), 1),
+    ]
+    for source, target, flags, builds in cases:
+        calls.clear()
+        code, _, err = run(capsys, "complexity", *_paths(tmp_path, source, target), *flags)
+        assert (code, err, len(calls)) == (0, "", builds)
 
 
 def test_bounds_build_no_cover(capsys, tmp_path, monkeypatch):

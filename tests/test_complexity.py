@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,6 @@ from facetcx import (
     chromatic_number,
     complexity,
     compute,
-    disjoint_decompose,
     facet_graph,
     relabel,
     required_facet_indices,
@@ -31,6 +31,7 @@ from facetcx import (
 )
 from facetcx.complexes import _bits, _subcomplex, facet_automorphisms, generate, skeleton
 from facetcx.complexity import _cover_masks, _precedes
+from facetcx.homsearch import TIME_EXHAUSTED, _Budget
 from facetcx.verify import KINDS, VerifyConfig, _instances
 
 
@@ -244,7 +245,9 @@ def test_bounds_reuse_solved_result(kind, injective):
         inst = _instances(cfg, trial)
         for a, b in (("L", "H"), ("L", "K"), ("H", "K")):
             query = q(inst[a], inst[b], kind, injective)
-            assert bounds(query, solved=compute(query)) == bounds(query)
+            run = complexity._Run(query)
+            run.result()
+            assert run.bounds() == bounds(query)
 
 
 def _is_finite_query(q: ComplexityQuery) -> bool:
@@ -315,37 +318,10 @@ def test_disjoint_union_equality():
     b = relabel(boundary_complex(3), {"1": "x", "2": "y", "3": "z"})
     both = union([a, b], disjoint=True)
     target = complete_complex(2)
-    dd = disjoint_decompose(q(both, target))
     expected = max(
         compute(q(a, target)).value, compute(q(b, target)).value
     )
-    assert dd.value == expected == compute(q(both, target)).value
-    assert len(dd.components) == 2
-
-
-def test_disjoint_decompose_value_is_compute_value():
-    """Components of value 1 give the int 1, as ``compute`` does, not 1.0."""
-    query = q(build_complex([("a",), ("b",)]), complete_complex(2))
-    dd = disjoint_decompose(query)
-    assert [res.value for _, res in dd.components] == [1, 1]
-    assert dd.value == compute(query).value
-    assert type(dd.value) is int
-
-
-def test_disjoint_decompose_budget_covers_all_components():
-    """Each K5 edge set alone needs 132 nodes; the second gets what the
-    first left of 200."""
-    k5 = skeleton(complete_complex(5), 1)
-    both = union([k5, relabel(k5, {v: v + "'" for v in k5.labels})], disjoint=True)
-    query = ComplexityQuery(both, complete_complex(2), limits=SearchLimits(max_nodes=200))
-    with pytest.raises(UndecidedError) as exc:
-        disjoint_decompose(query)
-    assert 200 <= exc.value.nodes <= 201
-
-
-def test_disjoint_decompose_rejects_injective(bowtie, tailed):
-    with pytest.raises(ValueError):
-        disjoint_decompose(q(bowtie, tailed, injective=True))
+    assert expected == compute(q(both, target)).value
 
 
 def test_jump_under_union():
@@ -424,8 +400,8 @@ def test_orbit_sharing_keeps_canonical_covers():
                     if not all(probe(1 << i) for i in range(m)):
                         continue
                     gens = facet_automorphisms(masks)
-                    shared = _cover_masks(m, _fresh_probe(query), gens, pick=True)[1]
-                    alone = _cover_masks(m, _fresh_probe(query), (), pick=True)[1]
+                    shared = _cover_masks(m, _fresh_probe(query), gens, True, _fresh_budget())[1]
+                    alone = _cover_masks(m, _fresh_probe(query), (), True, _fresh_budget())[1]
                     assert shared == alone, (seed, trial, a + b)
                     compared += 1
                     symmetric += bool(gens)
@@ -542,7 +518,22 @@ def test_cover_masks_decides_prefixes_first():
             return group in family
 
         gens = (perm,) if perm else ()
-        assert _cover_masks(m, probe, gens, pick=True)[1] == _brute_cover(m, family), trial
+        cover = _cover_masks(m, probe, gens, True, _fresh_budget())[1]
+        assert cover == _brute_cover(m, family), trial
+
+
+def _fresh_budget():
+    return _Budget(SearchLimits())
+
+
+def test_cover_masks_reads_the_deadline():
+    """Every verdict comes from the probe's table, so no map search reads
+    the budget; the DP itself stops at a deadline that has passed."""
+    budget = _fresh_budget()
+    budget.deadline = time.monotonic() - 1
+    with pytest.raises(UndecidedError) as exc:
+        _cover_masks(8, lambda g: g.bit_count() <= 2, (), False, budget)
+    assert (exc.value.reason, exc.value.nodes) == (TIME_EXHAUSTED, 0)
 
 
 def _lex_least(options):
@@ -589,15 +580,15 @@ def test_solver_leaves_no_cyclic_garbage():
 
 
 def _count_optimum(monkeypatch):
-    """Calls to the optimum entry, which ``compute`` and the
+    """Runs that reach the optimum entry, which ``compute`` and the
     ``graph_lower`` sub-solve both go through."""
-    real, calls = complexity._optimum, []
+    real, calls = complexity._Run.optimum, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(run, *args, **kwargs):
+        calls.append(run)
+        return real(run, *args, **kwargs)
 
-    monkeypatch.setattr(complexity, "_optimum", counting)
+    monkeypatch.setattr(complexity._Run, "optimum", counting)
     return calls
 
 
@@ -606,9 +597,10 @@ def test_bounds_reuses_the_solve_for_the_same_edge_problem(monkeypatch):
     query but not its cover problem, so the solve's value is reused."""
     source = build_complex(skeleton(complete_complex(4), 1).facet_lists(), ["z"])
     query = q(source, samples.load("tailed_triangle"))
-    solved = compute(query)
+    run = complexity._Run(query)
+    solved = run.result()
     calls = _count_optimum(monkeypatch)
-    assert bounds(query, solved=solved).graph_lower == solved.value == 2
+    assert run.bounds().graph_lower == solved.value == 2
     assert calls == []
     assert bounds(query).graph_lower == 2 and len(calls) == 1
 
@@ -617,10 +609,11 @@ def test_bounds_solves_the_edge_problem_of_an_empty_target(monkeypatch):
     """Onto the empty complex no vertex maps, but the edge graph of an
     edgeless source is empty and maps: the two problems differ."""
     query = q(build_complex([], ["a", "b"]), build_complex([]))
-    solved = compute(query)
+    run = complexity._Run(query)
+    solved = run.result()
     calls = _count_optimum(monkeypatch)
     assert solved.value == INFINITY
-    assert bounds(query, solved=solved).graph_lower == 1
+    assert run.bounds().graph_lower == 1
     assert len(calls) == 1
 
 

@@ -154,7 +154,7 @@ def test_optimum_is_the_solved_value():
     checked = 0
     for key, source, target, kind, inj in (*_pinned_queries(), *stream):
         q = ComplexityQuery(source, target, kind, inj)
-        value, _, chosen = complexity._optimum(q, False)
+        value, _, chosen = complexity._Run(q).optimum(False)
         assert (value, chosen) == (compute(q).value, []), key
         checked += 1
     assert checked == 410 + len(SEEDS) * TRIALS * 3 * len(KINDS)
