@@ -45,8 +45,14 @@ without symmetry has orbits of one mask.  A query's budget bounds the
 whole run, ``bounds``' colourings and ``graph_lower`` sub-solve included;
 the DP's own steps read its deadline but are not counted as nodes.
 
-The DP first finds the optimum; only ``compute`` then picks the
-canonical cover over the same tables and certifies it.  ``graph_lower``
+The DP's submask loop reads a group's verdict, and an infeasible
+remainder's stored optimum, straight from the tables; it calls into the
+probe or the recursion only for undecided entries.  The DP first finds
+the optimum; only ``compute`` then picks the canonical cover and
+certifies it.  The pick grows each group from the least uncovered facet
+in lexicographic order instead of scanning every group that holds it,
+and prunes a branch by heredity or by the optimum of the facets it
+leaves out.  ``graph_lower``
 is the optimum of the cover problem between the two edge graphs,
 computed without a cover, so its sub-solve spends no nodes on
 certificate searches and builds no witness map, subcomplex or cover
@@ -61,7 +67,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .complexes import Complex, _bits, _key, _precedes, _subcomplex, facet_automorphisms, facet_graph
+from .complexes import Complex, _bits, _key, _subcomplex, facet_automorphisms, facet_graph
 from .coloring import chromatic_number
 from .homsearch import FeasibilityCache, SearchLimits, UndecidedError, _candidate_rows
 from .homsearch import _Budget, _budget
@@ -329,16 +335,31 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
     ``probe(group)``, a ``FeasibilityCache`` on it in ``_Run.optimum``,
     decides a group of them; every singleton must be feasible.  A
     submask DP pivoting on the least-indexed uncovered facet finds the
-    optimum ``best(full)``;
-    with ``pick`` each step then picks the lexicographically least
-    optimal group over the same tables.  Without it ``best`` stops
-    scanning an infeasible set's groups at a two-group cover, which no
-    cover of that set beats; with it the scan stays whole, so that
-    ``compute``'s probes, and its ``nodes``, do not depend on the
-    split.
+    optimum ``best(full)``.  Without ``pick`` ``best`` stops scanning an
+    infeasible set's groups at a two-group cover, which no cover of that
+    set beats; with it the scan stays whole, so that ``compute``'s
+    probes, and its ``nodes``, do not depend on the split.
     The DP asks for most groups many times, so each group's verdict is
     read through a ``1 << m`` byte table (0 unknown, 1 infeasible, 2
-    feasible).
+    feasible).  The submask loop reads that table, and an infeasible
+    remainder's stored optimum, inline; it calls ``feasible`` or
+    ``best`` only for entries still undecided.
+
+    With ``pick`` each step then takes, for the uncovered set ``U`` of
+    optimum ``k``, the lexicographically least group (as a sorted tuple
+    of facet indices) that holds ``U``'s least facet and leaves a
+    remainder of optimum ``k - 1``.  ``grow`` walks those tuples in
+    preorder, which is lexicographic order: it tests a group on its
+    own, since a tuple precedes all its extensions, then extends it by
+    each higher facet of ``U`` in turn.  An infeasible extension is
+    pruned, since by heredity no group above it is feasible.  The
+    facets of ``U`` below the new facet and outside the group stay
+    uncovered in every group of that branch, so once they alone need
+    ``k`` groups that branch and every later one are pruned.  When
+    ``U`` is infeasible, the value phase's whole scan has decided every
+    group and remainder the walk tests, so only the optimum of a skipped
+    set can be new; a feasible ``U`` is the last group, and the walk
+    reaches it along one chain of prefixes, all below a feasible group.
 
     An undecided group of two or more facets first has its prefix
     ``group ^ top`` (``top`` its highest facet bit) decided the same
@@ -366,9 +387,9 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
     or without them; only the probes are fewer.
 
     ``budget``, the query's, is checked wherever ``best`` computes a new
-    optimum and at each step of the pick, so the deadline holds where
-    the tables answer every probe.  DP steps are not search nodes: they
-    read the deadline and leave ``budget.nodes`` as it is.
+    optimum and at each node of the pick's walk, so the deadline holds
+    where the tables answer every probe.  DP steps are not search
+    nodes: they read the deadline and leave ``budget.nodes`` as it is.
     """
     full = (1 << m) - 1
     try:
@@ -422,41 +443,55 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
         sub = rest
         while True:
             group = sub | pivot
-            if feasible(group):
-                out = min(out, 1 + best(mask & ~group))
-                if out == 2 and not pick:
-                    break
+            v = verdict[group]
+            if v == 2 or not v and feasible(group):
+                left = mask ^ group
+                # a decided verdict or a stored optimum costs no call
+                v = verdict[left]
+                after = 1 if v == 2 else v and cost[rep[left]] or best(left)
+                if after + 1 < out:
+                    out = after + 1
+                    if out == 2 and not pick:
+                        break
             if sub == 0:
                 break
             sub = (sub - 1) & rest
         cost[rep[mask]] = out
         return out
 
+    def grow(group: int, skipped: int, uncovered: int, k: int) -> int:
+        # the first group of the walk's branch at ``group`` whose remainder
+        # needs fewer than ``k`` groups, else 0; ``skipped`` holds the
+        # facets of ``uncovered`` below ``group``'s top that it leaves out
+        budget.check(budget.nodes)
+        if best(uncovered ^ group) < k:
+            return group
+        top = group.bit_length()
+        above = uncovered >> top << top
+        while above:
+            bit = above & -above
+            if skipped.bit_count() >= k and best(skipped) >= k:
+                break
+            if feasible(group | bit):
+                found = grow(group | bit, skipped, uncovered, k)
+                if found:
+                    return found
+            skipped |= bit
+            above ^= bit
+        return 0
+
     chosen: list[int] = []
     uncovered = full
     try:
         value = best(full)
         while pick and uncovered:
-            budget.check(budget.nodes)
-            pivot = uncovered & -uncovered
-            rest = uncovered ^ pivot
-            target_cost = best(uncovered)
-            least = 0
-            sub = rest
-            while True:
-                group = sub | pivot
-                if feasible(group) and 1 + best(uncovered & ~group) == target_cost:
-                    if not least or _precedes(group, least):
-                        least = group
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
+            least = grow(uncovered & -uncovered, 0, uncovered, best(uncovered))
             chosen.append(least)
-            uncovered &= ~least
+            uncovered ^= least
     finally:
         # the recursive helpers reach each other through closure cells;
         # emptying them frees the tables on return (as in ``find_map``)
-        del feasible, best
+        del feasible, best, grow
     return value, chosen
 
 

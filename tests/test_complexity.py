@@ -29,8 +29,8 @@ from facetcx import (
     union,
     VertexMap,
 )
-from facetcx.complexes import _bits, _subcomplex, facet_automorphisms, generate, skeleton
-from facetcx.complexity import _cover_masks, _precedes
+from facetcx.complexes import _bits, _precedes, _subcomplex, facet_automorphisms, generate, skeleton
+from facetcx.complexity import _cover_masks
 from facetcx.homsearch import TIME_EXHAUSTED, _Budget
 from facetcx.verify import KINDS, VerifyConfig, _instances
 
@@ -474,18 +474,32 @@ def _hereditary_family(rng, m, perm=None):
 
 
 def _brute_cover(m, family):
-    """Canonical optimal cover from the fewest-groups count of every mask."""
-    fewest = {0: 0}
+    """Canonical optimal cover from the fewest-groups count of every mask.
+
+    A mask takes k groups exactly when it lies below a union of k
+    maximal groups, since the family is hereditary: the unions are
+    enumerated k = 1, 2, ... and each count is pushed down to the masks
+    below."""
+    full = (1 << m) - 1
+    tops = [g for g in family if all(g | 1 << i not in family for i in range(m) if not g >> i & 1)]
+    unions = {0: 0}
     frontier = [0]
-    while frontier:  # unions of k groups, k = 1, 2, ...
+    while full not in unions:
         step = []
         for a in frontier:
-            for g in family:
-                if a | g not in fewest:
-                    fewest[a | g] = fewest[a] + 1
-                    step.append(a | g)
+            for t in tops:
+                if a | t not in unions:
+                    unions[a | t] = unions[a] + 1
+                    step.append(a | t)
         frontier = step
-    chosen, uncovered = [], (1 << m) - 1
+    fewest = [m + 1] * (1 << m)
+    for a, k in unions.items():
+        fewest[a] = k
+    for i in range(m):
+        for a in range(1 << m):
+            if a >> i & 1 and fewest[a] < fewest[a ^ 1 << i]:
+                fewest[a ^ 1 << i] = fewest[a]
+    chosen, uncovered = [], full
     while uncovered:
         pivot = uncovered & -uncovered
         pick = min(
@@ -499,13 +513,13 @@ def _brute_cover(m, family):
 
 
 def test_cover_masks_decides_prefixes_first():
-    """Seeded hereditary families, some closed under a known facet
-    permutation: the canonical cover matches brute force, and no group
-    is probed once its prefix (the group less its highest facet) is
-    known to fail."""
+    """Seeded hereditary families of up to 12 facets, some closed under a
+    known facet permutation: the canonical cover matches brute force, so
+    deep picks are checked too, and no group is probed once its prefix
+    (the group less its highest facet) is known to fail."""
     rng = random.Random(10)
     for trial in range(240):
-        m = rng.randint(2, 8)
+        m = rng.randint(2, 12)
         perm = tuple(rng.sample(range(m), m)) if trial % 2 else None
         family = _hereditary_family(rng, m, perm)
         probed = set()
@@ -528,12 +542,35 @@ def _fresh_budget():
 
 def test_cover_masks_reads_the_deadline():
     """Every verdict comes from the probe's table, so no map search reads
-    the budget; the DP itself stops at a deadline that has passed."""
+    the budget; the DP itself stops at a deadline that has passed, and so
+    does the pick at a deadline that passes once the value is known.
+
+    For the pick every proper group maps, so the value is 2 and the last
+    group the value scan reaches is the pivot alone; its remainder, all
+    facets but the pivot, is the scan's last probe and needs no new
+    optimum.  The probe expires the deadline there."""
     budget = _fresh_budget()
     budget.deadline = time.monotonic() - 1
     with pytest.raises(UndecidedError) as exc:
         _cover_masks(8, lambda g: g.bit_count() <= 2, (), False, budget)
     assert (exc.value.reason, exc.value.nodes) == (TIME_EXHAUSTED, 0)
+
+    for m in (3, 8, 12):
+        full = (1 << m) - 1
+        assert _cover_masks(m, lambda g: g != full, (), True, _fresh_budget()) == (2, [1, full ^ 1])
+        budget = _fresh_budget()
+        probed = []
+
+        def probe(group):
+            assert not probed or probed[-1] != full ^ 1, "a probe after the last one"
+            probed.append(group)
+            if group == full ^ 1:
+                budget.deadline = time.monotonic() - 1
+            return group != full
+
+        with pytest.raises(UndecidedError) as exc:
+            _cover_masks(m, probe, (), True, budget)
+        assert (exc.value.reason, exc.value.nodes, probed[-1]) == (TIME_EXHAUSTED, 0, full ^ 1)
 
 
 def _lex_least(options):
