@@ -57,6 +57,24 @@ of the facets it leaves out.  ``graph_lower`` is the optimum of the
 cover problem between the two edge graphs, computed without a cover, so
 its sub-solve spends no nodes on certificate searches and builds no
 witness map, subcomplex or cover check.
+
+A graph source often needs no cover search for its value.  Let ``H``
+be the target edges a source edge may go to (the size-2 facets for kind
+``facet``, the 1-skeleton for ``strict``), with ``c = χ(H)`` and a
+clique of ``c`` vertices in ``H``.  A group of source edges maps exactly
+when its graph is ``c``-colourable: a map into ``H`` pulls a
+``c``-colouring back, and a ``c``-colouring maps the group into the
+clique.  So ``k`` groups suffice exactly when ``χ(G) <= c**k`` for the
+graph ``G`` of the constrained edges: ``k`` groups give ``G`` a product
+colouring of at most ``c**k`` colours, and conversely a colouring with
+colours ``0 … c**k - 1`` puts each edge in the group of the first
+base-``c`` digit on which its ends differ, which that digit colours
+properly.  The value is ``⌈log_c χ(G)⌉``, the chromatic lower bound,
+attained.  The value-only run reads it from the colourings of ``H`` and
+``G`` and one map search for the clique, and so builds no cache or
+tables; ``compute`` still runs the cover search for its canonical cover,
+and a target graph with a smaller clique than its chromatic number
+falls through to it.
 """
 
 from __future__ import annotations
@@ -66,9 +84,11 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .complexes import Complex, _bits, _key, _subcomplex, facet_automorphisms, facet_graph
+from .complexes import Complex, _bits, _key, _subcomplex, complete_complex, facet_automorphisms
+from .complexes import facet_graph, skeleton
 from .coloring import chromatic_number
-from .homsearch import FeasibilityCache, SearchLimits, UndecidedError, _candidate_rows
+from .homsearch import FeasibilityCache, SearchLimits, SearchProblem, UndecidedError
+from .homsearch import _candidate_rows, find_map
 from .homsearch import _Budget, _budget
 from .maps import VertexMap, check_kind, classify
 
@@ -85,7 +105,9 @@ class ComplexityQuery:
     """A source/target pair plus the map kind the cover parts must admit;
     ``limits`` (or a running ``_Budget``) bound all its searches together,
     and ``facet_cap`` is the most constrained facets its cover search, or
-    the ``graph_lower`` sub-solve of ``bounds``, may take on."""
+    the ``graph_lower`` sub-solve of ``bounds``, may take on.  The cap
+    guards the cover search's tables, so it does not bound a value that
+    colourings answer (see ``_Run.optimum``)."""
 
     source: Complex
     target: Complex
@@ -172,9 +194,8 @@ class _Run:
     facets; finiteness, read from the target's candidate rows when first
     needed; and, once ``result`` has run, the solve's ``outcome``: its
     ``ComplexityResult`` or the ``UndecidedError`` it raised.  The
-    constrained subcomplex and its ``FeasibilityCache`` are built only
-    when the cover search runs, so bounds alone and an infinite query
-    build no cache.
+    ``FeasibilityCache`` is built only when the cover search runs, so
+    bounds alone and an infinite query build no cache.
     """
 
     def __init__(self, q: ComplexityQuery):
@@ -207,6 +228,12 @@ class _Run:
         Without ``pick`` no group is certified, so ``bounds`` reads the
         optimum here at the cost of the probes alone.  More constrained
         facets than ``q.facet_cap`` raise ``FacetCapError``.
+
+        Without ``pick``, a finite non-injective query whose constrained
+        facets are all edges is first answered from colourings when the
+        target's graph has a clique as large as its chromatic number
+        (``_graph_value``; ``cache`` is then ``None``), which needs no
+        tables, so the cap is checked only after it declines.
         """
         q = self.q
         source = q.source
@@ -215,12 +242,16 @@ class _Run:
         if q.target.n == 0:
             return INFINITY, None, []
         m = len(self.required)
+        core = source if m == len(source.facets) else _subcomplex(
+            source, [source.facets[i] for i in self.required])
+        if not pick and not q.injective and core.dim == 1 and self.finite:
+            value = _graph_value(core, q.target, q.kind, self.budget)
+            if value is not None:
+                return value, None, []
         if m > q.facet_cap:
             raise FacetCapError(f"{m} constrained facets exceed the cap of {q.facet_cap}")
         if not self.finite:
             return INFINITY, None, []
-        core = source if m == len(source.facets) else _subcomplex(
-            source, [source.facets[i] for i in self.required])
         cache = FeasibilityCache(core, q.target, q.kind, q.injective, self.budget)
         full = (1 << m) - 1
         if cache.feasible(full):
@@ -324,6 +355,28 @@ class _Run:
             complete_target_ic=complete_target_ic,
             exact=exact,
         )
+
+
+def _graph_value(graph: Complex, target: Complex, kind: str, budget: _Budget) -> float | None:
+    """The cover value of ``graph``, all of whose facets are edges, into
+    ``target``, read from two colourings when the target's graph ``H`` has
+    a clique as large as its chromatic number, else ``None``.
+
+    ``H`` holds the target edges a source edge may go to: the size-2
+    facets for kind ``facet``, the 1-skeleton for ``strict``.  With
+    ``c = χ(H)`` and a ``c``-clique in ``H``, a group of edges maps exactly
+    when it is ``c``-colourable, so the value is ``⌈log_c χ(graph)⌉``
+    (see the module docstring).  The clique is found by one map search
+    of ``K_c``'s edges into ``target``; the colourings and that search
+    charge ``budget``.  ``H`` has an edge whenever a source edge maps on
+    its own, so a finite query has ``c >= 2``.
+    """
+    h = facet_graph(target) if kind == "facet" else skeleton(target, 1)
+    c = chromatic_number(h, budget).value
+    clique = skeleton(complete_complex(c), 1)
+    if not find_map(SearchProblem(clique, target, kind, False, budget)).found:
+        return None
+    return _chromatic_floor(chromatic_number(graph, budget).value, c)
 
 
 def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int, list[int]]:
@@ -531,9 +584,11 @@ class BoundReport:
     ``exact`` carries the value when a theorem pins it down.
     ``graph_lower`` is the optimum of the cover problem between the two
     edge graphs, computed without a cover; it is also ``None`` when that
-    problem has more constrained facets than the cap or runs out of
-    search budget, and ``chromatic_lower`` when its colouring searches
-    run out of it.
+    problem runs out of search budget, or when it has more constrained
+    facets than the cap (or than the cover tables can be allocated for)
+    and the target's edge graph has no clique as large as its chromatic
+    number, and ``chromatic_lower`` is ``None`` when its colouring
+    searches run out of it.
     """
 
     finite: bool
@@ -585,8 +640,12 @@ def bounds(q: ComplexityQuery) -> BoundReport:
     itself to that sub-solve.  It is reported only when the target has
     no isolated vertices, where a part's witness map restricts to a
     graph homomorphism between them, and only when that problem stays
-    within ``q.facet_cap`` and the query's search limits; otherwise it
-    is skipped, never raised.
+    within the query's search limits.  When the target's edge graph has
+    a clique as large as its chromatic number ``c``, the sub-solve reads
+    ``⌈log_c χ⌉`` of the source's edge graph from colourings, whatever
+    ``q.facet_cap``; otherwise it runs the cover search, and skips the
+    bound past the cap.  A bound it cannot give is skipped, never
+    raised.
     A run that solved first (the CLI's) reads that problem's answer from
     its solve when it is the query's own: a plain facet query whose
     source has dimension at most 1 onto a non-empty target; after the

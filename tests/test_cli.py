@@ -339,6 +339,22 @@ def test_bounds_build_no_cover(capsys, tmp_path, monkeypatch):
     assert (code, json.loads(out)["value"], len(checks)) == (0, 2, 1)
 
 
+def test_graph_bounds_read_two_colourings(capsys, tmp_path, monkeypatch):
+    """An edge has ω = χ = 2, so ``graph_lower`` of K_n's edges onto it is
+    ⌈log2 n⌉, read from colourings: no feasibility cache and no cover
+    tables, and so none of the cap that bounds them (K7 has 21 edges)."""
+    def refuse(*args):
+        raise AssertionError("bounds ran the cover search")
+
+    monkeypatch.setattr(complexity, "FeasibilityCache", refuse)
+    monkeypatch.setattr(complexity, "_cover_masks", refuse)
+    for argv, n in ((["complexity", "--bounds-only"], 6), (["bounds"], 7)):
+        paths = _paths(tmp_path, _kn_edges(n), complete_complex(2))
+        code, out, err = run(capsys, argv[0], *paths, *argv[1:], "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bounds"]["graph_lower"] == 3
+
+
 def _grotzsch():
     """The Grötzsch graph: 11 vertices, 20 edges, chromatic number 4."""
     edges = [("w", f"v{i}") for i in range(5)]
@@ -364,7 +380,9 @@ def _spent(monkeypatch):
                 spent[kind] += budget.nodes - before
         return charging
 
-    monkeypatch.setattr(homsearch, "find_map", hook("map", homsearch.find_map, lambda p: p.limits))
+    searching = hook("map", homsearch.find_map, lambda p: p.limits)
+    for module in (homsearch, complexity):
+        monkeypatch.setattr(module, "find_map", searching)
     monkeypatch.setattr(coloring, "_search", hook("colour", coloring._search, lambda n, c, b: b))
     return spent, budgets
 
@@ -377,9 +395,12 @@ def _spent(monkeypatch):
 ], ids=["complexity", "bounds-only", "bounds", "library"])
 def test_one_budget_for_the_whole_query(capsys, tmp_path, monkeypatch, argv, budget):
     """Colouring the Grötzsch graph takes about 100 nodes and its cover
-    onto the triangle's edges many more: map searches and colourings,
-    the graph_lower sub-solve's included, spend one budget in all."""
-    source, target = _grotzsch(), skeleton(complete_complex(3), 1)
+    onto the 5-cycle many more: map searches and colourings, the
+    graph_lower sub-solve's included, spend one budget in all.  The
+    5-cycle has no triangle but needs three colours, so the sub-solve
+    runs the cover search after its colourings and clique search."""
+    source = _grotzsch()
+    target = build_complex([(f"c{i}", f"c{(i + 1) % 5}") for i in range(5)])
     spent, budgets = _spent(monkeypatch)
     if argv is None:
         limits = homsearch.SearchLimits(max_nodes=budget)
@@ -405,7 +426,8 @@ def test_one_budget_for_the_whole_query(capsys, tmp_path, monkeypatch, argv, bud
 
 def test_raised_facet_cap_past_the_tables_is_input_error(capsys, tmp_path):
     """K12 has 66 edges: the cover tables cannot be allocated, so the full
-    run exits 2 with one line, and the bounds leave graph_lower out."""
+    run exits 2 with one line, while the bounds read graph_lower
+    ⌈log2 χ(K12)⌉ = 4 from two colourings, which need no tables."""
     paths = []
     for name, c in (("k12", _kn_edges(12)), ("edge", complete_complex(2))):
         (tmp_path / name).write_text(serialize_scx(c))
@@ -417,7 +439,7 @@ def test_raised_facet_cap_past_the_tables_is_input_error(capsys, tmp_path):
         capsys, "complexity", *paths, "--facet-cap", "100", "--bounds-only", "--json"
     )
     assert (code, err) == (0, "")
-    assert json.loads(out)["bounds"]["graph_lower"] is None
+    assert json.loads(out)["bounds"]["graph_lower"] == 4
 
 
 @pytest.mark.parametrize("budget", ["nan", "-1"])

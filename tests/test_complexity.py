@@ -16,6 +16,7 @@ from facetcx import (
     UndecidedError,
     bounds,
     boundary_complex,
+    brute_force_cover_complexity,
     build_complex,
     check_cover,
     complete_complex,
@@ -32,11 +33,17 @@ from facetcx import (
 from facetcx.complexes import _bits, _precedes, _subcomplex, facet_automorphisms, generate, skeleton
 from facetcx.complexity import _cover_masks
 from facetcx.homsearch import TIME_EXHAUSTED, _Budget
+from facetcx.oracle import MAX_FACETS, MAX_SOURCE_VERTICES, MAX_TARGET_VERTICES
 from facetcx.verify import KINDS, VerifyConfig, _instances
 
 
 def q(source, target, kind="facet", injective=False, **kw):
     return ComplexityQuery(source, target, kind, injective, **kw)
+
+
+def _cycle(n):
+    """The n-cycle as a graph on vertices c0 … c{n-1}."""
+    return build_complex([(f"c{i}", f"c{(i + 1) % n}") for i in range(n)])
 
 
 def test_fixture_values(bowtie, tailed):
@@ -199,8 +206,13 @@ def test_facet_cap(tailed):
     # bounds still work above the cap
     b = bounds(q(big, tailed, facet_cap=25))
     assert b.finite
-    # at the default cap the graph_lower sub-solve is skipped, not fatal
+    # the target's edge graph is one edge (a clique as large as its
+    # chromatic number), so graph_lower comes from two colourings, which
+    # the cap does not bound
     b = bounds(q(big, tailed))
+    assert b.finite and b.graph_lower == 1 and b.upper == 21
+    # onto the 5-cycle it needs the cover search: skipped past the cap, not fatal
+    b = bounds(q(big, _cycle(5)))
     assert b.finite and b.graph_lower is None and b.upper == 21
 
 
@@ -213,12 +225,17 @@ def test_feasible_full_group_skips_the_cover_search():
 
 
 def test_cover_tables_past_any_memory_raise_facet_cap_error():
-    """K12's 66 edges onto an edge need a 2**66-byte verdict table."""
-    query = q(skeleton(complete_complex(12), 1), complete_complex(2), facet_cap=100)
+    """K12's 66 edges onto an edge need a 2**66-byte verdict table;
+    graph_lower reads ⌈log2 χ(K12)⌉ = 4 without it, but onto the 5-cycle
+    it needs the table and is left out."""
+    k12 = skeleton(complete_complex(12), 1)
+    query = q(k12, complete_complex(2), facet_cap=100)
     with pytest.raises(FacetCapError, match="66 constrained facets"):
         compute(query)
     b = bounds(query)
-    assert b.finite and b.graph_lower is None and b.chromatic_lower == 4
+    assert b.finite and b.graph_lower == 4 and b.chromatic_lower == 4
+    b = bounds(q(k12, _cycle(5), facet_cap=100))
+    assert b.finite and b.graph_lower is None
 
 
 def test_results_independent_across_calls(bowtie, tailed):
@@ -701,3 +718,56 @@ def test_same_edge_problem_has_the_same_value():
         edges = q(facet_graph(source), facet_graph(target))
         assert compute(q(source, target)).value == compute(edges).value
         checked += 1
+
+
+def test_graph_value_matches_the_cover_search(monkeypatch):
+    """Seeded graph sources, both kinds, without injectivity: the value-only
+    run, which reads ⌈log_c χ(G)⌉ from colourings when the target's graph
+    has a clique as large as its chromatic number c, gives ``compute``'s
+    value, and the oracle's within its limits.  Targets whose graph has
+    no such clique reach the cover search; the others never do."""
+    c5 = _cycle(5)
+    filled = (("t1", "t2", "t3"),)
+    # (target, kinds whose target graph has ω = χ); an edgeless target
+    # graph makes the query infinite, so neither path runs for it
+    targets = [
+        (complete_complex(2), {"facet", "strict"}),
+        (skeleton(complete_complex(3), 1), {"facet", "strict"}),
+        (samples.load("tailed_triangle"), {"facet", "strict"}),
+        (complete_complex(3), {"strict"}),
+        (build_complex(skeleton(complete_complex(4), 1).facet_lists(), ["z"]), {"facet", "strict"}),
+        (c5, set()),
+        (build_complex(c5.facet_lists(), ["z"]), set()),
+        (build_complex(c5.facet_lists() + filled), {"strict"}),
+        (_cycle(7), set()),
+        (build_complex([], ["a", "b"]), set()),
+    ]
+    searched = []
+    real = complexity._cover_masks
+    monkeypatch.setattr(complexity, "_cover_masks", lambda *a: searched.append(a) or real(*a))
+    rng = random.Random("graph value")
+    declined = oracle = 0
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        density = rng.uniform(0.2, 0.9)
+        edges = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        source = build_complex(edges, [f"v{i}" for i in range(n)])
+        for target, closed in targets:
+            for kind in ("facet", "strict"):
+                query = q(source, target, kind)
+                searched.clear()
+                value = complexity._Run(query).optimum(False)[0]
+                reached = bool(searched)
+                want = compute(query).value
+                assert value == want, (edges, target, kind)
+                if source.dim == 1 and kind in closed:
+                    assert not reached, (edges, target, kind)
+                elif source.dim == 1 and 2 <= want < INFINITY:
+                    assert reached, (edges, target, kind)
+                    declined += 1
+                if (source.n <= MAX_SOURCE_VERTICES and target.n <= MAX_TARGET_VERTICES
+                        and len(source.facets) <= MAX_FACETS):
+                    assert value == brute_force_cover_complexity(source, target, kind)
+                    oracle += 1
+    assert declined > 20 and oracle > 50
