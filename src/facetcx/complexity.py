@@ -45,10 +45,15 @@ without symmetry has orbits of one mask.  A query's budget bounds the
 whole run, ``bounds``' colourings and ``graph_lower`` sub-solve included;
 the DP's own steps read its deadline but are not counted as nodes.
 
-The DP's submask loop reads a group's verdict, and an infeasible
-remainder's stored optimum, straight from the tables; it calls into the
-probe or the recursion only for undecided entries, and it stops at a
-two-group cover, which nothing beats once the set itself has failed.
+For an uncovered set that fails as one group, the DP walks only the
+feasible groups that hold its least facet, growing each by higher
+facets and ending a branch at an infeasible extension, as heredity
+allows; it asks for a remainder's optimum only at a group no higher
+facet extends, which is exact because a larger group never leaves a
+remainder that needs more groups.  It reads verdicts and stored optima
+straight from the tables, calls into the probe or the recursion only
+for undecided entries, and stops at a two-group cover, which nothing
+beats once the set itself has failed.
 The DP first finds the optimum; only ``compute`` then picks the
 canonical cover and certifies it.  The pick grows each group from the
 least uncovered facet in lexicographic order instead of scanning every
@@ -385,13 +390,25 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
 
     The ``m`` facets are those of the constrained subcomplex, and
     ``probe(group)``, a ``FeasibilityCache`` on it in ``_Run.optimum``,
-    decides a group of them; every singleton must be feasible.  A
-    submask DP pivoting on the least-indexed uncovered facet finds the
-    optimum ``best(full)``.  ``best`` stops scanning an infeasible set's
-    groups at a two-group cover, which no cover of that set beats.
+    decides a group of them; every singleton must be feasible.  A DP
+    over uncovered sets, pivoting on the least-indexed uncovered facet,
+    finds the optimum ``best(full)``.  For an infeasible set ``best``
+    walks the feasible groups that hold its pivot, not all its
+    submasks: each group grows by the set's facets above its highest
+    one, and an infeasible extension ends that branch, since by heredity
+    no group above it is feasible.  Every feasible group is reached this
+    way, along the chain of its prefixes, which are all feasible.
+    ``best`` asks for the remainder's optimum only at a group that no
+    higher facet of the set extends.  That is exact because ``best`` is
+    monotone under inclusion: a larger group leaves a smaller remainder,
+    which never needs more groups, and every feasible group lies in a
+    maximal one, which no facet extends.  At each group the walk stops
+    at 2 when the remainder's verdict is already feasible, a table read
+    with no probe, and likewise once a remainder's optimum is 1: that is
+    a two-group cover, which no cover of an infeasible set beats.
     The DP asks for most groups many times, so each group's verdict is
     read through a ``1 << m`` byte table (0 unknown, 1 infeasible, 2
-    feasible).  The submask loop reads that table, and an infeasible
+    feasible).  The walk reads that table, and an infeasible
     remainder's stored optimum, inline; it calls ``feasible`` or
     ``best`` only for entries still undecided.
 
@@ -415,11 +432,10 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
     ``group ^ top`` (``top`` its highest facet bit) decided the same
     way, table and orbit walk included, and is probed only when that
     prefix is feasible; an infeasible prefix makes it infeasible with
-    no probe, which is exact because feasibility is hereditary.  In
-    ``best(mask)``'s submask loop the prefix holds the pivot and lies
-    inside ``mask``, so the loop asks for it anyway and the rule only
-    moves that probe first, before the larger groups containing it.
-    Where a group is asked for on its own, as when ``best`` first tests
+    no probe, which is exact because feasibility is hereditary.  In the
+    walks of ``best`` and ``grow`` an extension's prefix is the group it
+    extends, already feasible, so the rule costs no probe there.  Where
+    a group is asked for on its own, as when ``best`` first tests
     ``mask`` itself, a feasible group can cost one extra probe for its
     prefix.
 
@@ -487,25 +503,33 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
         if out:
             return out
         budget.check(budget.nodes)
-        pivot = mask & -mask
-        rest = mask ^ pivot
         out = m  # singletons are feasible, so this many always works
-        sub = rest
-        while True:
-            group = sub | pivot
-            v = verdict[group]
-            if v == 2 or not v and feasible(group):
-                left = mask ^ group
-                # a decided verdict or a stored optimum costs no call
-                v = verdict[left]
-                after = 1 if v == 2 else v and cost[rep[left]] or best(left)
+        # the feasible groups that hold the pivot, grown by higher facets;
+        # only those that no higher facet extends ask for their remainder
+        todo = [mask & -mask]
+        while todo:
+            group = todo.pop()
+            left = mask ^ group
+            if verdict[left] == 2:  # a decided two-group cover
+                out = 2
+                break
+            top = group.bit_length()
+            above = left >> top << top
+            leaf = True
+            while above:
+                bit = above & -above
+                above ^= bit
+                v = verdict[group | bit]
+                if v == 2 or not v and feasible(group | bit):
+                    todo.append(group | bit)
+                    leaf = False
+            if leaf:
+                # a stored optimum costs no call
+                after = verdict[left] and cost[rep[left]] or best(left)
                 if after + 1 < out:
                     out = after + 1
                     if out == 2:
                         break
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
         cost[rep[mask]] = out
         return out
 

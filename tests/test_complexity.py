@@ -431,17 +431,17 @@ def test_orbit_sharing_keeps_canonical_covers():
         (
             skeleton(complete_complex(6), 1), complete_complex(2), "facet", 3,
             ["12 13 14 15 26", "16 23 24 35 36 45", "25 34 46 56"],
-            35, 224,  # 642 searches without symmetry
+            36, 290,  # 247 searches without symmetry
         ),
         (
             skeleton(complete_complex(6), 1), skeleton(complete_complex(3), 1), "strict", 2,
             ["12 13 14 15 16 23 24 25 36", "26 34 35 45 46 56"],
-            43, 2203,  # 673 searches without symmetry
+            28, 775,  # 44 searches without symmetry
         ),
         (
             skeleton(complete_complex(5), 1), complete_complex(2), "facet", 3,
             ["12", "13 14 23 24 35", "15 25 34 45"],
-            20, 111,
+            22, 147,
         ),
         (
             skeleton(complete_complex(5), 2), complete_complex(3), "strict", 3,
@@ -498,6 +498,32 @@ def test_two_group_cover_ends_the_value_scan():
             triangles[6:],
             {"1": "3", "2": "3", "3": "3", "4": "2", "5": "2", "6": "4", "7": "1", "8": "2",
              "9": "1"},
+        ),
+    ]
+
+
+def test_value_scan_walks_feasible_groups():
+    """Pair 4 of ROADMAP's 2-dimensional family, kind strict: the value
+    scan walks only the feasible groups that hold the pivot, so the
+    solve fits in a node budget that a scan of every group that holds it
+    (2.04 M nodes) would exhaust.  The cover and its witness maps are
+    those such a scan picks."""
+    source = build_complex(
+        "125 135 136 138 146 148 157 158 234 235 237 246 247 248 258 267 45 478 568".split()
+    )
+    target = build_complex("125 135 145 156 234 246 256 456".split())
+    query = q(source, target, "strict", limits=SearchLimits(max_nodes=100_000))
+    res = compute(query)
+    check_cover(query, res.cover)
+    assert res.value == 2
+    assert _cover(res) == [
+        (
+            "125 135 136 138 146 148 157 158 234 235 246".split(),
+            {"1": "6", "2": "1", "3": "2", "4": "5", "5": "5", "6": "4", "7": "1", "8": "4"},
+        ),
+        (
+            "237 247 248 258 267 45 478 568".split(),
+            {"2": "2", "3": "5", "4": "5", "5": "4", "6": "5", "7": "1", "8": "6"},
         ),
     ]
 
@@ -559,25 +585,30 @@ def _brute_cover(m, family):
 def test_cover_masks_decides_prefixes_first():
     """Seeded hereditary families of up to 12 facets, some closed under a
     known facet permutation: the canonical cover matches brute force, so
-    deep picks are checked too, and no group is probed once its prefix
-    (the group less its highest facet) is known to fail."""
+    deep picks are checked too, and so does the value of a run without
+    the pick, which ``graph_lower`` takes.  In both, no group is probed
+    twice, nor once its prefix (the group less its highest facet) is
+    known to fail."""
     rng = random.Random(10)
     for trial in range(240):
         m = rng.randint(2, 12)
         perm = tuple(rng.sample(range(m), m)) if trial % 2 else None
         family = _hereditary_family(rng, m, perm)
-        probed = set()
-
-        def probe(group):
-            assert group not in probed
-            probed.add(group)
-            if group.bit_count() >= 2:
-                assert group ^ (1 << group.bit_length() - 1) in family, (trial, group)
-            return group in family
-
         gens = (perm,) if perm else ()
-        cover = _cover_masks(m, probe, gens, True, _fresh_budget())[1]
-        assert cover == _brute_cover(m, family), trial
+        expected = _brute_cover(m, family)
+        for pick in (True, False):
+            probed = set()
+
+            def probe(group):
+                assert group not in probed
+                probed.add(group)
+                if group.bit_count() >= 2:
+                    assert group ^ (1 << group.bit_length() - 1) in family, (trial, group)
+                return group in family
+
+            value, cover = _cover_masks(m, probe, gens, pick, _fresh_budget())
+            assert value == len(expected), (trial, pick)
+            assert cover == (expected if pick else []), (trial, pick)
 
 
 def _fresh_budget():
