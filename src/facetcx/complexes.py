@@ -22,7 +22,7 @@ facet_graph         the subcomplex generated by the facets of size two
 union               combine complexes, optionally checking disjointness
 closure             the subcomplex generated by a subset of facets
 relabel             rename vertices along a bijection
-facet_automorphisms generators of the facet permutations automorphisms induce
+facet_automorphisms facet permutations induced by swaps of twin vertices
 """
 
 from __future__ import annotations
@@ -486,132 +486,39 @@ def relabel(c: Complex, mapping: Mapping[str, str]) -> Complex:
 
 
 def facet_automorphisms(facets: Iterable[int]) -> list[tuple[int, ...]]:
-    """Generators of the facet permutations induced by vertex automorphisms.
+    """Generators of the facet permutations induced by swaps of twin vertices.
 
-    ``facets`` is an antichain of vertex masks; the automorphisms are
-    those of the complex it generates.  A generator ``p`` sends
-    ``facets[i]`` to ``facets[p[i]]``.  Generators that move no facet
-    are dropped, so a complex without facet symmetry gets ``[]``.
+    ``facets`` is an antichain of vertex masks.  Two vertices are twins
+    when swapping them maps the facet set onto itself.  Twinship is an
+    equivalence, and the swaps of a class's first vertex with each other
+    member generate every permutation of the class.  A generator ``p``
+    sends ``facets[i]`` to ``facets[p[i]]``; swaps that move no facet are
+    dropped, so a complex without twins gets ``[]``.
 
-    The vertex automorphisms come from a stabilizer chain along a base
-    of all vertices, levels processed deepest first (in the spirit of
-    McKay & Piperno 2014): at level ``i`` one automorphism fixing the
-    first ``i`` base points is kept for each new point of the orbit of
-    base point ``i``.  Together they generate the whole group, hence
-    their facet permutations generate every induced one.  A backtracking
-    search finds each of them.  It matches vertices by colour refinement
-    of their facet-size signatures, pairs of vertices by the sizes of
-    the facets holding both, and every fully mapped facet against the
-    facet set.  The base runs breadth first through shared facets, so
-    the image of each vertex but a component's first must neighbour the
-    image of an earlier one (in plain index order, some random unions of
-    cycles with 20 edges took seconds instead of milliseconds).
+    Twin swaps generate the whole automorphism group of the edges or
+    skeleta of a complete complex and of a set of points, but only a
+    subgroup elsewhere: nothing on the icosahedron or the Petersen graph,
+    order 8 of 48 on the octahedron's 1-skeleton.  Their orbits are then
+    finer, and a verdict is constant on them all the same.
     """
     facets = tuple(facets)
-    verts = sorted({v for f in facets for v in _bits(f)})
-    # rel[v][x]: sizes of the facets holding both v and x (x == v: holding v)
-    rel = {
-        v: {
-            x: tuple(sorted(f.bit_count() for f in facets if f >> v & 1 and f >> x & 1))
-            for x in verts
-        }
-        for v in verts
-    }
-    color = {v: rel[v][v] for v in verts}
-    while True:
-        keys = {
-            v: (color[v], tuple(sorted(
-                (rel[v][x], color[x]) for x in verts if x != v and rel[v][x]
-            )))
-            for v in verts
-        }
-        ids = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-        if len(ids) == len(set(color.values())):
-            break
-        color = {v: ids[keys[v]] for v in verts}
-    cells: dict[int, list[int]] = {}
-    for v in verts:
-        cells.setdefault(color[v], []).append(v)
-    nbrs = {v: [x for x in verts if x != v and rel[v][x]] for v in verts}
-    # base order, and each vertex's earliest neighbour before it (-1: none)
-    base: list[int] = []
-    parent: dict[int, int] = {}
-    for root in verts:
-        if root in parent:
-            continue
-        parent[root] = -1
-        base.append(root)
-        k = len(base) - 1
-        while k < len(base):
-            for x in nbrs[base[k]]:
-                if x not in parent:
-                    parent[x] = base[k]
-                    base.append(x)
-            k += 1
-    where = {v: k for k, v in enumerate(base)}
-    # facets checked once their last vertex in base order is mapped
-    done_at: dict[int, list[int]] = {v: [] for v in verts}
-    for f in facets:
-        done_at[max(_bits(f), key=where.__getitem__)].append(f)
-    facet_set = set(facets)
-    used: set[int] = set()  # the images of the search in progress
-
-    def fits(v: int, u: int, img: dict[int, int]) -> bool:
-        """Extend ``img`` by ``v -> u`` if that is consistent."""
-        if u in used or color[u] != color[v]:
-            return False
-        row, urow = rel[v], rel[u]
-        if any(row[x] != urow[y] for x, y in img.items()):
-            return False
-        img[v] = u
-        if all(sum(1 << img[x] for x in _bits(f)) in facet_set for f in done_at[v]):
-            used.add(u)
-            return True
-        del img[v]
-        return False
-
-    def extend(k: int, img: dict[int, int]) -> bool:
-        if k == len(base):
-            return True
-        v = base[k]
-        pool = cells[color[v]] if parent[v] < 0 else nbrs[img[parent[v]]]
-        # the identity first: most extensions keep it
-        for u in [v] + [u for u in pool if u != v]:
-            if fits(v, u, img):
-                if extend(k + 1, img):
-                    return True
-                used.discard(img.pop(v))
-        return False
-
-    gens: list[dict[int, int]] = []
-    try:
-        for i in reversed(range(len(base))):
-            b = base[i]
-            orbit = {b}
-            for w in cells[color[b]]:
-                if where[w] <= i or w in orbit:
-                    continue
-                img = {x: x for x in base[:i]}
-                used = set(img)
-                if fits(b, w, img) and extend(i + 1, img):
-                    gens.append(img)
-                    todo = list(orbit)
-                    while todo:
-                        x = todo.pop()
-                        for g in gens:
-                            if g[x] not in orbit:
-                                orbit.add(g[x])
-                                todo.append(g[x])
-    finally:
-        # ``extend`` reaches itself through a closure cell; emptying it
-        # frees the search on return, not at the next cyclic collection
-        del extend
-
     position = {f: i for i, f in enumerate(facets)}
     identity = tuple(range(len(facets)))
+    verts = sorted({v for f in facets for v in _bits(f)})
+    classed: set[int] = set()
     out: list[tuple[int, ...]] = []
-    for g in gens:
-        p = tuple(position[sum(1 << g[x] for x in _bits(f))] for f in facets)
-        if p != identity and p not in out:
-            out.append(p)
+    for k, a in enumerate(verts):
+        if a in classed:
+            continue
+        for b in verts[k + 1:]:
+            if b in classed:
+                continue
+            swap = 1 << a | 1 << b
+            # a facet holding one of a and b trades it for the other
+            image = [f ^ swap if (f & swap).bit_count() == 1 else f for f in facets]
+            if all(f in position for f in image):
+                classed.add(b)
+                p = tuple(position[f] for f in image)
+                if p != identity:
+                    out.append(p)
     return out

@@ -36,14 +36,16 @@ by heredity an infeasible prefix rules the group out with no search.
 A verdict and an uncovered set's optimum are invariants of the
 complex the constrained facets generate, so both are constant on the
 orbit of a mask under the facet permutations that complex's
-automorphisms induce.  The first probe of an orbit walks it once,
-writing the verdict and the orbit's representative to every member,
-and each optimum is stored once per orbit, at its representative: two
-byte tables plus 4 bytes per mask, 6 MB at the default cap, allocated
-before the first probe whatever the budget.  A source
-without symmetry has orbits of one mask.  A query's budget bounds the
-whole run, ``bounds``' colourings and ``graph_lower`` sub-solve included;
-the DP's own steps read its deadline but are not counted as nodes.
+automorphisms induce; the DP shares along those that swaps of twin
+vertices induce (``facet_automorphisms``).  The first probe of an orbit
+walks it once, writing the verdict and the orbit's representative to
+every member, and each optimum is stored once per orbit, at its
+representative: two byte tables plus 4 bytes per mask, 6 MB at the
+default cap, allocated before the first probe whatever the budget.  A
+source without twins has orbits of one mask.  A query's budget bounds
+the whole run, ``bounds``' colourings and ``graph_lower`` sub-solve
+included; the DP's own steps read its deadline but are not counted as
+nodes.
 
 For an uncovered set that fails as one group, the DP walks only the
 feasible groups that hold its least facet, growing each by higher
@@ -440,17 +442,18 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
     prefix.
 
     ``gens`` are facet permutations induced by automorphisms of the
-    complex the ``m`` facets generate (see ``facet_automorphisms``).
-    Such a permutation maps a group onto an isomorphic one, so a verdict
-    is constant on the orbit of its mask, and so is the optimum of an
-    uncovered set.  The first probe of an orbit walks it once, writing
-    the verdict and the orbit's representative (the probed mask) to every
-    member; the representatives take 4 bytes per mask.  The optimum of
-    each infeasible uncovered set lives in a second byte table at its
-    representative (0 unknown): ``best`` asks for a set's verdict before
-    its optimum, so its orbit has been walked by then.  Neither value
-    changes under the permutations, so the cover chosen is the same with
-    or without them; only the probes are fewer.
+    complex the ``m`` facets generate; the solver passes those of its
+    twin vertex swaps (``facet_automorphisms``), which may generate only
+    a subgroup.  Such a permutation maps a group onto an isomorphic one,
+    so a verdict is constant on the orbit of its mask, and so is the
+    optimum of an uncovered set.  The first probe of an orbit walks it
+    once, writing the verdict and the orbit's representative (the probed
+    mask) to every member; the representatives take 4 bytes per mask.
+    The optimum of each infeasible uncovered set lives in a second byte
+    table at its representative (0 unknown): ``best`` asks for a set's
+    verdict before its optimum, so its orbit has been walked by then.
+    Neither value changes under the permutations, so the cover chosen is
+    the same with or without them; only the probes are fewer.
 
     ``budget``, the query's, is checked wherever ``best`` computes a new
     optimum and at each node of the pick's walk, so the deadline holds

@@ -275,17 +275,34 @@ def _orbit_partition(m, perms):
     return least
 
 
-def _brute_force_facet_perms(facets):
-    """Facet permutations of every vertex permutation that is an automorphism."""
-    verts = sorted({v for f in facets for v in _bits(f)})
+def _induced_facet_perms(facets, vertex_maps):
+    """Facet permutations of the vertex maps that send the facet set onto itself."""
     position = {f: i for i, f in enumerate(facets)}
     out = []
-    for image in itertools.permutations(verts):
-        g = dict(zip(verts, image))
+    for g in vertex_maps:
         moved = [sum(1 << g[v] for v in _bits(f)) for f in facets]
         if all(f in position for f in moved):
             out.append(tuple(position[f] for f in moved))
     return out
+
+
+def _vertices(facets):
+    return sorted({v for f in facets for v in _bits(f)})
+
+
+def _brute_force_facet_perms(facets):
+    """Facet permutations of every vertex permutation that is an automorphism."""
+    verts = _vertices(facets)
+    maps = (dict(zip(verts, image)) for image in itertools.permutations(verts))
+    return _induced_facet_perms(facets, maps)
+
+
+def _brute_force_twin_swaps(facets):
+    """Facet permutations of every vertex transposition that is an automorphism."""
+    verts = _vertices(facets)
+    fixed = {v: v for v in verts}
+    maps = ({**fixed, a: b, b: a} for a, b in itertools.combinations(verts, 2))
+    return _induced_facet_perms(facets, maps)
 
 
 @pytest.mark.parametrize("n,orbits", [(4, 11), (5, 34), (6, 156)])
@@ -309,6 +326,8 @@ def _random_sources(count):
 
 
 def test_generators_match_brute_force_orbits():
+    """The generators' orbits are those of the group the vertex
+    transpositions that map the facet set onto itself generate."""
     symmetric = 0
     for c in _random_sources(120):
         # all facets (the injective kind) and the non-singletons (the others)
@@ -317,11 +336,23 @@ def test_generators_match_brute_force_orbits():
                 continue
             gens = facet_automorphisms(facets)
             symmetric += bool(gens)
-            brute = _brute_force_facet_perms(facets)
+            swaps = _brute_force_twin_swaps(facets)
             assert _orbit_partition(len(facets), gens) == _orbit_partition(
-                len(facets), brute
+                len(facets), swaps
             ), c
     assert symmetric >= 50
+    # symmetric, but without twins
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    icosahedron = build_complex(
+        [("t", f"u{i}", f"u{j}") for i, j in ring] + [("b", f"l{i}", f"l{j}") for i, j in ring]
+        + [(f"u{i}", f"u{j}", f"l{i}") for i, j in ring]
+        + [(f"l{i}", f"l{j}", f"u{j}") for i, j in ring]
+    )
+    petersen = build_complex(
+        (a + b, c + d) for a, b, c, d in itertools.permutations("01234", 4) if a < b and c < d
+    )
+    assert len(petersen.facets) == 15
+    assert facet_automorphisms(icosahedron.facets) == facet_automorphisms(petersen.facets) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -11,7 +11,10 @@ nodes.  The test recomputes every row and compares all of it except
   finite value of at least 2, seeds 1-3 x 200 trials x the source/target
   pairs ``PAIRS`` x the four kinds, rebuilt with ``verify._instances``;
 * ``family``: the edges of K4-K6 onto an edge, skeleta of K5 and K6 into
-  a triangle (strict kind), and the README fixtures in the four kinds;
+  a triangle (strict kind), the README fixtures in the four kinds, and
+  three sources whose symmetry twin vertex swaps do not generate: the
+  icosahedron into a triangle (strict), the Petersen graph onto the
+  5-cycle and the octahedron's 1-skeleton K_{2,2,2} onto an edge;
 * ``random``: the random pairs of the benchmark corpus with a finite
   value of at least 2, their complexes stored in the row as ``.scx``.
 
@@ -96,6 +99,26 @@ def family_queries():
     bowtie, tailed = samples.load("shaded_bowtie"), samples.load("tailed_triangle")
     for kind, inj in KINDS:
         yield _key("family", "fixture", _kind_name(kind, inj)), bowtie, tailed, kind, inj
+    # sources whose symmetry twin swaps do not generate: no twins at all
+    # (icosahedron, Petersen) or order 8 of 48 (octahedron's 1-skeleton)
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    icosahedron = build_complex(
+        [("t", f"u{i}", f"u{j}") for i, j in ring] + [("b", f"l{i}", f"l{j}") for i, j in ring]
+        + [(f"u{i}", f"u{j}", f"l{i}") for i, j in ring]
+        + [(f"l{i}", f"l{j}", f"u{j}") for i, j in ring]
+    )
+    yield _key("family", "icosahedron"), icosahedron, triangle, "strict", False
+    petersen = build_complex(
+        [(f"u{i}", f"u{j}") for i, j in ring] + [(f"u{i}", f"v{i}") for i in range(5)]
+        + [(f"v{i}", f"v{(i + 2) % 5}") for i in range(5)]
+    )
+    cycle = build_complex([(f"c{i}", f"c{j}") for i, j in ring])
+    yield _key("family", "petersen"), petersen, cycle, "facet", False
+    # vertices 0-5, i and i + 3 opposite
+    octahedron = build_complex(
+        (str(i), str(j)) for i in range(6) for j in range(i + 1, 6) if j != i + 3
+    )
+    yield _key("family", "K222"), octahedron, edge, "facet", False
 
 
 def _pinned(group: str) -> dict:
@@ -127,7 +150,7 @@ def _compared(row: dict) -> dict:
     return {k: row[k] for k in ("value", "groups", "images", "bounds")}
 
 
-@pytest.mark.parametrize("group, rows", [("verify", 288), ("family", 10), ("random", 112)])
+@pytest.mark.parametrize("group, rows", [("verify", 288), ("family", 13), ("random", 112)])
 def test_cover_pins(group, rows):
     pinned = _pinned(group)
     assert len(pinned) == rows
@@ -156,7 +179,7 @@ def test_optimum_is_the_solved_value():
         value, _, chosen = complexity._Run(q).optimum(False)
         assert (value, chosen) == (compute(q).value, []), key
         checked += 1
-    assert checked == 410 + len(SEEDS) * TRIALS * 3 * len(KINDS)
+    assert checked == 413 + len(SEEDS) * TRIALS * 3 * len(KINDS)
 
 
 def _random_queries():
