@@ -22,7 +22,7 @@ facet_graph         the subcomplex generated by the facets of size two
 union               combine complexes, optionally checking disjointness
 closure             the subcomplex generated by a subset of facets
 relabel             rename vertices along a bijection
-facet_automorphisms facet permutations induced by swaps of twin vertices
+facet_automorphisms a swap and a cycle of each class of twin vertices
 """
 
 from __future__ import annotations
@@ -486,17 +486,23 @@ def relabel(c: Complex, mapping: Mapping[str, str]) -> Complex:
 
 
 def facet_automorphisms(facets: Iterable[int]) -> list[tuple[int, ...]]:
-    """Generators of the facet permutations induced by swaps of twin vertices.
+    """Generators of the facet permutations induced by permutations of
+    twin vertices, at most two per class of twins.
 
     ``facets`` is an antichain of vertex masks.  Two vertices are twins
     when swapping them maps the facet set onto itself.  Twinship is an
-    equivalence, and the swaps of a class's first vertex with each other
-    member generate every permutation of the class.  A generator ``p``
-    sends ``facets[i]`` to ``facets[p[i]]``; swaps that move no facet are
-    dropped, so a complex without twins gets ``[]``.
+    equivalence, and its classes are found by swapping each class's
+    first vertex with every later vertex.  For a class ``c0 < c1 < … <
+    ck`` the generators are the facet permutations of the swap ``(c0
+    c1)`` and, when ``k >= 2``, of the cycle ``c0 -> c1 -> … -> ck ->
+    c0``: a transposition and a full cycle generate every permutation of
+    the class, so the group is that of all ``k`` swaps ``(c0 ci)`` with
+    fewer generators to apply.  A generator ``p`` sends ``facets[i]`` to
+    ``facets[p[i]]``; permutations that move no facet are dropped, so a
+    complex without twins gets ``[]``.
 
-    Twin swaps generate the whole automorphism group of the edges or
-    skeleta of a complete complex and of a set of points, but only a
+    Twin permutations generate the whole automorphism group of the edges
+    or skeleta of a complete complex and of a set of points, but only a
     subgroup elsewhere: nothing on the icosahedron or the Petersen graph,
     order 8 of 48 on the octahedron's 1-skeleton.  Their orbits are then
     finer, and a verdict is constant on them all the same.
@@ -510,15 +516,19 @@ def facet_automorphisms(facets: Iterable[int]) -> list[tuple[int, ...]]:
     for k, a in enumerate(verts):
         if a in classed:
             continue
+        twins = [a]
         for b in verts[k + 1:]:
             if b in classed:
                 continue
             swap = 1 << a | 1 << b
             # a facet holding one of a and b trades it for the other
-            image = [f ^ swap if (f & swap).bit_count() == 1 else f for f in facets]
-            if all(f in position for f in image):
+            if all((f ^ swap if (f & swap).bit_count() == 1 else f) in position for f in facets):
                 classed.add(b)
-                p = tuple(position[f] for f in image)
-                if p != identity:
-                    out.append(p)
+                twins.append(b)
+        # the swap of the first two twins, then with three or more the cycle
+        for cycle in (twins[:2], twins)[:len(twins) - 1]:
+            step = dict(zip(cycle, cycle[1:] + cycle[:1]))
+            p = tuple(position[sum(1 << step.get(v, v) for v in _bits(f))] for f in facets)
+            if p != identity:
+                out.append(p)
     return out

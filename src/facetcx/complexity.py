@@ -36,10 +36,12 @@ by heredity an infeasible prefix rules the group out with no search.
 A verdict and an uncovered set's optimum are invariants of the
 complex the constrained facets generate, so both are constant on the
 orbit of a mask under the facet permutations that complex's
-automorphisms induce; the DP shares along those that swaps of twin
-vertices induce (``facet_automorphisms``).  The first probe of an orbit
-walks it once, writing the verdict and the orbit's representative to
-every member, and each optimum is stored once per orbit, at its
+automorphisms induce; the DP shares along those that permutations of
+twin vertices induce (``facet_automorphisms``), generated by one swap
+and one cycle per class of twins.  The first probe of an orbit walks
+it once, writing the verdict and the orbit's representative to every
+member at one table lookup per generator, so at most two per class of
+twins, and each optimum is stored once per orbit, at its
 representative: two byte tables plus 4 bytes per mask, 6 MB at the
 default cap, allocated before the first probe whatever the budget.  A
 source without twins has orbits of one mask.  A query's budget bounds
@@ -442,13 +444,19 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
     prefix.
 
     ``gens`` are facet permutations induced by automorphisms of the
-    complex the ``m`` facets generate; the solver passes those of its
-    twin vertex swaps (``facet_automorphisms``), which may generate only
-    a subgroup.  Such a permutation maps a group onto an isomorphic one,
-    so a verdict is constant on the orbit of its mask, and so is the
-    optimum of an uncovered set.  The first probe of an orbit walks it
-    once, writing the verdict and the orbit's representative (the probed
-    mask) to every member; the representatives take 4 bytes per mask.
+    complex the ``m`` facets generate; the solver passes a swap and a
+    cycle for each class of twin vertices (``facet_automorphisms``),
+    which may generate only a subgroup.  Such a permutation maps a group
+    onto an isomorphic one, so a verdict is constant on the orbit of its
+    mask, and so is the optimum of an uncovered set.  The first probe of
+    an orbit walks it once, writing the verdict and the orbit's
+    representative (the probed mask) to every member; the
+    representatives take 4 bytes per mask.  The walk splits each member
+    into its low and high half-mask once and applies each generator as
+    one lookup in its table for each half, so a member costs one such
+    step per generator, at most two per class of twins.  The walk always
+    reaches the whole orbit, so the tables, and the probes that follow,
+    depend on the group ``gens`` generate, not on the generators chosen.
     The optimum of each infeasible uncovered set lives in a second byte
     table at its representative (0 unknown): ``best`` asks for a set's
     verdict before its optimum, so its orbit has been walked by then.
@@ -487,10 +495,10 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
             verdict[group] = v
             rep[group] = group
             todo = [group]
-            while todo:
-                g = todo.pop()
+            for g in todo:  # the list grows to the whole orbit
+                g_lo, g_hi = g & low, g >> half
                 for lo, hi in perms:
-                    h = lo[g & low] | hi[g >> half]
+                    h = lo[g_lo] | hi[g_hi]
                     if not verdict[h]:
                         verdict[h] = v
                         rep[h] = group

@@ -232,10 +232,14 @@ def test_undecided_complexity_solves_once(capsys, tmp_path, monkeypatch):
 
 
 def test_time_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
-    """No single search of K6 edges onto an edge nears the budget; the
-    cover search as a whole runs for about 0.1 s."""
-    calls, paths = _count_solves(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
-    code, out, err = run(capsys, "complexity", *paths, "--time-budget", "0.01", "--json")
+    """No single search of the triangles of K6 into a triangle (strict)
+    nears the budget; the cover search as a whole runs for about 0.4 s
+    over 912 nodes."""
+    source = skeleton(complete_complex(6), 2)
+    calls, paths = _count_solves(monkeypatch, tmp_path, source, complete_complex(3))
+    code, out, err = run(
+        capsys, "complexity", *paths, "--kind", "strict", "--time-budget", "0.01", "--json"
+    )
     assert (code, err, len(calls)) == (4, "", 1)
     assert json.loads(out)["value"] == "undecided"
 

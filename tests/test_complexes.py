@@ -355,6 +355,34 @@ def test_generators_match_brute_force_orbits():
     assert facet_automorphisms(icosahedron.facets) == facet_automorphisms(petersen.facets) == []
 
 
+def _octahedron_edges():
+    """K_{2,2,2} on vertices 0-5, i and i + 3 opposite."""
+    return build_complex(
+        (str(i), str(j)) for i in range(6) for j in range(i + 1, 6) if j != i + 3
+    )
+
+
+@pytest.mark.parametrize(
+    "c, count",
+    [
+        (skeleton(complete_complex(7), 1), 2),
+        (
+            build_complex(
+                [*skeleton(complete_complex(7), 1).facet_lists(), ("x", "y"), ("y", "z"), ("x", "z")]
+            ),
+            4,
+        ),
+        (build_complex([], explicit_vertices=[str(i) for i in range(5)]), 2),
+        (_octahedron_edges(), 3),
+    ],
+    ids=["k7-edges", "k7-edges-and-hollow-triangle", "five-points", "k222"],
+)
+def test_at_most_two_generators_per_twin_class(c, count):
+    """One class of seven twins; that class and one of three; one class
+    of five points; three opposite pairs, one swap each."""
+    assert len(facet_automorphisms(c.facets)) == count
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_all_singleton_source_is_fully_symmetric(n):
     points = build_complex([], explicit_vertices=[str(i) for i in range(n)])

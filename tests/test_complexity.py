@@ -35,6 +35,7 @@ from facetcx.complexity import _cover_masks
 from facetcx.homsearch import TIME_EXHAUSTED, _Budget
 from facetcx.oracle import MAX_FACETS, MAX_SOURCE_VERTICES, MAX_TARGET_VERTICES
 from facetcx.verify import KINDS, VerifyConfig, _instances
+from test_complexes import _brute_force_twin_swaps
 
 
 def q(source, target, kind="facet", injective=False, **kw):
@@ -397,9 +398,9 @@ def test_feasibility_is_constant_on_facet_orbits():
     assert checked >= 500
 
 
-def test_orbit_sharing_keeps_canonical_covers():
-    """Differential over the verify stream: same cover with and without generators."""
-    compared = symmetric = 0
+def _stream_cover_queries():
+    """The verify stream's queries (seeds 1-3) that reach the cover DP:
+    the full constrained group fails and every facet maps on its own."""
     for seed in (1, 2, 3):
         cfg = VerifyConfig(seed=seed)
         for trial in range(cfg.trials):
@@ -409,20 +410,61 @@ def test_orbit_sharing_keeps_canonical_covers():
                     continue
                 for kind, injective in KINDS:
                     query = q(inst[a], inst[b], kind, injective)
-                    masks = _core(query).facets
-                    m = len(masks)
-                    probe = _fresh_probe(query)
-                    if not m or probe((1 << m) - 1):
-                        continue
-                    if not all(probe(1 << i) for i in range(m)):
-                        continue
-                    gens = facet_automorphisms(masks)
-                    shared = _cover_masks(m, _fresh_probe(query), gens, True, _fresh_budget())[1]
-                    alone = _cover_masks(m, _fresh_probe(query), (), True, _fresh_budget())[1]
-                    assert shared == alone, (seed, trial, a + b)
-                    compared += 1
-                    symmetric += bool(gens)
+                    if _reaches_cover_masks(query):
+                        yield (seed, trial, a + b), query
+
+
+def _reaches_cover_masks(query):
+    m = len(_core(query).facets)
+    probe = _fresh_probe(query)
+    return m and not probe((1 << m) - 1) and all(probe(1 << i) for i in range(m))
+
+
+def test_orbit_sharing_keeps_canonical_covers():
+    """Differential over the verify stream: same cover with and without generators."""
+    compared = symmetric = 0
+    for where, query in _stream_cover_queries():
+        masks = _core(query).facets
+        m = len(masks)
+        gens = facet_automorphisms(masks)
+        shared = _cover_masks(m, _fresh_probe(query), gens, True, _fresh_budget())[1]
+        alone = _cover_masks(m, _fresh_probe(query), (), True, _fresh_budget())[1]
+        assert shared == alone, where
+        compared += 1
+        symmetric += bool(gens)
     assert compared >= 250 and symmetric >= 150
+
+
+def _recorded_cover_masks(query, gens):
+    """``_cover_masks`` of the query with ``gens``: its answer, and every
+    group it probed, in order."""
+    probe, probed = _fresh_probe(query), []
+
+    def recording(group):
+        probed.append(group)
+        return probe(group)
+
+    m = len(_core(query).facets)
+    return _cover_masks(m, recording, gens, True, _fresh_budget()), probed
+
+
+def test_two_generators_per_twin_class_walk_like_every_twin_swap():
+    """A swap and a cycle per class of twins generate the group that all
+    twin transpositions generate, so the orbit walks write the same
+    masks: the DP probes the same groups in the same order and returns
+    the same value and cover."""
+    complete = [q(skeleton(complete_complex(n), 1), complete_complex(2)) for n in (4, 5, 6)] + [
+        q(skeleton(complete_complex(n), d), complete_complex(3), "strict")
+        for n in (4, 5, 6) for d in (1, 2)
+    ]
+    assert all(map(_reaches_cover_masks, complete))
+    queries = [*(query for _, query in _stream_cover_queries()), *complete]
+    assert len(queries) >= 250 + 9
+    for query in queries:
+        masks = _core(query).facets
+        assert _recorded_cover_masks(query, facet_automorphisms(masks)) == _recorded_cover_masks(
+            query, _brute_force_twin_swaps(masks)
+        ), query
 
 
 @pytest.mark.parametrize(
@@ -448,10 +490,24 @@ def test_orbit_sharing_keeps_canonical_covers():
             ["123 124 125", "134 135 234 235", "145 245 345"],
             12, 151,
         ),
+        (
+            skeleton(complete_complex(7), 1), complete_complex(2), "facet", 3,
+            ["12 13 14 15 26 27 36", "16 17 24 25 34 35 46 47 56", "23 37 45 57 67"],
+            74, 760,
+        ),
+        (
+            skeleton(complete_complex(6), 2), complete_complex(3), "strict", 3,
+            [
+                "123 124 135 145 236 246 356", "125 136 156 234 245 346",
+                "126 134 146 235 256 345 456",
+            ],
+            43, 912,  # 21 214 nodes without symmetry
+        ),
     ],
     ids=[
         "k6-edges-to-edge", "k6-edges-to-triangle-strict",
         "k5-edges-to-edge", "k5-triangles-to-triangle-strict",
+        "k7-edges-to-edge", "k6-triangles-to-triangle-strict",
     ],
 )
 def test_symmetry_cuts_map_searches(
@@ -466,7 +522,8 @@ def test_symmetry_cuts_map_searches(
             caches.append(self)
 
     monkeypatch.setattr(complexity, "FeasibilityCache", Recorded)
-    res = compute(q(source, target, kind))
+    # K7 has 21 edges, one past the default cap
+    res = compute(q(source, target, kind, facet_cap=max(20, len(source.facets))))
     [cache] = caches
     assert res.value == value
     assert [

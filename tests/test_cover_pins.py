@@ -4,8 +4,9 @@ Each row of ``cover_pins.json`` holds one query's value, its cover's
 groups as tuples of source facet indices, each group's witness images
 (target vertex indices over the group's vertices in canonical order),
 every field of ``bounds(q)``, and ``nodes``, the solve's map-search
-nodes.  The test recomputes every row and compares all of it except
-``nodes``.  The rows:
+nodes.  The test recomputes every row and compares all of it, ``nodes``
+included, so a change that moves only the search's steps shows too.
+The rows:
 
 * ``verify``: the queries of ``facetcx verify``'s instance stream with a
   finite value of at least 2, seeds 1-3 x 200 trials x the source/target
@@ -19,8 +20,8 @@ nodes.  The test recomputes every row and compares all of it except
   value of at least 2, their complexes stored in the row as ``.scx``.
 
 Regenerate with ``PYTHONPATH=src python tests/test_cover_pins.py`` only
-when an answer change is intended; it prints each row that changed and
-flags any change other than ``nodes``.
+when an answer or node change is intended; it prints each row that
+changed and flags any change other than ``nodes``.
 """
 
 import json
@@ -156,7 +157,7 @@ def test_cover_pins(group, rows):
     assert len(pinned) == rows
     changed = [
         key for key, row, new in _rows(group, pinned)
-        if row is None or _compared(row) != _compared(new)
+        if row is None or {k: row[k] for k in new} != new
     ]
     assert changed == []
 
