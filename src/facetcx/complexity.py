@@ -58,14 +58,16 @@ remainder that needs more groups.  It reads verdicts and stored optima
 straight from the tables, calls into the probe or the recursion only
 for undecided entries, and stops at a two-group cover, which nothing
 beats once the set itself has failed.
-The DP first finds the optimum; only ``compute`` then picks the
-canonical cover and certifies it.  The pick grows each group from the
-least uncovered facet in lexicographic order instead of scanning every
-group that holds it, and prunes a branch by heredity or by the optimum
-of the facets it leaves out.  ``graph_lower`` is the optimum of the
-cover problem between the two edge graphs, computed without a cover, so
-its sub-solve spends no nodes on certificate searches and builds no
-witness map, subcomplex or cover check.
+The DP (``_CoverDP``) answers ``feasible(group)`` and ``optimum(mask)``;
+only ``compute`` then picks the canonical cover and certifies it.  The
+pick, ``_canonical_cover``, is one function of those two questions,
+which the tests' map-enumeration referee drives too.  It grows each
+group from the least uncovered facet in lexicographic order and prunes a
+branch by heredity or by the optimum of the facets it leaves out.
+``graph_lower`` is the optimum of the cover problem between the two edge
+graphs, computed without a cover, so its sub-solve spends no nodes on
+certificate searches and builds no witness map, subcomplex or cover
+check.
 
 A graph source often needs no cover search for its value.  Let ``H``
 be the target edges a source edge may go to (the size-2 facets for kind
@@ -265,8 +267,9 @@ class _Run:
         full = (1 << m) - 1
         if cache.feasible(full):
             return 1, cache, [full] if pick else []
-        gens = facet_automorphisms(core.facets)
-        value, masks = _cover_masks(m, cache.feasible, gens, pick, self.budget)
+        dp = _CoverDP(m, cache.feasible, facet_automorphisms(core.facets), self.budget)
+        value = dp.optimum(full)
+        masks = _canonical_cover(full, dp.feasible, dp.optimum, self.budget) if pick else []
         return value, cache, masks
 
     def result(self) -> ComplexityResult:
@@ -388,22 +391,22 @@ def _graph_value(graph: Complex, target: Complex, kind: str, budget: _Budget) ->
     return _chromatic_floor(chromatic_number(graph, budget).value, c)
 
 
-def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int, list[int]]:
-    """The optimal cover size of ``m`` facets whose full group fails,
-    and with ``pick`` its canonical cover as group masks (``[]`` without).
-
+class _CoverDP:
+    """The cover DP over ``m`` facets whose full group fails, and the two
+    questions ``_canonical_cover`` asks of it: ``feasible(group)`` decides
+    a group, ``optimum(mask)`` is the fewest groups covering ``mask``.
     The ``m`` facets are those of the constrained subcomplex, and
     ``probe(group)``, a ``FeasibilityCache`` on it in ``_Run.optimum``,
     decides a group of them; every singleton must be feasible.  A DP
     over uncovered sets, pivoting on the least-indexed uncovered facet,
-    finds the optimum ``best(full)``.  For an infeasible set ``best``
+    finds ``optimum(mask)``.  For an infeasible set ``optimum``
     walks the feasible groups that hold its pivot, not all its
     submasks: each group grows by the set's facets above its highest
     one, and an infeasible extension ends that branch, since by heredity
     no group above it is feasible.  Every feasible group is reached this
     way, along the chain of its prefixes, which are all feasible.
-    ``best`` asks for the remainder's optimum only at a group that no
-    higher facet of the set extends.  That is exact because ``best`` is
+    ``optimum`` asks for the remainder's optimum only at a group that no
+    higher facet of the set extends.  That is exact because ``optimum`` is
     monotone under inclusion: a larger group leaves a smaller remainder,
     which never needs more groups, and every feasible group lies in a
     maximal one, which no facet extends.  At each group the walk stops
@@ -414,32 +417,16 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
     read through a ``1 << m`` byte table (0 unknown, 1 infeasible, 2
     feasible).  The walk reads that table, and an infeasible
     remainder's stored optimum, inline; it calls ``feasible`` or
-    ``best`` only for entries still undecided.
-
-    With ``pick`` each step then takes, for the uncovered set ``U`` of
-    optimum ``k``, the lexicographically least group (as a sorted tuple
-    of facet indices) that holds ``U``'s least facet and leaves a
-    remainder of optimum ``k - 1``.  ``grow`` walks those tuples in
-    preorder, which is lexicographic order: it tests a group on its
-    own, since a tuple precedes all its extensions, then extends it by
-    each higher facet of ``U`` in turn.  An infeasible extension is
-    pruned, since by heredity no group above it is feasible.  The
-    facets of ``U`` below the new facet and outside the group stay
-    uncovered in every group of that branch, so once they alone need
-    ``k`` groups that branch and every later one are pruned.  The walk
-    decides each group and remainder it tests through ``feasible`` and
-    ``best``, so the tables serve it as they serve the value phase; a
-    feasible ``U`` is the last group, and the walk reaches it along one
-    chain of prefixes, all below a feasible group.
+    ``optimum`` only for entries still undecided.
 
     An undecided group of two or more facets first has its prefix
     ``group ^ top`` (``top`` its highest facet bit) decided the same
     way, table and orbit walk included, and is probed only when that
     prefix is feasible; an infeasible prefix makes it infeasible with
     no probe, which is exact because feasibility is hereditary.  In the
-    walks of ``best`` and ``grow`` an extension's prefix is the group it
-    extends, already feasible, so the rule costs no probe there.  Where
-    a group is asked for on its own, as when ``best`` first tests
+    walks of ``optimum`` and the pick an extension's prefix is the group
+    it extends, already feasible, so the rule costs no probe there.  Where
+    a group is asked for on its own, as when ``optimum`` first tests
     ``mask`` itself, a feasible group can cost one extra probe for its
     prefix.
 
@@ -458,40 +445,44 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
     reaches the whole orbit, so the tables, and the probes that follow,
     depend on the group ``gens`` generate, not on the generators chosen.
     The optimum of each infeasible uncovered set lives in a second byte
-    table at its representative (0 unknown): ``best`` asks for a set's
+    table at its representative (0 unknown): ``optimum`` asks for a set's
     verdict before its optimum, so its orbit has been walked by then.
     Neither value changes under the permutations, so the cover chosen is
     the same with or without them; only the probes are fewer.
 
-    ``budget``, the query's, is checked wherever ``best`` computes a new
-    optimum and at each node of the pick's walk, so the deadline holds
-    where the tables answer every probe.  DP steps are not search
-    nodes: they read the deadline and leave ``budget.nodes`` as it is.
+    ``budget``, the query's, is checked wherever ``optimum`` computes a
+    new optimum, so the deadline holds where the tables answer every
+    probe.  DP steps are not search nodes: they read the deadline and
+    leave ``budget.nodes`` as it is.
     """
-    full = (1 << m) - 1
-    try:
-        verdict, rep, cost = bytearray(1 << m), array("I", [0]) * (1 << m), bytearray(1 << m)
-    except (OverflowError, MemoryError):
-        raise FacetCapError(f"cover tables for {m} constrained facets cannot be allocated") from None
-    verdict[full] = 1
-    rep[full] = full
-    # each permutation as two tables over the low and the high half-mask
-    half = (m + 1) // 2
-    low = (1 << half) - 1
-    perms = []
-    for p in gens:
-        lo, hi = [0] * (1 << half), [0] * (1 << (m - half))
-        for table, offset in ((lo, 0), (hi, half)):
-            for b in range(1, len(table)):
-                bit = b & -b
-                table[b] = table[b ^ bit] | 1 << p[offset + bit.bit_length() - 1]
-        perms.append((lo, hi))
 
-    def feasible(group: int) -> bool:
+    def __init__(self, m: int, probe, gens, budget: _Budget):
+        try:
+            verdict, rep, cost = bytearray(1 << m), array("I", [0]) * (1 << m), bytearray(1 << m)
+        except (OverflowError, MemoryError):
+            raise FacetCapError(f"cover tables for {m} constrained facets cannot be allocated") from None
+        verdict[-1], rep[-1] = 1, (1 << m) - 1  # the full group, known to fail
+        # each permutation as two tables over the low and the high half-mask
+        half = (m + 1) // 2
+        perms = []
+        for p in gens:
+            lo, hi = [0] * (1 << half), [0] * (1 << (m - half))
+            for table, offset in ((lo, 0), (hi, half)):
+                for b in range(1, len(table)):
+                    bit = b & -b
+                    table[b] = table[b ^ bit] | 1 << p[offset + bit.bit_length() - 1]
+            perms.append((lo, hi))
+        self.m, self.probe, self.budget, self.perms = m, probe, budget, perms
+        self.verdict, self.rep, self.cost = verdict, rep, cost
+        self.half, self.low = half, (1 << half) - 1
+
+    def feasible(self, group: int) -> bool:
+        verdict = self.verdict
         v = verdict[group]
         if not v:
+            rep, perms, half, low = self.rep, self.perms, self.half, self.low
             prefix = group ^ (1 << group.bit_length() - 1)
-            v = 2 if (not prefix or feasible(prefix)) and probe(group) else 1
+            v = 2 if (not prefix or self.feasible(prefix)) and self.probe(group) else 1
             verdict[group] = v
             rep[group] = group
             todo = [group]
@@ -505,7 +496,8 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
                         todo.append(h)
         return v == 2
 
-    def best(mask: int) -> int:
+    def optimum(self, mask: int) -> int:
+        verdict, rep, cost, feasible = self.verdict, self.rep, self.cost, self.feasible
         if mask == 0:
             return 0
         if feasible(mask):
@@ -513,8 +505,8 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
         out = cost[rep[mask]]
         if out:
             return out
-        budget.check(budget.nodes)
-        out = m  # singletons are feasible, so this many always works
+        self.budget.check(self.budget.nodes)
+        out = self.m  # singletons are feasible, so this many always works
         # the feasible groups that hold the pivot, grown by higher facets;
         # only those that no higher facet extends ask for their remainder
         todo = [mask & -mask]
@@ -536,7 +528,7 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
                     leaf = False
             if leaf:
                 # a stored optimum costs no call
-                after = verdict[left] and cost[rep[left]] or best(left)
+                after = verdict[left] and cost[rep[left]] or self.optimum(left)
                 if after + 1 < out:
                     out = after + 1
                     if out == 2:
@@ -544,40 +536,55 @@ def _cover_masks(m: int, probe, gens, pick: bool, budget: _Budget) -> tuple[int,
         cost[rep[mask]] = out
         return out
 
-    def grow(group: int, skipped: int, uncovered: int, k: int) -> int:
-        # the first group of the walk's branch at ``group`` whose remainder
-        # needs fewer than ``k`` groups, else 0; ``skipped`` holds the
-        # facets of ``uncovered`` below ``group``'s top that it leaves out
-        budget.check(budget.nodes)
-        if best(uncovered ^ group) < k:
-            return group
-        top = group.bit_length()
-        above = uncovered >> top << top
-        while above:
-            bit = above & -above
-            if skipped.bit_count() >= k and best(skipped) >= k:
-                break
-            if feasible(group | bit):
-                found = grow(group | bit, skipped, uncovered, k)
-                if found:
-                    return found
-            skipped |= bit
-            above ^= bit
-        return 0
 
+def _canonical_cover(full: int, feasible, optimum, budget: _Budget) -> list[int]:
+    """The canonical cover of the facets of ``full`` as group masks, from
+    ``feasible(group)``, hereditary and true on every singleton, and
+    ``optimum(mask)``, the fewest feasible groups covering ``mask``: the
+    solver asks ``_CoverDP``, and the tests' map-enumeration referee the
+    maximal sets of facets that one vertex map makes good.
+
+    Each step takes, for the uncovered set ``U`` of optimum ``k``, the
+    lexicographically least group (as a sorted tuple of facet indices)
+    that holds ``U``'s least facet and leaves a remainder of optimum
+    ``k - 1``.  ``_branch`` walks those tuples in preorder, which is
+    lexicographic order: it tests a group on its own, since a tuple
+    precedes all its extensions, then extends it by each higher facet of
+    ``U`` in turn.  An infeasible extension is pruned, since by heredity
+    no group above it is feasible.  The facets of ``U`` below the new
+    facet and outside the group stay uncovered in every group of that
+    branch, so once they alone need ``k`` groups that branch and every
+    later one are pruned.  A feasible ``U`` is the last group, reached
+    along one chain of prefixes, all feasible.  ``budget`` is checked at
+    each step, before its ``optimum``, and at each node of the walk.
+    """
     chosen: list[int] = []
-    uncovered = full
-    try:
-        value = best(full)
-        while pick and uncovered:
-            least = grow(uncovered & -uncovered, 0, uncovered, best(uncovered))
-            chosen.append(least)
-            uncovered ^= least
-    finally:
-        # the recursive helpers reach each other through closure cells;
-        # emptying them frees the tables on return (as in ``find_map``)
-        del feasible, best, grow
-    return value, chosen
+    while full:
+        budget.check(budget.nodes)
+        chosen.append(_branch(full & -full, 0, full, optimum(full), feasible, optimum, budget))
+        full ^= chosen[-1]
+    return chosen
+
+
+def _branch(group: int, skipped: int, uncovered: int, k: int, feasible, optimum, budget) -> int:
+    # the first group of the walk's branch at ``group`` whose remainder needs
+    # fewer than ``k`` groups, else 0; ``skipped``: facets below its top left out
+    budget.check(budget.nodes)
+    if optimum(uncovered ^ group) < k:
+        return group
+    top = group.bit_length()
+    above = uncovered >> top << top
+    while above:
+        bit = above & -above
+        if skipped.bit_count() >= k and optimum(skipped) >= k:
+            break
+        if feasible(group | bit):
+            found = _branch(group | bit, skipped, uncovered, k, feasible, optimum, budget)
+            if found:
+                return found
+        skipped |= bit
+        above ^= bit
+    return 0
 
 
 def check_cover(q: ComplexityQuery, cover: Cover) -> None:

@@ -757,7 +757,8 @@ def replay_bundle(text: str) -> tuple[bool, str]:
     A bundle is a JSON object as :func:`run_verify` writes it: ``check``
     names a known check, and ``instances`` maps names, ``L``, ``H`` and
     ``K`` among them, to ``.scx`` text.  Any other input raises
-    ``ValueError`` naming the problem.
+    ``ValueError`` naming the problem.  A check that raises fails with
+    the detail :func:`run_verify` gives it.
     """
     try:
         data = json.loads(text)
@@ -784,3 +785,5 @@ def replay_bundle(text: str) -> tuple[bool, str]:
         return True, f"{check}: passed on the bundled instances"
     except _Violation as v:
         return False, f"{check}: {v}"
+    except Exception as exc:  # noqa: BLE001 - a crash is a failure, as in run_verify
+        return False, f"{check}: check crashed: {type(exc).__name__}: {exc}"

@@ -262,7 +262,7 @@ def test_time_budget_holds_at_a_raised_cap(capsys, tmp_path, monkeypatch):
 
 def test_node_budget_bounds_the_whole_query(capsys, tmp_path, monkeypatch):
     """No single search of K6 edges onto an edge nears 200 nodes; the
-    cover search as a whole takes about 1 500."""
+    cover search as a whole takes 290."""
     calls, paths = _count_solves(monkeypatch, tmp_path, _kn_edges(6), complete_complex(2))
     code, out, err = run(capsys, "complexity", *paths, "--node-budget", "200", "--json")
     assert (code, err, len(calls)) == (4, "", 1)
@@ -351,7 +351,7 @@ def test_graph_bounds_read_two_colourings(capsys, tmp_path, monkeypatch):
         raise AssertionError("bounds ran the cover search")
 
     monkeypatch.setattr(complexity, "FeasibilityCache", refuse)
-    monkeypatch.setattr(complexity, "_cover_masks", refuse)
+    monkeypatch.setattr(complexity, "_CoverDP", refuse)
     for argv, n in ((["complexity", "--bounds-only"], 6), (["bounds"], 7)):
         paths = _paths(tmp_path, _kn_edges(n), complete_complex(2))
         code, out, err = run(capsys, argv[0], *paths, *argv[1:], "--json")

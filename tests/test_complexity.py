@@ -31,7 +31,7 @@ from facetcx import (
     VertexMap,
 )
 from facetcx.complexes import _bits, _precedes, _subcomplex, facet_automorphisms, generate, skeleton
-from facetcx.complexity import _cover_masks
+from facetcx.complexity import _CoverDP, _canonical_cover
 from facetcx.homsearch import TIME_EXHAUSTED, _Budget
 from facetcx.oracle import MAX_FACETS, MAX_SOURCE_VERTICES, MAX_TARGET_VERTICES
 from facetcx.verify import KINDS, VerifyConfig, _instances
@@ -410,11 +410,11 @@ def _stream_cover_queries():
                     continue
                 for kind, injective in KINDS:
                     query = q(inst[a], inst[b], kind, injective)
-                    if _reaches_cover_masks(query):
+                    if _reaches_cover_dp(query):
                         yield (seed, trial, a + b), query
 
 
-def _reaches_cover_masks(query):
+def _reaches_cover_dp(query):
     m = len(_core(query).facets)
     probe = _fresh_probe(query)
     return m and not probe((1 << m) - 1) and all(probe(1 << i) for i in range(m))
@@ -427,17 +427,25 @@ def test_orbit_sharing_keeps_canonical_covers():
         masks = _core(query).facets
         m = len(masks)
         gens = facet_automorphisms(masks)
-        shared = _cover_masks(m, _fresh_probe(query), gens, True, _fresh_budget())[1]
-        alone = _cover_masks(m, _fresh_probe(query), (), True, _fresh_budget())[1]
+        shared = _dp_cover(m, _fresh_probe(query), gens)[1]
+        alone = _dp_cover(m, _fresh_probe(query), ())[1]
         assert shared == alone, where
         compared += 1
         symmetric += bool(gens)
     assert compared >= 250 and symmetric >= 150
 
 
-def _recorded_cover_masks(query, gens):
-    """``_cover_masks`` of the query with ``gens``: its answer, and every
-    group it probed, in order."""
+def _dp_cover(m, probe, gens, budget=None):
+    """The value and canonical cover masks of ``m`` facets that the cover
+    DP over ``probe`` gives, as ``_Run.optimum`` with ``pick`` asks."""
+    budget = budget or _fresh_budget()
+    dp, full = _CoverDP(m, probe, gens, budget), (1 << m) - 1
+    return dp.optimum(full), _canonical_cover(full, dp.feasible, dp.optimum, budget)
+
+
+def _recorded_cover(query, gens):
+    """The value and cover of the query's cover DP with ``gens``, and
+    every group it probed, in order."""
     probe, probed = _fresh_probe(query), []
 
     def recording(group):
@@ -445,7 +453,7 @@ def _recorded_cover_masks(query, gens):
         return probe(group)
 
     m = len(_core(query).facets)
-    return _cover_masks(m, recording, gens, True, _fresh_budget()), probed
+    return _dp_cover(m, recording, gens), probed
 
 
 def test_two_generators_per_twin_class_walk_like_every_twin_swap():
@@ -457,12 +465,12 @@ def test_two_generators_per_twin_class_walk_like_every_twin_swap():
         q(skeleton(complete_complex(n), d), complete_complex(3), "strict")
         for n in (4, 5, 6) for d in (1, 2)
     ]
-    assert all(map(_reaches_cover_masks, complete))
+    assert all(map(_reaches_cover_dp, complete))
     queries = [*(query for _, query in _stream_cover_queries()), *complete]
     assert len(queries) >= 250 + 9
     for query in queries:
         masks = _core(query).facets
-        assert _recorded_cover_masks(query, facet_automorphisms(masks)) == _recorded_cover_masks(
+        assert _recorded_cover(query, facet_automorphisms(masks)) == _recorded_cover(
             query, _brute_force_twin_swaps(masks)
         ), query
 
@@ -600,13 +608,12 @@ def _hereditary_family(rng, m, perm=None):
     return {g for g in range(1, full + 1) if any(g & ~t == 0 for t in tops)}
 
 
-def _brute_cover(m, family):
-    """Canonical optimal cover from the fewest-groups count of every mask.
+def _fewest(m, family):
+    """The fewest groups of the hereditary ``family`` that cover each mask.
 
     A mask takes k groups exactly when it lies below a union of k
-    maximal groups, since the family is hereditary: the unions are
-    enumerated k = 1, 2, ... and each count is pushed down to the masks
-    below."""
+    maximal groups: the unions are enumerated k = 1, 2, ... and each
+    count is pushed down to the masks below."""
     full = (1 << m) - 1
     tops = [g for g in family if all(g | 1 << i not in family for i in range(m) if not g >> i & 1)]
     unions = {0: 0}
@@ -626,7 +633,15 @@ def _brute_cover(m, family):
         for a in range(1 << m):
             if a >> i & 1 and fewest[a] < fewest[a ^ 1 << i]:
                 fewest[a ^ 1 << i] = fewest[a]
-    chosen, uncovered = [], full
+    return fewest
+
+
+def _brute_cover(m, family):
+    """Canonical optimal cover: at each step the lexicographically least
+    group, among all of ``family``, that holds the least uncovered facet
+    and leaves a remainder of one group fewer."""
+    fewest = _fewest(m, family)
+    chosen, uncovered = [], (1 << m) - 1
     while uncovered:
         pivot = uncovered & -uncovered
         pick = min(
@@ -639,13 +654,13 @@ def _brute_cover(m, family):
     return chosen
 
 
-def test_cover_masks_decides_prefixes_first():
+def test_cover_dp_decides_prefixes_first():
     """Seeded hereditary families of up to 12 facets, some closed under a
-    known facet permutation: the canonical cover matches brute force, so
-    deep picks are checked too, and so does the value of a run without
-    the pick, which ``graph_lower`` takes.  In both, no group is probed
-    twice, nor once its prefix (the group less its highest facet) is
-    known to fail."""
+    known facet permutation: the DP's value matches brute force, and so
+    does the canonical cover picked over it, so deep picks are checked
+    too.  With and without the pick, which ``graph_lower`` skips, no group
+    is probed twice, nor once its prefix (the group less its highest
+    facet) is known to fail."""
     rng = random.Random(10)
     for trial in range(240):
         m = rng.randint(2, 12)
@@ -663,16 +678,47 @@ def test_cover_masks_decides_prefixes_first():
                     assert group ^ (1 << group.bit_length() - 1) in family, (trial, group)
                 return group in family
 
-            value, cover = _cover_masks(m, probe, gens, pick, _fresh_budget())
-            assert value == len(expected), (trial, pick)
-            assert cover == (expected if pick else []), (trial, pick)
+            budget = _fresh_budget()
+            dp, full = _CoverDP(m, probe, gens, budget), (1 << m) - 1
+            assert dp.optimum(full) == len(expected), (trial, pick)
+            if pick:
+                assert _canonical_cover(full, dp.feasible, dp.optimum, budget) == expected, trial
+
+
+def test_canonical_cover_matches_brute_force():
+    """The pick on its own, over a brute-force ``feasible`` and
+    ``optimum`` of the same 240 families: the first optimal group in
+    lexicographic order at every step, as ``_brute_cover`` scans for it."""
+    rng = random.Random(10)
+    for trial in range(240):
+        m = rng.randint(2, 12)
+        perm = tuple(rng.sample(range(m), m)) if trial % 2 else None
+        family = _hereditary_family(rng, m, perm)
+        fewest = _fewest(m, family)
+        cover = _canonical_cover((1 << m) - 1, family.__contains__, fewest.__getitem__,
+                                 _fresh_budget())
+        assert cover == _brute_cover(m, family), trial
 
 
 def _fresh_budget():
     return _Budget(SearchLimits())
 
 
-def test_cover_masks_reads_the_deadline():
+def test_canonical_cover_reads_the_deadline():
+    """A deadline that has passed stops the pick before it asks its first
+    optimum."""
+    budget = _fresh_budget()
+    budget.deadline = time.monotonic() - 1
+
+    def optimum(mask):
+        raise AssertionError("optimum asked after the deadline")
+
+    with pytest.raises(UndecidedError) as exc:
+        _canonical_cover(0b111, lambda g: True, optimum, budget)
+    assert (exc.value.reason, exc.value.nodes) == (TIME_EXHAUSTED, 0)
+
+
+def test_cover_dp_reads_the_deadline():
     """Every verdict comes from the probe's table, so no map search reads
     the budget; the DP itself stops at a deadline that has passed, and so
     does the pick at a deadline that passes once the value is known.
@@ -686,12 +732,12 @@ def test_cover_masks_reads_the_deadline():
     budget = _fresh_budget()
     budget.deadline = time.monotonic() - 1
     with pytest.raises(UndecidedError) as exc:
-        _cover_masks(8, lambda g: g.bit_count() <= 2, (), False, budget)
+        _CoverDP(8, lambda g: g.bit_count() <= 2, (), budget).optimum(255)
     assert (exc.value.reason, exc.value.nodes) == (TIME_EXHAUSTED, 0)
 
     for m in (3, 8, 12):
         full = (1 << m) - 1
-        assert _cover_masks(m, lambda g: g != full, (), True, _fresh_budget()) == (2, [1, full ^ 1])
+        assert _dp_cover(m, lambda g: g != full, ()) == (2, [1, full ^ 1])
         budget = _fresh_budget()
         probed = []
 
@@ -703,7 +749,7 @@ def test_cover_masks_reads_the_deadline():
             return group != full
 
         with pytest.raises(UndecidedError) as exc:
-            _cover_masks(m, probe, (), True, budget)
+            _dp_cover(m, probe, (), budget)
         assert (exc.value.reason, exc.value.nodes, probed[-1]) == (TIME_EXHAUSTED, 0, full ^ 1)
 
 
@@ -831,8 +877,8 @@ def test_graph_value_matches_the_cover_search(monkeypatch):
         (build_complex([], ["a", "b"]), set()),
     ]
     searched = []
-    real = complexity._cover_masks
-    monkeypatch.setattr(complexity, "_cover_masks", lambda *a: searched.append(a) or real(*a))
+    real = complexity._CoverDP
+    monkeypatch.setattr(complexity, "_CoverDP", lambda *a: searched.append(a) or real(*a))
     rng = random.Random("graph value")
     declined = oracle = 0
     for _ in range(30):

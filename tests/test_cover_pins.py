@@ -17,7 +17,11 @@ The rows:
   icosahedron into a triangle (strict), the Petersen graph onto the
   5-cycle and the octahedron's 1-skeleton K_{2,2,2} onto an edge;
 * ``random``: the random pairs of the benchmark corpus with a finite
-  value of at least 2, their complexes stored in the row as ``.scx``.
+  value of at least 2, their complexes stored in the row as ``.scx``;
+* ``family2d``: the 11 pairs of ROADMAP's 2-dimensional family (random
+  sources of dimension 2 with 16-20 constrained facets), rebuilt from
+  the ROADMAP's recipe by the regenerator and stored in the row as
+  ``.scx`` like the ``random`` rows.
 
 Regenerate with ``PYTHONPATH=src python tests/test_cover_pins.py`` only
 when an answer or node change is intended; it prints each row that
@@ -26,6 +30,7 @@ changed and flags any change other than ``nodes``.
 
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -33,9 +38,10 @@ import pytest
 
 import facetcx
 from facetcx import (
-    ComplexityQuery, bounds, build_complex, complexity, compute, complete_complex, samples,
-    skeleton,
+    ComplexityQuery, bounds, build_complex, complexity, compute, complete_complex,
+    required_facet_indices, samples, skeleton,
 )
+from facetcx.complexes import generate
 from facetcx.scx import parse_scx, serialize_scx
 from facetcx.verify import VerifyConfig, _instances
 
@@ -122,13 +128,39 @@ def family_queries():
     yield _key("family", "K222"), octahedron, edge, "facet", False
 
 
+def family2d_queries():
+    """ROADMAP's 2-dimensional family: seeded random pairs, kept when a
+    pair has 16-20 constrained facets, a source of dimension at least 2
+    and a finite value of at least 2, until 11 are kept; the kind is
+    ``facet`` for pair 1 and then alternates, and none is injective."""
+    rng = random.Random(7)
+    kept = 0
+    while kept < 11:
+        source = generate("random", rng.randint(7, 9), {
+            "seed": rng.randrange(1 << 30), "density": rng.uniform(0.2, 0.5),
+            "max_facet_size": 3,
+        })
+        target = generate("random", rng.randint(4, 6), {
+            "seed": rng.randrange(1 << 30), "density": rng.uniform(0.3, 0.8),
+            "max_facet_size": 3,
+        })
+        kind = "strict" if kept % 2 else "facet"
+        q = ComplexityQuery(source, target, kind)
+        if 16 <= len(required_facet_indices(q)) <= 20 and source.dim >= 2:
+            value = compute(q).value
+            if 2 <= value < math.inf:
+                kept += 1
+                yield _key("family2d", f"pair-{kept}", kind), source, target, kind, False
+
+
 def _pinned(group: str) -> dict:
     return {k: row for k, row in json.loads(PINS.read_text()).items() if k.split("/")[0] == group}
 
 
 def _query(key: str, row: dict) -> tuple:
-    """The query of a ``verify`` or ``random`` row: (source, target, kind, injective)."""
-    if key.startswith("random/"):
+    """The query of a ``verify`` row, or of a row that stores its complexes:
+    (source, target, kind, injective)."""
+    if "source" in row:
         return parse_scx(row["source"]), parse_scx(row["target"]), row["kind"], row["injective"]
     # rebuild only the trial the row names
     _, seed, trial, pair, kind = key.split("/")
@@ -151,7 +183,9 @@ def _compared(row: dict) -> dict:
     return {k: row[k] for k in ("value", "groups", "images", "bounds")}
 
 
-@pytest.mark.parametrize("group, rows", [("verify", 288), ("family", 13), ("random", 112)])
+@pytest.mark.parametrize(
+    "group, rows", [("verify", 288), ("family", 13), ("random", 112), ("family2d", 11)],
+)
 def test_cover_pins(group, rows):
     pinned = _pinned(group)
     assert len(pinned) == rows
@@ -180,7 +214,7 @@ def test_optimum_is_the_solved_value():
         value, _, chosen = complexity._Run(q).optimum(False)
         assert (value, chosen) == (compute(q).value, []), key
         checked += 1
-    assert checked == 413 + len(SEEDS) * TRIALS * 3 * len(KINDS)
+    assert checked == 424 + len(SEEDS) * TRIALS * 3 * len(KINDS)
 
 
 def _random_queries():
@@ -228,7 +262,7 @@ if __name__ == "__main__":
             pins[key] = answer(source, target, kind, inj)
     for key, source, target, kind, inj in family_queries():
         pins[key] = answer(source, target, kind, inj)
-    for key, source, target, kind, inj in _random_queries():
+    for key, source, target, kind, inj in (*_random_queries(), *family2d_queries()):
         value = compute(ComplexityQuery(source, target, kind, inj)).value
         if 2 <= value < math.inf:
             pins[key] = {

@@ -114,12 +114,27 @@ def test_malformed_bundle_is_input_error(capsys, tmp_path, text, message):
     assert message in captured.err
 
 
-def test_crashing_check_is_reported_not_raised(monkeypatch):
+def _crashing_report(monkeypatch):
     def check_crashes(ctx, inst):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(verify_mod.CHECKS, "check_crashes", check_crashes)
     monkeypatch.setitem(verify_mod.SUITES, "crashy", (check_crashes,))
-    report = run_verify(small_cfg(trials=1, suites=("crashy",)))
+    return run_verify(small_cfg(trials=1, suites=("crashy",)))
+
+
+def test_crashing_check_is_reported_not_raised(monkeypatch):
+    report = _crashing_report(monkeypatch)
     assert not report.ok
     assert any("crash" in f.detail for f in report.failures)
+
+
+def test_replayed_crash_is_a_failure_not_a_traceback(monkeypatch, capsys, tmp_path):
+    """The bundle of a crashed check replays as a failed check (exit 5)
+    with the detail the run reported, not as a raised exception."""
+    path = tmp_path / "crash.json"
+    path.write_text(_crashing_report(monkeypatch).failures[0].bundle)
+    assert cli.run(["verify", "--replay", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert "check_crashes: check crashed: RuntimeError: boom" in captured.out
+    assert "Traceback" not in captured.out + captured.err
