@@ -92,45 +92,42 @@ def _search(n: int, last_checks: list[list[list[int]]], budget: _Budget):
 
     ``last_checks[v]`` lists the facets completed by coloring vertex v,
     each as its other members' indices; a facet fails when all of them
-    share v's color.  Each color placed is a search node, charged over
-    every k to ``budget``.
+    share v's color.  The search is one loop over the vertices, which
+    tries each vertex's colours in increasing order and backs up to the
+    previous vertex when they run out.  Each color placed is a search
+    node, charged over every k to ``budget``.
     """
     colors = [0] * n
-    k = 0
+    opened = [0] * n  # opened[v]: the largest colour used before v
     nodes = budget.nodes
     stop = budget.check(nodes)
-
-    def admissible(v: int, col: int) -> bool:
-        for members in last_checks[v]:
-            if all(colors[u] == col for u in members):
-                return False
-        return True
-
-    def place(v: int, opened: int) -> bool:
-        nonlocal nodes, stop
-        if v == n:
-            return True
-        top = min(opened + 1, k)
-        for col in range(1, top + 1):
-            if admissible(v, col):
+    try:
+        for k in range(2, n + 1):
+            v = 0
+            while v >= 0:
+                col = colors[v] + 1
+                top = min(opened[v] + 1, k)
+                while col <= top:
+                    for members in last_checks[v]:
+                        if all(colors[u] == col for u in members):
+                            break
+                    else:
+                        break
+                    col += 1
+                if col > top:
+                    colors[v] = 0
+                    v -= 1
+                    continue
                 nodes += 1
                 if nodes >= stop:
                     stop = budget.check(nodes)
                 colors[v] = col
-                if place(v + 1, max(opened, col)):
-                    return True
-                colors[v] = 0
-        return False
-
-    try:
-        for k in range(2, n + 1):
-            if place(0, 0):
-                return k, tuple(colors)
+                v += 1
+                if v == n:
+                    return k, tuple(colors)
+                opened[v] = max(opened[v - 1], col)
     finally:
         budget.nodes = nodes
-        # ``place`` reaches itself through a closure cell; emptying it
-        # frees the search on return, not at the next cyclic collection
-        del place
     raise AssertionError("n colors always suffice")  # pragma: no cover
 
 

@@ -64,6 +64,7 @@ from .complexes import Complex, _bits, _degree_tables, _subcomplex
 from .maps import VertexMap, _classify_masks, _meets, check_kind
 
 TIME_EXHAUSTED = "time budget exhausted"
+DEPTH_EXHAUSTED = "recursion depth exhausted"
 
 
 class UndecidedError(Exception):
@@ -284,6 +285,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
                 later[v].append(stage)
         placed_by |= stage[0]
 
+    onto = kind == "facet"
     assign = [-1] * src.n
     used = 0
     budget = _budget(problem.limits)
@@ -301,7 +303,7 @@ def find_map(problem: SearchProblem) -> SearchResult:
                     unplaced += 1
                 else:
                     pre |= 1 << u
-            if kind == "facet":
+            if onto:
                 # the unplaced vertices must cover the rest of g, and
                 # injectively only with vertices nobody uses yet
                 for g in cands:
@@ -333,76 +335,56 @@ def find_map(problem: SearchProblem) -> SearchResult:
                 remaining.append(v)
             else:
                 pre |= 1 << u
-        if kind == "facet":
+        if onto:
             for g in cands:
                 if pre & ~g:
                     continue
                 uncovered = g & ~pre
                 if len(remaining) < uncovered.bit_count():
                     continue
-                if extend_onto(si, g, remaining, 0, uncovered):
+                if extend(si, g, remaining, 0, uncovered):
                     return True
             return False
-        # strict: ``fits_later`` kept the images placed so far distinct
+        # strict: ``fits_later`` kept the images placed so far distinct,
+        # and ``extend`` narrows ``viable`` only to non-empty lists
         viable = [g for g in cands if not pre & ~g]
-        return extend_into(si, viable, remaining, 0, pre)
+        return bool(viable) and extend(si, viable, remaining, 0, pre)
 
-    def extend_onto(si, g, remaining, ri, uncovered) -> bool:
+    def extend(si, g, remaining, ri, have) -> bool:
+        """Place stage ``si``'s ``remaining[ri:]``.  Kind ``facet``: onto
+        target facet ``g``, missing ``have``; kind ``strict``: into one of
+        the target facets listed in ``g``, holding images ``have``."""
         nonlocal used, nodes, stop
         if ri == len(remaining):
             return run_stage(si + 1)
         v = remaining[ri]
-        left = len(remaining) - ri
-        pool = g & compat[v]
+        if onto:
+            pool = g & compat[v]
+            left = len(remaining) - ri - 1
+        else:
+            pool = 0
+            for h in g:
+                pool |= h
+            pool &= compat[v] & ~have
         if inj:
             pool &= ~used
         while pool:
             bit = pool & -pool
             pool ^= bit
-            u = bit.bit_length() - 1
-            rest = uncovered & ~bit
-            if left - 1 < rest.bit_count():
-                continue
+            if onto:
+                nxt_g, nxt_have = g, have & ~bit
+                if left < nxt_have.bit_count():
+                    continue
+            else:
+                # ``pool`` holds only vertices of viable facets
+                nxt_g, nxt_have = [h for h in g if h & bit], have | bit
             nodes += 1
             if nodes >= stop:
                 stop = budget.check(nodes)
-            assign[v] = u
+            assign[v] = bit.bit_length() - 1
             if inj:
                 used |= bit
-            if (not later[v] or fits_later(v)) and extend_onto(si, g, remaining, ri + 1, rest):
-                return True
-            assign[v] = -1
-            if inj:
-                used &= ~bit
-        return False
-
-    def extend_into(si, viable, remaining, ri, fimg) -> bool:
-        nonlocal used, nodes, stop
-        if not viable:
-            return False
-        if ri == len(remaining):
-            return run_stage(si + 1)
-        v = remaining[ri]
-        pool = 0
-        for g in viable:
-            pool |= g
-        pool &= compat[v] & ~fimg
-        if inj:
-            pool &= ~used
-        while pool:
-            bit = pool & -pool
-            pool ^= bit
-            u = bit.bit_length() - 1
-            # ``pool`` holds only vertices of viable facets
-            narrowed = [g for g in viable if g & bit]
-            nodes += 1
-            if nodes >= stop:
-                stop = budget.check(nodes)
-            assign[v] = u
-            if inj:
-                used |= bit
-            if (not later[v] or fits_later(v)) and extend_into(
-                    si, narrowed, remaining, ri + 1, fimg | bit):
+            if (not later[v] or fits_later(v)) and extend(si, nxt_g, remaining, ri + 1, nxt_have):
                 return True
             assign[v] = -1
             if inj:
@@ -424,12 +406,16 @@ def find_map(problem: SearchProblem) -> SearchResult:
 
     try:
         searched = run_stage(0)
+    except RecursionError:
+        # a frame per stage and per placed vertex: a deep source outruns
+        # the stack, which is a budget like the others
+        raise UndecidedError(nodes, DEPTH_EXHAUSTED) from None
     finally:
         budget.nodes = nodes
         # the recursive helpers reach each other through closure cells;
         # emptying them frees the search's tables on return, not at the
         # next cyclic collection
-        del run_stage, extend_onto, extend_into, place_free
+        del run_stage, extend, place_free
     nodes -= start
     if not searched:
         return SearchResult(False, None, nodes)

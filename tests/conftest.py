@@ -1,6 +1,6 @@
 import pytest
 
-from facetcx import samples
+from facetcx import build_complex, samples
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +13,13 @@ def bowtie():
 def tailed():
     """Filled triangle a'b'c' with a tail edge c'd'."""
     return samples.load("tailed_triangle")
+
+
+@pytest.fixture(scope="session")
+def deep_path():
+    """A path of 1 500 vertices, labelled in path order: far deeper than
+    any default recursion limit of the supported Pythons (3.10-3.13)."""
+    return build_complex([(f"v{i:04d}", f"v{i + 1:04d}") for i in range(1499)])
 
 
 @pytest.fixture()

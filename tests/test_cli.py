@@ -497,6 +497,20 @@ def test_chromatic_command(capsys, fixture_files):
     assert set(data["witness"]) == {"a", "b", "c", "d", "e"}
 
 
+def test_deep_source_colours_and_bounds(capsys, tmp_path, deep_path):
+    """A path past the recursion limit: its colouring and its bounds into
+    an edge are answered, not a traceback."""
+    path = tmp_path / "path.scx"
+    path.write_text(serialize_scx(deep_path))
+    edge = tmp_path / "edge.scx"
+    edge.write_text(serialize_scx(complete_complex(2)))
+    code, out, err = run(capsys, "chromatic", str(path), "--json")
+    assert (code, err, json.loads(out)["value"]) == (0, "", 2)
+    code, out, err = run(capsys, "complexity", str(path), str(edge), "--bounds-only", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bounds"]["chromatic_lower"] == 1
+
+
 def test_chromatic_keeps_to_the_budget(capsys, tmp_path, fixture_files):
     """Colouring the 40-vertex graph runs for longer than any test; a
     budget makes each mode exit 4 with an undecided payload, while runs

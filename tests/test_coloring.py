@@ -170,6 +170,14 @@ def test_isolated_vertices_color_freely():
     assert m.isolated == ("z",)
 
 
+def test_chromatic_search_works_at_any_depth(deep_path):
+    """The colouring search is a loop, so a path past the recursion limit
+    takes its two colours in turn."""
+    res = chromatic_number(deep_path)
+    assert res.value == 2
+    assert res.witness.assignment == (1, 2) * 750
+
+
 def test_chromatic_search_keeps_to_its_limits():
     """K6 needs a colour per vertex; its search places 2 + 3 + ... + 6
     colours, k from 2 to 6, so 19 nodes run out and 20 do not."""

@@ -782,8 +782,10 @@ def test_precedes_is_lexicographic_order_on_bit_indices():
 
 
 def test_solver_leaves_no_cyclic_garbage():
-    """The recursive searches free themselves on return, so a solve, its
-    bounds and a chromatic number leave nothing for the cyclic collector."""
+    """The map search empties its recursive helpers' closure cells on
+    return, and the cover DP and the colouring loop hold no closures, so a
+    solve, its bounds and a chromatic number leave nothing for the cyclic
+    collector."""
     k6 = skeleton(complete_complex(6), 1)
     query = q(k6, complete_complex(2))
     gc.collect()

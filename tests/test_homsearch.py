@@ -20,7 +20,7 @@ from facetcx import (
     generate,
 )
 from facetcx.complexes import _bits
-from facetcx.homsearch import TIME_EXHAUSTED, _Budget
+from facetcx.homsearch import DEPTH_EXHAUSTED, TIME_EXHAUSTED, _Budget
 from facetcx.scx import serialize_scx
 
 PINS = Path(__file__).with_name("homsearch_pins.json")
@@ -455,6 +455,26 @@ def test_map_check_budget_runs_out_while_placing_free_vertices(capsys, tmp_path)
     target.write_text(serialize_scx(_edge_plus_isolated(28)))
     code = cli.run(["map-check", str(source), str(target), "--node-budget", "5"])
     assert (code, capsys.readouterr().out) == (4, "UNDECIDED after 6 nodes\n")
+
+
+def test_stack_exhaustion_is_undecided(deep_path):
+    """The search recurses a frame per stage and per placed vertex, so a
+    path past the recursion limit outruns the stack: that is a search out
+    of budget, not a crash."""
+    with pytest.raises(UndecidedError) as exc:
+        find_map(SearchProblem(deep_path, complete_complex(2)))
+    assert exc.value.reason == DEPTH_EXHAUSTED
+    assert 0 < exc.value.nodes < 1500
+
+
+def test_map_check_on_a_deep_source_exits_4(capsys, tmp_path, deep_path):
+    source, target = tmp_path / "path.scx", tmp_path / "edge.scx"
+    source.write_text(serialize_scx(deep_path))
+    target.write_text(serialize_scx(complete_complex(2)))
+    code = cli.run(["map-check", str(source), str(target), "--json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (4, "")
+    assert json.loads(out)["found"] == "undecided"
 
 
 if __name__ == "__main__":
