@@ -33,37 +33,43 @@ entries for ``m`` constrained facets, so a repeated probe costs one
 lookup.  A group of two or more facets is searched only after its
 prefix, the group less its highest facet, is decided and feasible;
 by heredity an infeasible prefix rules the group out with no search.
-A verdict and an uncovered set's optimum are invariants of the
-complex the constrained facets generate, so both are constant on the
-orbit of a mask under the facet permutations that complex's
-automorphisms induce; the DP shares along those that permutations of
-twin vertices induce (``facet_automorphisms``), generated by one swap
-and one cycle per class of twins.  The first probe of an orbit walks
-it once, writing the verdict and the orbit's representative to every
-member at one table lookup per generator, so at most two per class of
-twins, and each optimum is stored once per orbit, at its
-representative: two byte tables plus 4 bytes per mask, 6 MB at the
+A verdict and the number of groups an uncovered set needs are
+invariants of the complex the constrained facets generate, so both are
+constant on the orbit of a mask under the facet permutations that
+complex's automorphisms induce; the DP shares along those that
+permutations of twin vertices induce (``facet_automorphisms``),
+generated by one swap and one cycle per class of twins.  The first
+probe of an orbit walks it once, writing the verdict and the orbit's
+representative to every member at one table lookup per generator, so
+at most two per class of twins, and what the DP has proven about the
+set's number of groups is stored once per orbit, at its
+representative: three byte tables plus 4 bytes per mask, 7 MB at the
 default cap, allocated before the first probe whatever the budget.  A
 source without twins has orbits of one mask.  A query's budget bounds
 the whole run, ``bounds``' colourings and ``graph_lower`` sub-solve
 included; the DP's own steps read its deadline but are not counted as
 nodes.
 
-For an uncovered set that fails as one group, the DP walks only the
-feasible groups that hold its least facet, growing each by higher
-facets and ending a branch at an infeasible extension, as heredity
-allows; it asks for a remainder's optimum only at a group no higher
-facet extends, which is exact because a larger group never leaves a
-remainder that needs more groups.  It reads verdicts and stored optima
-straight from the tables, calls into the probe or the recursion only
-for undecided entries, and stops at a two-group cover, which nothing
-beats once the set itself has failed.
-The DP (``_CoverDP``) answers ``feasible(group)`` and ``optimum(mask)``;
-only ``compute`` then picks the canonical cover and certifies it.  The
-pick, ``_canonical_cover``, is one function of those two questions,
-which the tests' map-enumeration referee drives too.  It grows each
-group from the least uncovered facet in lexicographic order and prunes a
-branch by heredity or by the optimum of the facets it leaves out.
+The DP asks only yes/no questions: do ``k`` groups cover this set?
+The value is the least ``k`` for which the whole set says yes, asked
+for ``k = 2, 3, …`` in turn.  For an uncovered set that fails as one
+group, the DP walks only the feasible groups that hold its least facet,
+growing each by higher facets and ending a branch at an infeasible
+extension, as heredity allows; it asks whether ``k - 1`` groups cover
+the remainder only at a group no higher facet extends, which is exact
+because a larger group never leaves a remainder that needs more groups,
+and it stops at the first yes.  Per orbit it keeps the bracket its
+answers prove: no cover by fewer groups than its low end, a cover by
+its high end.  It reads verdicts and brackets straight from the tables,
+calls into the probe or the recursion only for undecided entries, and
+stops at once at a group whose remainder is known to be feasible.
+The DP (``_CoverDP``) answers ``feasible(group)`` and ``covers(mask,
+k)``; only ``compute`` then picks the canonical cover and certifies it.
+The pick, ``_canonical_cover``, is one function of those two questions
+and the value, which the tests' map-enumeration referee drives too.  It
+grows each group from the least uncovered facet in lexicographic order,
+and prunes a branch by heredity or once ``k - 1`` groups cannot cover
+the facets it leaves out.
 ``graph_lower`` is the optimum of the cover problem between the two edge
 graphs, computed without a cover, so its sub-solve spends no nodes on
 certificate searches and builds no witness map, subcomplex or cover
@@ -206,14 +212,25 @@ class _Run:
     needed; and, once ``result`` has run, the solve's ``outcome``: its
     ``ComplexityResult`` or the ``UndecidedError`` it raised.  The
     ``FeasibilityCache`` is built only when the cover search runs, so
-    bounds alone and an infinite query build no cache.
+    bounds alone and an infinite query build no cache.  ``chromatic``
+    keeps each complex's chromatic number once it is coloured; the
+    ``graph_lower`` sub-run shares it, so a run colours each complex once.
     """
 
-    def __init__(self, q: ComplexityQuery):
+    def __init__(self, q: ComplexityQuery, chromatic: dict[Complex, int] | None = None):
         self.q = q
         self.budget = _budget(q.limits)
         self.required = required_facet_indices(q)
         self.outcome: ComplexityResult | UndecidedError | None = None
+        self.chromatic = {} if chromatic is None else chromatic
+
+    def chi(self, c: Complex) -> int:
+        """``c``'s chromatic number, coloured on the run's budget the first
+        time it is asked for."""
+        chi = self.chromatic.get(c)
+        if chi is None:
+            chi = self.chromatic[c] = chromatic_number(c, self.budget).value
+        return chi
 
     @cached_property
     def finite(self) -> bool:
@@ -236,9 +253,12 @@ class _Run:
         order, so ``masks``, the cache's keys and the facet automorphisms
         are all masks over them.  That subcomplex keeps the source's vertex
         order, so each search takes the same steps as on the source.
-        Without ``pick`` no group is certified, so ``bounds`` reads the
-        optimum here at the cost of the probes alone.  More constrained
-        facets than ``q.facet_cap`` raise ``FacetCapError``.
+        When the whole constrained group fails, the value is the least
+        ``k = 2, 3, …`` for which the cover DP says that ``k`` groups
+        cover it, and the pick starts from that ``k``.  Without ``pick``
+        no group is certified, so ``bounds`` reads the optimum here at the
+        cost of the probes alone.  More constrained facets than
+        ``q.facet_cap`` raise ``FacetCapError``.
 
         Without ``pick``, a finite non-injective query whose constrained
         facets are all edges is first answered from colourings when the
@@ -256,7 +276,7 @@ class _Run:
         core = source if m == len(source.facets) else _subcomplex(
             source, [source.facets[i] for i in self.required])
         if not pick and not q.injective and core.dim == 1 and self.finite:
-            value = _graph_value(core, q.target, q.kind, self.budget)
+            value = self._graph_value(core)
             if value is not None:
                 return value, None, []
         if m > q.facet_cap:
@@ -268,8 +288,10 @@ class _Run:
         if cache.feasible(full):
             return 1, cache, [full] if pick else []
         dp = _CoverDP(m, cache.feasible, facet_automorphisms(core.facets), self.budget)
-        value = dp.optimum(full)
-        masks = _canonical_cover(full, dp.feasible, dp.optimum, self.budget) if pick else []
+        value = 2
+        while not dp.covers(full, value):
+            value += 1
+        masks = _canonical_cover(full, dp.feasible, dp.covers, value, self.budget) if pick else []
         return value, cache, masks
 
     def result(self) -> ComplexityResult:
@@ -313,6 +335,28 @@ class _Run:
             raise RuntimeError(f"solver produced an invalid cover: {exc}") from exc
         return result
 
+    def _graph_value(self, graph: Complex) -> float | None:
+        """The cover value of ``graph``, all of whose facets are edges, into
+        the query's target, read from two colourings when the target's graph
+        ``H`` has a clique as large as its chromatic number, else ``None``.
+
+        ``H`` holds the target edges a source edge may go to: the size-2
+        facets for kind ``facet``, the 1-skeleton for ``strict``.  With
+        ``c = χ(H)`` and a ``c``-clique in ``H``, a group of edges maps exactly
+        when it is ``c``-colourable, so the value is ``⌈log_c χ(graph)⌉``
+        (see the module docstring).  The clique is found by one map search
+        of ``K_c``'s edges into the target; the colourings (``chi``) and
+        that search charge the run's budget.  ``H`` has an edge whenever a
+        source edge maps on its own, so a finite query has ``c >= 2``.
+        """
+        target, kind = self.q.target, self.q.kind
+        h = facet_graph(target) if kind == "facet" else skeleton(target, 1)
+        c = self.chi(h)
+        clique = skeleton(complete_complex(c), 1)
+        if not find_map(SearchProblem(clique, target, kind, False, self.budget)).found:
+            return None
+        return _chromatic_floor(self.chi(graph), c)
+
     def bounds(self) -> BoundReport:
         """``bounds``' report, with ``graph_lower`` read from ``outcome``
         when the solve answers the edge-graph problem."""
@@ -324,10 +368,7 @@ class _Run:
         graph_lower = None
         if q.kind == "facet":
             try:
-                chromatic_lower = _chromatic_floor(
-                    chromatic_number(q.source, self.budget).value,
-                    chromatic_number(q.target, self.budget).value,
-                )
+                chromatic_lower = _chromatic_floor(self.chi(q.source), self.chi(q.target))
             except UndecidedError:
                 pass  # a bound, not an answer: skip it rather than fail
             no_isolated = all(f.bit_count() >= 2 for f in q.target.facets)
@@ -346,7 +387,7 @@ class _Run:
                             facet_graph(q.source), facet_graph(q.target), "facet", False,
                             self.budget, q.facet_cap,
                         )
-                        graph_lower = _Run(gq).optimum(False)[0]
+                        graph_lower = _Run(gq, self.chromatic).optimum(False)[0]
                     except (FacetCapError, UndecidedError):
                         pass  # a bound, not an answer: skip it rather than fail
 
@@ -369,64 +410,39 @@ class _Run:
         )
 
 
-def _graph_value(graph: Complex, target: Complex, kind: str, budget: _Budget) -> float | None:
-    """The cover value of ``graph``, all of whose facets are edges, into
-    ``target``, read from two colourings when the target's graph ``H`` has
-    a clique as large as its chromatic number, else ``None``.
-
-    ``H`` holds the target edges a source edge may go to: the size-2
-    facets for kind ``facet``, the 1-skeleton for ``strict``.  With
-    ``c = χ(H)`` and a ``c``-clique in ``H``, a group of edges maps exactly
-    when it is ``c``-colourable, so the value is ``⌈log_c χ(graph)⌉``
-    (see the module docstring).  The clique is found by one map search
-    of ``K_c``'s edges into ``target``; the colourings and that search
-    charge ``budget``.  ``H`` has an edge whenever a source edge maps on
-    its own, so a finite query has ``c >= 2``.
-    """
-    h = facet_graph(target) if kind == "facet" else skeleton(target, 1)
-    c = chromatic_number(h, budget).value
-    clique = skeleton(complete_complex(c), 1)
-    if not find_map(SearchProblem(clique, target, kind, False, budget)).found:
-        return None
-    return _chromatic_floor(chromatic_number(graph, budget).value, c)
-
-
 class _CoverDP:
     """The cover DP over ``m`` facets whose full group fails, and the two
     questions ``_canonical_cover`` asks of it: ``feasible(group)`` decides
-    a group, ``optimum(mask)`` is the fewest groups covering ``mask``.
-    The ``m`` facets are those of the constrained subcomplex, and
-    ``probe(group)``, a ``FeasibilityCache`` on it in ``_Run.optimum``,
-    decides a group of them; every singleton must be feasible.  A DP
-    over uncovered sets, pivoting on the least-indexed uncovered facet,
-    finds ``optimum(mask)``.  For an infeasible set ``optimum``
-    walks the feasible groups that hold its pivot, not all its
-    submasks: each group grows by the set's facets above its highest
-    one, and an infeasible extension ends that branch, since by heredity
-    no group above it is feasible.  Every feasible group is reached this
-    way, along the chain of its prefixes, which are all feasible.
-    ``optimum`` asks for the remainder's optimum only at a group that no
-    higher facet of the set extends.  That is exact because ``optimum`` is
+    a group, ``covers(mask, k)`` whether at most ``k`` feasible groups
+    cover ``mask``.  The ``m`` facets are those of the constrained
+    subcomplex, and ``probe(group)``, a ``FeasibilityCache`` on it in
+    ``_Run.optimum``, decides a group of them; every singleton must be
+    feasible.  A DP over uncovered sets, pivoting on the least-indexed
+    uncovered facet, answers ``covers``.  For an infeasible set and
+    ``k >= 2`` it walks the feasible groups that hold the pivot, not all
+    the set's submasks: each group grows by the set's facets above its
+    highest one, and an infeasible extension ends that branch, since by
+    heredity no group above it is feasible.  Every feasible group is
+    reached this way, along the chain of its prefixes, which are all
+    feasible.  The walk asks whether ``k - 1`` groups cover the remainder
+    only at a group that no higher facet of the set extends, and answers
+    yes at the first that they do.  That is exact because coverability is
     monotone under inclusion: a larger group leaves a smaller remainder,
     which never needs more groups, and every feasible group lies in a
-    maximal one, which no facet extends.  At each group the walk stops
-    at 2 when the remainder's verdict is already feasible, a table read
-    with no probe, and likewise once a remainder's optimum is 1: that is
-    a two-group cover, which no cover of an infeasible set beats.
-    The DP asks for most groups many times, so each group's verdict is
-    read through a ``1 << m`` byte table (0 unknown, 1 infeasible, 2
-    feasible).  The walk reads that table, and an infeasible
-    remainder's stored optimum, inline; it calls ``feasible`` or
-    ``optimum`` only for entries still undecided.
+    maximal one, which no facet extends.  A remainder whose verdict is
+    already feasible, a table read with no probe, is a yes at any group
+    the walk reaches.  The DP asks for most groups many times, so each
+    group's verdict is read through a ``1 << m`` byte table (0 unknown, 1
+    infeasible, 2 feasible).
 
     An undecided group of two or more facets first has its prefix
     ``group ^ top`` (``top`` its highest facet bit) decided the same
     way, table and orbit walk included, and is probed only when that
     prefix is feasible; an infeasible prefix makes it infeasible with
     no probe, which is exact because feasibility is hereditary.  In the
-    walks of ``optimum`` and the pick an extension's prefix is the group
+    walks of ``covers`` and the pick an extension's prefix is the group
     it extends, already feasible, so the rule costs no probe there.  Where
-    a group is asked for on its own, as when ``optimum`` first tests
+    a group is asked for on its own, as when ``covers`` first tests
     ``mask`` itself, a feasible group can cost one extra probe for its
     prefix.
 
@@ -435,30 +451,37 @@ class _CoverDP:
     cycle for each class of twin vertices (``facet_automorphisms``),
     which may generate only a subgroup.  Such a permutation maps a group
     onto an isomorphic one, so a verdict is constant on the orbit of its
-    mask, and so is the optimum of an uncovered set.  The first probe of
-    an orbit walks it once, writing the verdict and the orbit's
-    representative (the probed mask) to every member; the
+    mask, and so is the number of groups an uncovered set needs.  The
+    first probe of an orbit walks it once, writing the verdict and the
+    orbit's representative (the probed mask) to every member; the
     representatives take 4 bytes per mask.  The walk splits each member
     into its low and high half-mask once and applies each generator as
     one lookup in its table for each half, so a member costs one such
     step per generator, at most two per class of twins.  The walk always
     reaches the whole orbit, so the tables, and the probes that follow,
     depend on the group ``gens`` generate, not on the generators chosen.
-    The optimum of each infeasible uncovered set lives in a second byte
-    table at its representative (0 unknown): ``optimum`` asks for a set's
-    verdict before its optimum, so its orbit has been walked by then.
-    Neither value changes under the permutations, so the cover chosen is
-    the same with or without them; only the probes are fewer.
+    Each infeasible uncovered set's proven bracket lives in two more byte
+    tables at its representative: ``least``, below which no cover exists
+    (2 at first), and ``most``, a size some cover attains (``m`` at
+    first).  A no to ``k`` raises ``least`` to ``k + 1``, a yes lowers
+    ``most`` to ``k`` (to 2 at a feasible remainder), and a question the
+    bracket settles costs no walk.  ``covers`` asks for a set's verdict
+    before its bracket, so its orbit has been walked by then, and the walk
+    reads a leaf's bracket inline, calling ``feasible`` or ``covers`` only
+    where the tables leave the answer open.  Neither verdict nor bracket
+    changes under the permutations, so the cover chosen is the same with
+    or without them; only the probes are fewer.
 
-    ``budget``, the query's, is checked wherever ``optimum`` computes a
-    new optimum, so the deadline holds where the tables answer every
-    probe.  DP steps are not search nodes: they read the deadline and
-    leave ``budget.nodes`` as it is.
+    ``budget``, the query's, is checked at the start of every walk, so
+    the deadline holds where the tables answer every probe.  DP steps
+    are not search nodes: they read the deadline and leave
+    ``budget.nodes`` as it is.
     """
 
     def __init__(self, m: int, probe, gens, budget: _Budget):
         try:
-            verdict, rep, cost = bytearray(1 << m), array("I", [0]) * (1 << m), bytearray(1 << m)
+            verdict, rep = bytearray(1 << m), array("I", [0]) * (1 << m)
+            least, most = bytearray([2]) * (1 << m), bytearray([m]) * (1 << m)
         except (OverflowError, MemoryError):
             raise FacetCapError(f"cover tables for {m} constrained facets cannot be allocated") from None
         verdict[-1], rep[-1] = 1, (1 << m) - 1  # the full group, known to fail
@@ -473,7 +496,7 @@ class _CoverDP:
                     table[b] = table[b ^ bit] | 1 << p[offset + bit.bit_length() - 1]
             perms.append((lo, hi))
         self.m, self.probe, self.budget, self.perms = m, probe, budget, perms
-        self.verdict, self.rep, self.cost = verdict, rep, cost
+        self.verdict, self.rep, self.least, self.most = verdict, rep, least, most
         self.half, self.low = half, (1 << half) - 1
 
     def feasible(self, group: int) -> bool:
@@ -496,17 +519,22 @@ class _CoverDP:
                         todo.append(h)
         return v == 2
 
-    def optimum(self, mask: int) -> int:
-        verdict, rep, cost, feasible = self.verdict, self.rep, self.cost, self.feasible
-        if mask == 0:
-            return 0
-        if feasible(mask):
-            return 1
-        out = cost[rep[mask]]
-        if out:
-            return out
+    def covers(self, mask: int, k: int) -> bool:
+        if not mask:
+            return True
+        if k < 2:
+            return k == 1 and self.feasible(mask)
+        if self.feasible(mask):
+            return True
+        verdict, rep, least, most = self.verdict, self.rep, self.least, self.most
+        feasible = self.feasible
+        r = rep[mask]
+        if k < least[r]:
+            return False
+        if k >= most[r]:
+            return True
         self.budget.check(self.budget.nodes)
-        out = self.m  # singletons are feasible, so this many always works
+        j = k - 1
         # the feasible groups that hold the pivot, grown by higher facets;
         # only those that no higher facet extends ask for their remainder
         todo = [mask & -mask]
@@ -514,8 +542,8 @@ class _CoverDP:
             group = todo.pop()
             left = mask ^ group
             if verdict[left] == 2:  # a decided two-group cover
-                out = 2
-                break
+                most[r] = 2
+                return True
             top = group.bit_length()
             above = left >> top << top
             leaf = True
@@ -526,60 +554,67 @@ class _CoverDP:
                 if v == 2 or not v and feasible(group | bit):
                     todo.append(group | bit)
                     leaf = False
-            if leaf:
-                # a stored optimum costs no call
-                after = verdict[left] and cost[rep[left]] or self.optimum(left)
-                if after + 1 < out:
-                    out = after + 1
-                    if out == 2:
-                        break
-        cost[rep[mask]] = out
-        return out
+            if not leaf:
+                continue
+            if verdict[left] == 1:  # a stored bracket costs no call
+                s = rep[left]
+                if j < least[s] or j < most[s] and not self.covers(left, j):
+                    continue
+            elif not self.covers(left, j):
+                continue
+            most[r] = k
+            return True
+        least[r] = k + 1
+        return False
 
 
-def _canonical_cover(full: int, feasible, optimum, budget: _Budget) -> list[int]:
+def _canonical_cover(full: int, feasible, covers, k: int, budget: _Budget) -> list[int]:
     """The canonical cover of the facets of ``full`` as group masks, from
-    ``feasible(group)``, hereditary and true on every singleton, and
-    ``optimum(mask)``, the fewest feasible groups covering ``mask``: the
-    solver asks ``_CoverDP``, and the tests' map-enumeration referee the
-    maximal sets of facets that one vertex map makes good.
+    ``feasible(group)``, hereditary and true on every singleton,
+    ``covers(mask, j)``, whether at most ``j`` feasible groups cover
+    ``mask``, and ``k``, the fewest that cover ``full``: the solver asks
+    ``_CoverDP``, and the tests' map-enumeration referee the maximal sets
+    of facets that one vertex map makes good.
 
     Each step takes, for the uncovered set ``U`` of optimum ``k``, the
     lexicographically least group (as a sorted tuple of facet indices)
-    that holds ``U``'s least facet and leaves a remainder of optimum
-    ``k - 1``.  ``_branch`` walks those tuples in preorder, which is
-    lexicographic order: it tests a group on its own, since a tuple
-    precedes all its extensions, then extends it by each higher facet of
-    ``U`` in turn.  An infeasible extension is pruned, since by heredity
-    no group above it is feasible.  The facets of ``U`` below the new
-    facet and outside the group stay uncovered in every group of that
-    branch, so once they alone need ``k`` groups that branch and every
-    later one are pruned.  A feasible ``U`` is the last group, reached
-    along one chain of prefixes, all feasible.  ``budget`` is checked at
-    each step, before its ``optimum``, and at each node of the walk.
+    that holds ``U``'s least facet and leaves a remainder that ``k - 1``
+    groups cover; the remainder needs all ``k - 1``, since ``U`` needs
+    ``k``, so the next step asks with ``k - 1``.  ``_branch`` walks those
+    tuples in preorder, which is lexicographic order: it tests a group on
+    its own, since a tuple precedes all its extensions, then extends it by
+    each higher facet of ``U`` in turn.  An infeasible extension is
+    pruned, since by heredity no group above it is feasible.  The facets
+    of ``U`` below the new facet and outside the group stay uncovered in
+    every group of that branch, so once ``k - 1`` groups cannot cover
+    them that branch and every later one are pruned.  A feasible ``U``
+    is the last group, reached along one chain of prefixes, all
+    feasible.  ``budget`` is checked at each step and at each node of the
+    walk.
     """
     chosen: list[int] = []
     while full:
         budget.check(budget.nodes)
-        chosen.append(_branch(full & -full, 0, full, optimum(full), feasible, optimum, budget))
+        chosen.append(_branch(full & -full, 0, full, k, feasible, covers, budget))
         full ^= chosen[-1]
+        k -= 1
     return chosen
 
 
-def _branch(group: int, skipped: int, uncovered: int, k: int, feasible, optimum, budget) -> int:
-    # the first group of the walk's branch at ``group`` whose remainder needs
-    # fewer than ``k`` groups, else 0; ``skipped``: facets below its top left out
+def _branch(group: int, skipped: int, uncovered: int, k: int, feasible, covers, budget) -> int:
+    # the first group of the walk's branch at ``group`` whose remainder
+    # ``k - 1`` groups cover, else 0; ``skipped``: facets below its top left out
     budget.check(budget.nodes)
-    if optimum(uncovered ^ group) < k:
+    if covers(uncovered ^ group, k - 1):
         return group
     top = group.bit_length()
     above = uncovered >> top << top
     while above:
         bit = above & -above
-        if skipped.bit_count() >= k and optimum(skipped) >= k:
+        if skipped.bit_count() >= k and not covers(skipped, k - 1):
             break
         if feasible(group | bit):
-            found = _branch(group | bit, skipped, uncovered, k, feasible, optimum, budget)
+            found = _branch(group | bit, skipped, uncovered, k, feasible, covers, budget)
             if found:
                 return found
         skipped |= bit

@@ -1,7 +1,9 @@
 import gc
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,7 @@ from facetcx.complexes import _bits, _precedes, _subcomplex, facet_automorphisms
 from facetcx.complexity import _CoverDP, _canonical_cover
 from facetcx.homsearch import TIME_EXHAUSTED, _Budget
 from facetcx.oracle import MAX_FACETS, MAX_SOURCE_VERTICES, MAX_TARGET_VERTICES
+from facetcx.scx import parse_scx
 from facetcx.verify import KINDS, VerifyConfig, _instances
 from test_complexes import _brute_force_twin_swaps
 
@@ -435,12 +438,19 @@ def test_orbit_sharing_keeps_canonical_covers():
     assert compared >= 250 and symmetric >= 150
 
 
+def _dp_value(dp, m):
+    """The fewest groups covering all ``m`` facets, deepened from 2 as
+    ``_Run.optimum`` does."""
+    return next(k for k in range(2, m + 1) if dp.covers((1 << m) - 1, k))
+
+
 def _dp_cover(m, probe, gens, budget=None):
     """The value and canonical cover masks of ``m`` facets that the cover
     DP over ``probe`` gives, as ``_Run.optimum`` with ``pick`` asks."""
     budget = budget or _fresh_budget()
     dp, full = _CoverDP(m, probe, gens, budget), (1 << m) - 1
-    return dp.optimum(full), _canonical_cover(full, dp.feasible, dp.optimum, budget)
+    value = _dp_value(dp, m)
+    return value, _canonical_cover(full, dp.feasible, dp.covers, value, budget)
 
 
 def _recorded_cover(query, gens):
@@ -481,27 +491,27 @@ def test_two_generators_per_twin_class_walk_like_every_twin_swap():
         (
             skeleton(complete_complex(6), 1), complete_complex(2), "facet", 3,
             ["12 13 14 15 26", "16 23 24 35 36 45", "25 34 46 56"],
-            36, 290,  # 247 searches without symmetry
+            40, 302,  # 274 searches without symmetry
         ),
         (
             skeleton(complete_complex(6), 1), skeleton(complete_complex(3), 1), "strict", 2,
             ["12 13 14 15 16 23 24 25 36", "26 34 35 45 46 56"],
-            28, 775,  # 44 searches without symmetry
+            26, 607,  # 39 searches without symmetry
         ),
         (
             skeleton(complete_complex(5), 1), complete_complex(2), "facet", 3,
             ["12", "13 14 23 24 35", "15 25 34 45"],
-            22, 147,
+            24, 148,
         ),
         (
             skeleton(complete_complex(5), 2), complete_complex(3), "strict", 3,
             ["123 124 125", "134 135 234 235", "145 245 345"],
-            12, 151,
+            14, 199,
         ),
         (
             skeleton(complete_complex(7), 1), complete_complex(2), "facet", 3,
             ["12 13 14 15 26 27 36", "16 17 24 25 34 35 46 47 56", "23 37 45 57 67"],
-            74, 760,
+            88, 876,
         ),
         (
             skeleton(complete_complex(6), 2), complete_complex(3), "strict", 3,
@@ -509,7 +519,7 @@ def test_two_generators_per_twin_class_walk_like_every_twin_swap():
                 "123 124 135 145 236 246 356", "125 136 156 234 245 346",
                 "126 134 146 235 256 345 456",
             ],
-            43, 912,  # 21 214 nodes without symmetry
+            64, 1435,  # 27 350 nodes without symmetry
         ),
     ],
     ids=[
@@ -591,6 +601,32 @@ def test_value_scan_walks_feasible_groups():
             {"2": "2", "3": "5", "4": "5", "5": "4", "6": "5", "7": "1", "8": "6"},
         ),
     ]
+
+
+def test_yes_no_questions_shorten_the_value_scan(monkeypatch):
+    """Pair 3 of ROADMAP's 2-dimensional family (19 facets, kind
+    ``facet``, value 3; its ``family2d/pair-3/facet`` row of
+    ``cover_pins.json``): the DP asks whether k groups cover a set and
+    stops a walk at its first yes, so the solve asks ``covers`` 3 903
+    times, where the exact optimum of every remainder it met took 74 492
+    ``optimum`` calls.  The value and the cover are the pinned ones."""
+    row = json.loads(Path(__file__).with_name("cover_pins.json").read_text())[
+        "family2d/pair-3/facet"]
+    source, target = parse_scx(row["source"]), parse_scx(row["target"])
+    real, calls = _CoverDP.covers, []
+
+    def counting(dp, mask, k):
+        calls.append((mask, k))
+        return real(dp, mask, k)
+
+    monkeypatch.setattr(_CoverDP, "covers", counting)
+    res = compute(q(source, target))
+    index = {f: i for i, f in enumerate(source.facet_sets())}
+    assert res.value == 3
+    assert [sorted(index[f] for f in g.facets) for g in res.cover.groups] == [
+        [0, 1, 2, 3], [4, 5, 6, 8, 9, 11, 12, 13, 15, 18], [7, 10, 14, 16, 17],
+    ]
+    assert len(calls) == 3903
 
 
 def _hereditary_family(rng, m, perm=None):
@@ -680,14 +716,36 @@ def test_cover_dp_decides_prefixes_first():
 
             budget = _fresh_budget()
             dp, full = _CoverDP(m, probe, gens, budget), (1 << m) - 1
-            assert dp.optimum(full) == len(expected), (trial, pick)
+            assert _dp_value(dp, m) == len(expected), (trial, pick)
             if pick:
-                assert _canonical_cover(full, dp.feasible, dp.optimum, budget) == expected, trial
+                cover = _canonical_cover(full, dp.feasible, dp.covers, len(expected), budget)
+                assert cover == expected, trial
+
+
+def test_covers_matches_the_fewest_groups():
+    """Differential against the exact optimum the DP used to store: on the
+    same 240 families, with and without their generator, ``covers(mask,
+    k)`` holds exactly when ``_fewest`` needs at most ``k`` groups, for
+    every mask and every k from 0 to m, asked in a seeded random order so
+    that the stored brackets answer some of the questions."""
+    rng = random.Random(10)
+    order = random.Random(11)
+    for trial in range(240):
+        m = rng.randint(2, 12)
+        perm = tuple(rng.sample(range(m), m)) if trial % 2 else None
+        family = _hereditary_family(rng, m, perm)
+        fewest = _fewest(m, family)
+        for gens in ((perm,), ()) if perm else ((),):
+            dp = _CoverDP(m, family.__contains__, gens, _fresh_budget())
+            questions = [(mask, k) for mask in range(1 << m) for k in range(m + 1)]
+            order.shuffle(questions)
+            for mask, k in questions:
+                assert dp.covers(mask, k) == (fewest[mask] <= k), (trial, gens, mask, k)
 
 
 def test_canonical_cover_matches_brute_force():
     """The pick on its own, over a brute-force ``feasible`` and
-    ``optimum`` of the same 240 families: the first optimal group in
+    coverability of the same 240 families: the first optimal group in
     lexicographic order at every step, as ``_brute_cover`` scans for it."""
     rng = random.Random(10)
     for trial in range(240):
@@ -695,8 +753,9 @@ def test_canonical_cover_matches_brute_force():
         perm = tuple(rng.sample(range(m), m)) if trial % 2 else None
         family = _hereditary_family(rng, m, perm)
         fewest = _fewest(m, family)
-        cover = _canonical_cover((1 << m) - 1, family.__contains__, fewest.__getitem__,
-                                 _fresh_budget())
+        full = (1 << m) - 1
+        cover = _canonical_cover(full, family.__contains__, lambda mask, j: fewest[mask] <= j,
+                                 fewest[full], _fresh_budget())
         assert cover == _brute_cover(m, family), trial
 
 
@@ -706,15 +765,15 @@ def _fresh_budget():
 
 def test_canonical_cover_reads_the_deadline():
     """A deadline that has passed stops the pick before it asks its first
-    optimum."""
+    coverability question."""
     budget = _fresh_budget()
     budget.deadline = time.monotonic() - 1
 
-    def optimum(mask):
-        raise AssertionError("optimum asked after the deadline")
+    def covers(mask, k):
+        raise AssertionError("covers asked after the deadline")
 
     with pytest.raises(UndecidedError) as exc:
-        _canonical_cover(0b111, lambda g: True, optimum, budget)
+        _canonical_cover(0b111, lambda g: True, covers, 1, budget)
     assert (exc.value.reason, exc.value.nodes) == (TIME_EXHAUSTED, 0)
 
 
@@ -726,13 +785,13 @@ def test_cover_dp_reads_the_deadline():
     For the pick every proper group maps, so the value is 2.  The value
     scan stops at its first two-group cover and never probes ``full ^ 1``,
     all facets but the pivot.  The pick first tries the pivot alone, and
-    the optimum of its remainder ``full ^ 1`` probes that group after its
-    prefixes, last of all.  The probe expires the deadline there, and the
-    pick's next step reads it."""
+    asking whether one group covers its remainder ``full ^ 1`` probes that
+    group after its prefixes, last of all.  The probe expires the deadline
+    there, and the pick's next step reads it."""
     budget = _fresh_budget()
     budget.deadline = time.monotonic() - 1
     with pytest.raises(UndecidedError) as exc:
-        _CoverDP(8, lambda g: g.bit_count() <= 2, (), budget).optimum(255)
+        _CoverDP(8, lambda g: g.bit_count() <= 2, (), budget).covers(255, 2)
     assert (exc.value.reason, exc.value.nodes) == (TIME_EXHAUSTED, 0)
 
     for m in (3, 8, 12):
@@ -822,6 +881,24 @@ def test_bounds_reuses_the_solve_for_the_same_edge_problem(monkeypatch):
     assert run.bounds().graph_lower == solved.value == 2
     assert calls == []
     assert bounds(query).graph_lower == 2 and len(calls) == 1
+
+
+def test_bounds_colours_each_complex_once(monkeypatch):
+    """K6's edges onto an edge, bounds alone: ``chromatic_lower`` colours
+    the source and the target, and the ``graph_lower`` sub-run, whose
+    edge graphs are those same complexes, reads both colourings from the
+    run instead of colouring each a second time."""
+    real, coloured = complexity.chromatic_number, []
+
+    def counting(c, *args):
+        coloured.append(c)
+        return real(c, *args)
+
+    monkeypatch.setattr(complexity, "chromatic_number", counting)
+    k6, edge = skeleton(complete_complex(6), 1), complete_complex(2)
+    report = bounds(q(k6, edge))
+    assert (report.chromatic_lower, report.graph_lower) == (3, 3)
+    assert coloured == [k6, edge]
 
 
 def test_bounds_solves_the_edge_problem_of_an_empty_target(monkeypatch):

@@ -8,7 +8,8 @@ definitions of ``maps``).  So the referee enumerates every map of the
 constrained facets' vertices into the target, records the set of facets
 each one makes good, and keeps the maximal sets.  A group is feasible
 exactly when it lies inside one of them, and an uncovered set needs as
-many groups as the fewest maximal sets that cover it.  Those two answers
+many groups as the fewest maximal sets that cover it, so ``k`` groups
+cover it exactly when that count is at most ``k``.  Those answers
 drive the solver's own canonical pick, ``_canonical_cover``, so the
 referee checks the cover DP's value and cover while it calls no search
 code: no ``find_map``, ``FeasibilityCache`` or ``_CoverDP``.
@@ -96,7 +97,10 @@ def referee(q: ComplexityQuery) -> tuple[float, list[int]]:
 
     if not all(feasible(1 << j) for j in range(full.bit_length())):
         return INFINITY, []
-    return optimum(full), _canonical_cover(full, feasible, optimum, _Budget(SearchLimits()))
+    value = optimum(full)
+    cover = _canonical_cover(full, feasible, lambda mask, j: optimum(mask) <= j, value,
+                             _Budget(SearchLimits()))
+    return value, cover
 
 
 def _instances():
