@@ -29,8 +29,8 @@ from .scx import ScxError, parse_map, parse_scx, serialize_scx
 SCHEMA = 1
 _FACET_CAP_HELP = (
     "refuse sources with more constrained facets than this; the cover search "
-    "allocates 7 bytes per mask over all 2**m masks of m constrained facets before "
-    "its first probe, whatever the budget: 7 MB at 20, about 117 MB at 24, 1.9 GB "
+    "allocates 3 bytes per mask over all 2**m masks of m constrained facets before "
+    "its first probe, whatever the budget: 3 MB at 20, about 50 MB at 24, 805 MB "
     "at 28; tables that cannot be allocated exit 2, but a granted allocation can "
     "still fill memory"
 )

@@ -33,17 +33,15 @@ entries for ``m`` constrained facets, so a repeated probe costs one
 lookup.  A group of two or more facets is searched only after its
 prefix, the group less its highest facet, is decided and feasible;
 by heredity an infeasible prefix rules the group out with no search.
-A verdict and the number of groups an uncovered set needs are
-invariants of the complex the constrained facets generate, so both are
-constant on the orbit of a mask under the facet permutations that
-complex's automorphisms induce; the DP shares along those that
-permutations of twin vertices induce (``facet_automorphisms``),
-generated by one swap and one cycle per class of twins.  The first
-probe of an orbit walks it once, writing the verdict and the orbit's
-representative to every member at one table lookup per generator, so
-at most two per class of twins, and what the DP has proven about the
-set's number of groups is stored once per orbit, at its
-representative: three byte tables plus 4 bytes per mask, 7 MB at the
+A verdict is an invariant of the complex the constrained facets
+generate, so it is constant on the orbit of a mask under the facet
+permutations that complex's automorphisms induce; the DP shares
+verdicts along those that permutations of twin vertices induce
+(``facet_automorphisms``), generated by one swap and one cycle per
+class of twins.  The first probe of an orbit walks it once, writing the
+verdict to every member at one table lookup per generator, so at most
+two per class of twins.  What the DP has proven about a set's number of
+groups is stored at the set's own mask: three byte tables, 3 MB at the
 default cap, allocated before the first probe whatever the budget.  A
 source without twins has orbits of one mask.  A query's budget bounds
 the whole run, ``bounds``' colourings and ``graph_lower`` sub-solve
@@ -53,16 +51,12 @@ nodes.
 The DP asks only yes/no questions: do ``k`` groups cover this set?
 The value is the least ``k`` for which the whole set says yes, asked
 for ``k = 2, 3, …`` in turn.  For an uncovered set that fails as one
-group, the DP walks only the feasible groups that hold its least facet,
-growing each by higher facets and ending a branch at an infeasible
-extension, as heredity allows; it asks whether ``k - 1`` groups cover
-the remainder only at a group no higher facet extends, which is exact
-because a larger group never leaves a remainder that needs more groups,
-and it stops at the first yes.  Per orbit it keeps the bracket its
-answers prove: no cover by fewer groups than its low end, a cover by
-its high end.  It reads verdicts and brackets straight from the tables,
-calls into the probe or the recursion only for undecided entries, and
-stops at once at a group whose remainder is known to be feasible.
+group, the DP runs the pick's walk (``_branch``) over the feasible
+groups that hold its least facet, growing each by higher facets and
+ending a branch at an infeasible extension, as heredity allows, and
+stops at the first group whose remainder ``k - 1`` groups cover.  Per
+mask it keeps the bracket its answers prove: no cover by fewer groups
+than its low end, a cover by its high end.
 The DP (``_CoverDP``) answers ``feasible(group)`` and ``covers(mask,
 k)``; only ``compute`` then picks the canonical cover and certifies it.
 The pick, ``_canonical_cover``, is one function of those two questions
@@ -97,7 +91,6 @@ falls through to it.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -417,62 +410,48 @@ class _CoverDP:
     cover ``mask``.  The ``m`` facets are those of the constrained
     subcomplex, and ``probe(group)``, a ``FeasibilityCache`` on it in
     ``_Run.optimum``, decides a group of them; every singleton must be
-    feasible.  A DP over uncovered sets, pivoting on the least-indexed
-    uncovered facet, answers ``covers``.  For an infeasible set and
-    ``k >= 2`` it walks the feasible groups that hold the pivot, not all
-    the set's submasks: each group grows by the set's facets above its
-    highest one, and an infeasible extension ends that branch, since by
-    heredity no group above it is feasible.  Every feasible group is
-    reached this way, along the chain of its prefixes, which are all
-    feasible.  The walk asks whether ``k - 1`` groups cover the remainder
-    only at a group that no higher facet of the set extends, and answers
-    yes at the first that they do.  That is exact because coverability is
-    monotone under inclusion: a larger group leaves a smaller remainder,
-    which never needs more groups, and every feasible group lies in a
-    maximal one, which no facet extends.  A remainder whose verdict is
-    already feasible, a table read with no probe, is a yes at any group
-    the walk reaches.  The DP asks for most groups many times, so each
-    group's verdict is read through a ``1 << m`` byte table (0 unknown, 1
+    feasible.  The DP asks for most groups many times, so each group's
+    verdict is read through a ``1 << m`` byte table (0 unknown, 1
     infeasible, 2 feasible).
+
+    For an infeasible ``mask`` and ``k >= 2``, ``covers`` runs the pick's
+    walk, ``_branch`` from the least facet of ``mask``, and says yes when
+    it finds a group.  That is exact: ``_branch`` finds one exactly when
+    some feasible group that holds the facet leaves a remainder that
+    ``k - 1`` groups cover, and some group of any cover of ``mask`` holds
+    the facet, which by heredity stays feasible cut down to ``mask``.
 
     An undecided group of two or more facets first has its prefix
     ``group ^ top`` (``top`` its highest facet bit) decided the same
     way, table and orbit walk included, and is probed only when that
     prefix is feasible; an infeasible prefix makes it infeasible with
     no probe, which is exact because feasibility is hereditary.  In the
-    walks of ``covers`` and the pick an extension's prefix is the group
-    it extends, already feasible, so the rule costs no probe there.  Where
-    a group is asked for on its own, as when ``covers`` first tests
-    ``mask`` itself, a feasible group can cost one extra probe for its
-    prefix.
+    walk an extension's prefix is the group it extends, already feasible,
+    so the rule costs no probe there.  Where a group is asked for on its
+    own, as when ``covers`` tests ``mask`` itself or whether one group
+    covers a remainder, a feasible group can cost probes for its prefixes.
 
     ``gens`` are facet permutations induced by automorphisms of the
     complex the ``m`` facets generate; the solver passes a swap and a
     cycle for each class of twin vertices (``facet_automorphisms``),
     which may generate only a subgroup.  Such a permutation maps a group
     onto an isomorphic one, so a verdict is constant on the orbit of its
-    mask, and so is the number of groups an uncovered set needs.  The
-    first probe of an orbit walks it once, writing the verdict and the
-    orbit's representative (the probed mask) to every member; the
-    representatives take 4 bytes per mask.  The walk splits each member
-    into its low and high half-mask once and applies each generator as
-    one lookup in its table for each half, so a member costs one such
-    step per generator, at most two per class of twins.  The walk always
-    reaches the whole orbit, so the tables, and the probes that follow,
-    depend on the group ``gens`` generate, not on the generators chosen.
-    Each infeasible uncovered set's proven bracket lives in two more byte
-    tables at its representative: ``least``, below which no cover exists
-    (2 at first), and ``most``, a size some cover attains (``m`` at
-    first).  A no to ``k`` raises ``least`` to ``k + 1``, a yes lowers
-    ``most`` to ``k`` (to 2 at a feasible remainder), and a question the
-    bracket settles costs no walk.  ``covers`` asks for a set's verdict
-    before its bracket, so its orbit has been walked by then, and the walk
-    reads a leaf's bracket inline, calling ``feasible`` or ``covers`` only
-    where the tables leave the answer open.  Neither verdict nor bracket
-    changes under the permutations, so the cover chosen is the same with
-    or without them; only the probes are fewer.
+    mask.  The first probe of an orbit walks it once, writing the verdict
+    to every member.  The walk splits each member into its low and high
+    half-mask once and applies each generator as one lookup in its table
+    for each half, so a member costs one such step per generator, at most
+    two per class of twins.  The walk always reaches the whole orbit, so
+    the tables, and the probes that follow, depend on the group ``gens``
+    generate, not on the generators chosen.  Each infeasible uncovered
+    set's proven bracket lives in two more byte tables at its own mask:
+    ``least``, below which no cover exists (2 at first), and ``most``, a
+    size some cover attains (``m`` at first).  A no to ``k`` raises
+    ``least`` to ``k + 1``, a yes lowers ``most`` to ``k``, and a question
+    the bracket settles costs no walk.  The verdicts do not change under
+    the permutations, so the cover chosen is the same with or without
+    them; only the probes are fewer.
 
-    ``budget``, the query's, is checked at the start of every walk, so
+    ``budget``, the query's, is checked at every node of the walk, so
     the deadline holds where the tables answer every probe.  DP steps
     are not search nodes: they read the deadline and leave
     ``budget.nodes`` as it is.
@@ -480,11 +459,11 @@ class _CoverDP:
 
     def __init__(self, m: int, probe, gens, budget: _Budget):
         try:
-            verdict, rep = bytearray(1 << m), array("I", [0]) * (1 << m)
+            verdict = bytearray(1 << m)
             least, most = bytearray([2]) * (1 << m), bytearray([m]) * (1 << m)
         except (OverflowError, MemoryError):
             raise FacetCapError(f"cover tables for {m} constrained facets cannot be allocated") from None
-        verdict[-1], rep[-1] = 1, (1 << m) - 1  # the full group, known to fail
+        verdict[-1] = 1  # the full group, known to fail
         # each permutation as two tables over the low and the high half-mask
         half = (m + 1) // 2
         perms = []
@@ -495,19 +474,18 @@ class _CoverDP:
                     bit = b & -b
                     table[b] = table[b ^ bit] | 1 << p[offset + bit.bit_length() - 1]
             perms.append((lo, hi))
-        self.m, self.probe, self.budget, self.perms = m, probe, budget, perms
-        self.verdict, self.rep, self.least, self.most = verdict, rep, least, most
+        self.probe, self.budget, self.perms = probe, budget, perms
+        self.verdict, self.least, self.most = verdict, least, most
         self.half, self.low = half, (1 << half) - 1
 
     def feasible(self, group: int) -> bool:
         verdict = self.verdict
         v = verdict[group]
         if not v:
-            rep, perms, half, low = self.rep, self.perms, self.half, self.low
+            perms, half, low = self.perms, self.half, self.low
             prefix = group ^ (1 << group.bit_length() - 1)
             v = 2 if (not prefix or self.feasible(prefix)) and self.probe(group) else 1
             verdict[group] = v
-            rep[group] = group
             todo = [group]
             for g in todo:  # the list grows to the whole orbit
                 g_lo, g_hi = g & low, g >> half
@@ -515,7 +493,6 @@ class _CoverDP:
                     h = lo[g_lo] | hi[g_hi]
                     if not verdict[h]:
                         verdict[h] = v
-                        rep[h] = group
                         todo.append(h)
         return v == 2
 
@@ -526,45 +503,14 @@ class _CoverDP:
             return k == 1 and self.feasible(mask)
         if self.feasible(mask):
             return True
-        verdict, rep, least, most = self.verdict, self.rep, self.least, self.most
-        feasible = self.feasible
-        r = rep[mask]
-        if k < least[r]:
+        if k < self.least[mask]:
             return False
-        if k >= most[r]:
+        if k >= self.most[mask]:
             return True
-        self.budget.check(self.budget.nodes)
-        j = k - 1
-        # the feasible groups that hold the pivot, grown by higher facets;
-        # only those that no higher facet extends ask for their remainder
-        todo = [mask & -mask]
-        while todo:
-            group = todo.pop()
-            left = mask ^ group
-            if verdict[left] == 2:  # a decided two-group cover
-                most[r] = 2
-                return True
-            top = group.bit_length()
-            above = left >> top << top
-            leaf = True
-            while above:
-                bit = above & -above
-                above ^= bit
-                v = verdict[group | bit]
-                if v == 2 or not v and feasible(group | bit):
-                    todo.append(group | bit)
-                    leaf = False
-            if not leaf:
-                continue
-            if verdict[left] == 1:  # a stored bracket costs no call
-                s = rep[left]
-                if j < least[s] or j < most[s] and not self.covers(left, j):
-                    continue
-            elif not self.covers(left, j):
-                continue
-            most[r] = k
+        if _branch(mask & -mask, 0, mask, k, self.feasible, self.covers, self.budget):
+            self.most[mask] = k
             return True
-        least[r] = k + 1
+        self.least[mask] = k + 1
         return False
 
 
@@ -603,7 +549,8 @@ def _canonical_cover(full: int, feasible, covers, k: int, budget: _Budget) -> li
 
 def _branch(group: int, skipped: int, uncovered: int, k: int, feasible, covers, budget) -> int:
     # the first group of the walk's branch at ``group`` whose remainder
-    # ``k - 1`` groups cover, else 0; ``skipped``: facets below its top left out
+    # ``k - 1`` groups cover, else 0; ``skipped``: facets below its top left out.
+    # The pick and ``_CoverDP.covers`` both walk with it.
     budget.check(budget.nodes)
     if covers(uncovered ^ group, k - 1):
         return group

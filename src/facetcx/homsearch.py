@@ -478,7 +478,10 @@ class FeasibilityCache:
       apply to it, when that core is smaller and holds two or more
       facets.  An infeasible core replaces the group as the recorded
       infeasible set, as a learnt nogood in constraint search (Dechter
-      1990).
+      1990).  A core that turns out feasible costs a search, but on
+      balance the smaller nogoods save more: without them K7's edges onto
+      an edge take 1 462 search nodes instead of 993, and a 19-facet
+      random pair 90 019 instead of 58 350.
 
     Only a group's own search is kept; ``certificate`` searches a mask
     answered without one, then builds the group's subcomplex and witness

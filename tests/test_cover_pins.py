@@ -21,7 +21,11 @@ The rows:
 * ``family2d``: the 11 pairs of ROADMAP's 2-dimensional family (random
   sources of dimension 2 with 16-20 constrained facets), rebuilt from
   the ROADMAP's recipe by the regenerator and stored in the row as
-  ``.scx`` like the ``random`` rows.
+  ``.scx`` like the ``random`` rows;
+* ``tail20``: tails A, B and C of ROADMAP's 20-facet tail (random
+  pairs of kind ``facet`` with 19-20 constrained facets, the slowest of
+  its seeded draw), built from their ``generate`` arguments and stored
+  as ``.scx`` like the ``random`` rows.
 
 Regenerate with ``PYTHONPATH=src python tests/test_cover_pins.py`` only
 when an answer or node change is intended; it prints each row that
@@ -153,6 +157,28 @@ def family2d_queries():
                 yield _key("family2d", f"pair-{kept}", kind), source, target, kind, False
 
 
+# ROADMAP's 20-facet tail: (n, seed, density, max_facet_size) of the
+# source and of the target, each a ``generate("random", ...)`` complex
+TAIL20 = {
+    "A": ((8, 85871954, 0.2648713256548785, 3), (6, 365693369, 0.37383942368789636, 3)),
+    "B": ((8, 841171802, 0.2991297111992445, 4), (7, 751226165, 0.44618748755971455, 4)),
+    "C": ((7, 965890568, 0.49576741546584013, 4), (6, 841792709, 0.4631446880097103, 4)),
+}
+
+
+def _random_complex(n, seed, density, max_facet_size):
+    params = {"seed": seed, "density": density, "max_facet_size": max_facet_size}
+    return generate("random", n, params)
+
+
+def tail20_queries():
+    """Tails A, B and C of ROADMAP's 20-facet tail, all of kind ``facet``
+    and not injective."""
+    for name, (source, target) in TAIL20.items():
+        key = _key("tail20", name, "facet")
+        yield key, _random_complex(*source), _random_complex(*target), "facet", False
+
+
 def _pinned(group: str) -> dict:
     return {k: row for k, row in json.loads(PINS.read_text()).items() if k.split("/")[0] == group}
 
@@ -184,7 +210,8 @@ def _compared(row: dict) -> dict:
 
 
 @pytest.mark.parametrize(
-    "group, rows", [("verify", 288), ("family", 13), ("random", 112), ("family2d", 11)],
+    "group, rows", [("verify", 288), ("family", 13), ("random", 112), ("family2d", 11),
+                    ("tail20", 3)],
 )
 def test_cover_pins(group, rows):
     pinned = _pinned(group)
@@ -214,7 +241,7 @@ def test_optimum_is_the_solved_value():
         value, _, chosen = complexity._Run(q).optimum(False)
         assert (value, chosen) == (compute(q).value, []), key
         checked += 1
-    assert checked == 424 + len(SEEDS) * TRIALS * 3 * len(KINDS)
+    assert checked == 427 + len(SEEDS) * TRIALS * 3 * len(KINDS)
 
 
 def _random_queries():
@@ -262,7 +289,8 @@ if __name__ == "__main__":
             pins[key] = answer(source, target, kind, inj)
     for key, source, target, kind, inj in family_queries():
         pins[key] = answer(source, target, kind, inj)
-    for key, source, target, kind, inj in (*_random_queries(), *family2d_queries()):
+    stored = (*_random_queries(), *family2d_queries(), *tail20_queries())
+    for key, source, target, kind, inj in stored:
         value = compute(ComplexityQuery(source, target, kind, inj)).value
         if 2 <= value < math.inf:
             pins[key] = {
