@@ -29,8 +29,8 @@ from .scx import ScxError, parse_map, parse_scx, serialize_scx
 SCHEMA = 1
 _FACET_CAP_HELP = (
     "refuse sources with more constrained facets than this; the cover search "
-    "allocates 3 bytes per mask over all 2**m masks of m constrained facets before "
-    "its first probe, whatever the budget: 3 MB at 20, about 50 MB at 24, 805 MB "
+    "allocates 2 bytes per mask over all 2**m masks of m constrained facets before "
+    "its first probe, whatever the budget: 2 MB at 20, about 34 MB at 24, 537 MB "
     "at 28; tables that cannot be allocated exit 2, but a granted allocation can "
     "still fill memory"
 )
@@ -344,7 +344,7 @@ def _cmd_verify(args) -> int:
         ok, detail = replay_bundle(_read_text(args.replay))
         _emit(args, {"mode": "replay", "passed": ok, "detail": detail})
         return 0 if ok else 5
-    suites = tuple(args.suites.split(",")) if args.suites else None
+    suites = None if args.suites is None else tuple(args.suites.split(","))
     report = run_verify(VerifyConfig(seed=args.seed, trials=args.trials, suites=suites))
     bundle_paths = []
     if not report.ok:

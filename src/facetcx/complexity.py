@@ -40,13 +40,13 @@ verdicts along those that permutations of twin vertices induce
 (``facet_automorphisms``), generated by one swap and one cycle per
 class of twins.  The first probe of an orbit walks it once, writing the
 verdict to every member at one table lookup per generator, so at most
-two per class of twins.  What the DP has proven about a set's number of
-groups is stored at the set's own mask: three byte tables, 3 MB at the
-default cap, allocated before the first probe whatever the budget.  A
-source without twins has orbits of one mask.  A query's budget bounds
-the whole run, ``bounds``' colourings and ``graph_lower`` sub-solve
-included; the DP's own steps read its deadline but are not counted as
-nodes.
+two per class of twins.  The fewest groups a set may still need is
+stored at the set's own mask: with the verdicts, two byte tables, 2 MB
+at the default cap, allocated before the first probe whatever the
+budget.  A source without twins has orbits of one mask.  A query's
+budget bounds the whole run, ``bounds``' colourings and ``graph_lower``
+sub-solve included; the DP's own steps read its deadline but are not
+counted as nodes.
 
 The DP asks only yes/no questions: do ``k`` groups cover this set?
 The value is the least ``k`` for which the whole set says yes, asked
@@ -55,8 +55,7 @@ group, the DP runs the pick's walk (``_branch``) over the feasible
 groups that hold its least facet, growing each by higher facets and
 ending a branch at an infeasible extension, as heredity allows, and
 stops at the first group whose remainder ``k - 1`` groups cover.  Per
-mask it keeps the bracket its answers prove: no cover by fewer groups
-than its low end, a cover by its high end.
+mask it keeps the floor its noes prove: no cover by fewer groups.
 The DP (``_CoverDP``) answers ``feasible(group)`` and ``covers(mask,
 k)``; only ``compute`` then picks the canonical cover and certifies it.
 The pick, ``_canonical_cover``, is one function of those two questions
@@ -443,13 +442,11 @@ class _CoverDP:
     two per class of twins.  The walk always reaches the whole orbit, so
     the tables, and the probes that follow, depend on the group ``gens``
     generate, not on the generators chosen.  Each infeasible uncovered
-    set's proven bracket lives in two more byte tables at its own mask:
-    ``least``, below which no cover exists (2 at first), and ``most``, a
-    size some cover attains (``m`` at first).  A no to ``k`` raises
-    ``least`` to ``k + 1``, a yes lowers ``most`` to ``k``, and a question
-    the bracket settles costs no walk.  The verdicts do not change under
-    the permutations, so the cover chosen is the same with or without
-    them; only the probes are fewer.
+    set's proven floor lives in one more byte table at its own mask:
+    ``least``, below which no cover exists (2 at first).  A no to ``k``
+    raises it to ``k + 1``, and a question below it costs no walk.  The
+    verdicts do not change under the permutations, so the cover chosen
+    is the same with or without them; only the probes are fewer.
 
     ``budget``, the query's, is checked at every node of the walk, so
     the deadline holds where the tables answer every probe.  DP steps
@@ -460,7 +457,7 @@ class _CoverDP:
     def __init__(self, m: int, probe, gens, budget: _Budget):
         try:
             verdict = bytearray(1 << m)
-            least, most = bytearray([2]) * (1 << m), bytearray([m]) * (1 << m)
+            least = bytearray([2]) * (1 << m)
         except (OverflowError, MemoryError):
             raise FacetCapError(f"cover tables for {m} constrained facets cannot be allocated") from None
         verdict[-1] = 1  # the full group, known to fail
@@ -475,7 +472,7 @@ class _CoverDP:
                     table[b] = table[b ^ bit] | 1 << p[offset + bit.bit_length() - 1]
             perms.append((lo, hi))
         self.probe, self.budget, self.perms = probe, budget, perms
-        self.verdict, self.least, self.most = verdict, least, most
+        self.verdict, self.least = verdict, least
         self.half, self.low = half, (1 << half) - 1
 
     def feasible(self, group: int) -> bool:
@@ -505,10 +502,7 @@ class _CoverDP:
             return True
         if k < self.least[mask]:
             return False
-        if k >= self.most[mask]:
-            return True
         if _branch(mask & -mask, 0, mask, k, self.feasible, self.covers, self.budget):
-            self.most[mask] = k
             return True
         self.least[mask] = k + 1
         return False

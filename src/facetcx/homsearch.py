@@ -50,8 +50,9 @@ subcomplex.  ``FeasibilityCache`` probes groups this way, with the
 target's tables built once per cache, and builds a group's subcomplex
 and ``VertexMap`` only when ``certificate`` asks for them; it answers
 one facet, and groups its earlier verdicts settle, with no search.  A
-map it finds is grown over the facets it can absorb, and a failed
-search can leave a smaller infeasible group behind it.
+map it finds also certifies the facets on the group's vertices that it
+already maps well, and a failed search can leave a smaller infeasible
+group behind it.
 """
 
 from __future__ import annotations
@@ -462,16 +463,14 @@ class FeasibilityCache:
 
     Two more rules feed the antichains the last two rules read:
 
-    * Witness growth: a map found for a group is extended over the
-      source's other facets, one at a time in facet order (``_grow``).  A
-      facet whose vertices the map places joins when its image meets
-      the kind; a facet with unplaced vertices joins when they can be
-      placed so that it maps onto (kind ``facet``) or into (kind
-      ``strict``) a candidate target facet, on unused target vertices
-      under injectivity.  The extended map is a map of the grown group's
-      subcomplex, checked before the grown group is recorded as known
-      feasible: one witness certifies everything it contains, as for
-      closed itemsets (Pasquier et al. 1999).
+    * Witness growth: a map found for a group places no more vertices,
+      but every other facet on the group's vertices whose image it
+      already makes good joins the group (``_grow``): onto a candidate
+      target facet for kind ``facet``, injectively into one for kind
+      ``strict``.  The map is checked on the grown group before that
+      group is recorded as known feasible: one witness certifies
+      everything it contains, as for closed itemsets (Pasquier et al.
+      1999).
     * Local nogood: when a search fails on a group of three or more
       facets, its top facet together with the group's facets that meet
       it is probed through ``feasible``, so the rules and the budget
@@ -480,8 +479,8 @@ class FeasibilityCache:
       infeasible set, as a learnt nogood in constraint search (Dechter
       1990).  A core that turns out feasible costs a search, but on
       balance the smaller nogoods save more: without them K7's edges onto
-      an edge take 1 462 search nodes instead of 993, and a 19-facet
-      random pair 90 019 instead of 58 350.
+      an edge take 1 484 search nodes instead of 1 022, and a 17-facet
+      random pair 90 146 instead of 58 481.
 
     Only a group's own search is kept; ``certificate`` searches a mask
     answered without one, then builds the group's subcomplex and witness
@@ -562,68 +561,41 @@ class FeasibilityCache:
         return hit
 
     def _grow(self, mask: int, images: tuple[int, ...]) -> int:
-        """``mask`` with every facet the map found for it absorbs.
+        """``mask`` with every facet the map found for it already makes good.
 
-        The map (``images`` of the group's vertices, ascending) is extended
-        one facet at a time, in facet order.  A facet's unplaced vertices go
-        to the first candidate target facet g holding its placed images:
-        onto the vertices of g the image misses, any left over folding onto
-        g's first vertex (kind ``facet``), or onto distinct vertices of g
-        outside the image (kind ``strict``, and a lone vertex, whose
-        candidate is the target's vertex set); under injectivity only unused
-        target vertices are taken.  A facet no candidate takes is left out.
-        The extended map is checked on the grown group before the group is
-        returned.
+        A facet outside the group joins when all its vertices are the
+        group's and the map (``images`` of the group's vertices, ascending)
+        takes it onto a candidate target facet (kind ``facet``) or
+        injectively into one (kind ``strict``).  Such a facet has two or
+        more vertices, as facets form an antichain.  The grown group has
+        the group's vertices, so the same map serves it; the map is
+        checked on the grown group before the group is returned.
         """
-        tables, inj, facets = self._tables, self.injective, self.source.facets
+        tables, facets = self._tables, self.source.facets
         vertices = 0
         for i in _bits(mask):
             vertices |= facets[i]
         assign = [-1] * self.source.n
-        used = 0
         for v, u in zip(_bits(vertices), images):
             assign[v] = u
-            used |= 1 << u
         grown = mask
         for i, f in enumerate(facets):
-            if grown >> i & 1:
+            if mask >> i & 1 or f & ~vertices:
                 continue
             bits, cands = tables.row(f)
-            new = []
-            pre = 0
+            image = 0
             for v in bits:
-                if assign[v] < 0:
-                    new.append(v)
-                else:
-                    pre |= 1 << assign[v]
-            onto = self.kind == "facet" and len(bits) >= 2
-            if not onto and pre.bit_count() != len(bits) - len(new):
-                continue
-            for g in cands:
-                if pre & ~g:
-                    continue
-                if onto:
-                    # the new vertices cover what g misses, the rest fold
-                    # onto g's first vertex
-                    need = g & ~pre
-                    if len(new) < need.bit_count() or (inj and need & used):
-                        continue
-                    pool = list(_bits(need))
-                    pool += [(g & -g).bit_length() - 1] * (len(new) - len(pool))
-                else:
-                    free = g & ~pre & ~used if inj else g & ~pre
-                    if free.bit_count() < len(new):
-                        continue
-                    pool = list(_bits(free))
-                for v, u in zip(new, pool):
-                    assign[v] = u
-                    used |= 1 << u
+                image |= 1 << assign[v]
+            if self.kind == "facet":
+                good = image in cands
+            else:
+                good = image.bit_count() == len(bits) and any(not image & ~g for g in cands)
+            if good:
                 grown |= 1 << i
-                break
         if grown != mask:
             group = tuple(facets[i] for i in _bits(grown))
             flags = _classify_masks(group, assign, self.target, tables.facet_set)[1:4]
-            if not _meets(self.kind, inj, *flags):
+            if not _meets(self.kind, self.injective, *flags):
                 raise RuntimeError(  # pragma: no cover - guards the growth itself
                     "a grown map fails its own constraints")
         return grown

@@ -719,6 +719,10 @@ CHECKS: dict[str, tuple] = {
 
 def run_verify(cfg: VerifyConfig) -> VerifyReport:
     chosen = cfg.suites if cfg.suites is not None else tuple(SUITES)
+    if not chosen:
+        raise ValueError(f"no suites selected; have {', '.join(SUITES)}")
+    if "" in chosen:
+        raise ValueError(f"empty suite name; have {', '.join(SUITES)}")
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}; have {', '.join(SUITES)}")

@@ -224,22 +224,28 @@ def test_cover_pins(group, rows):
 
 
 def _pinned_queries():
-    """Every pinned row's query: (key, source, target, kind, injective)."""
+    """Every pinned row's query and value: (key, source, target, kind,
+    injective, value)."""
     family = {key: query for key, *query in family_queries()}
     for key, row in json.loads(PINS.read_text()).items():
-        yield key, *(family[key] if key in family else _query(key, row))
+        yield key, *(family[key] if key in family else _query(key, row)), row["value"]
 
 
 def test_optimum_is_the_solved_value():
     """The optimum entry, which ``bounds`` asks for ``graph_lower``,
-    returns ``compute``'s value and no cover, on every pinned query and on
-    the verify stream's queries (pairs LH, LK and HK, the four kinds)."""
-    stream = (query for query in verify_queries() if query[0].split("/")[3] in ("LH", "LK", "HK"))
+    returns the solved value and no cover: on every pinned query the
+    row's value, which ``test_cover_pins`` checks against ``compute``,
+    and on the verify stream's queries (pairs LH, LK and HK, the four
+    kinds) ``compute``'s value."""
+    stream = (
+        (*query, None) for query in verify_queries() if query[0].split("/")[3] in ("LH", "LK", "HK")
+    )
     checked = 0
-    for key, source, target, kind, inj in (*_pinned_queries(), *stream):
+    for key, source, target, kind, inj, pinned in (*_pinned_queries(), *stream):
         q = ComplexityQuery(source, target, kind, inj)
         value, _, chosen = complexity._Run(q).optimum(False)
-        assert (value, chosen) == (compute(q).value, []), key
+        solved = _num(compute(q).value) if pinned is None else pinned
+        assert (_num(value), chosen) == (solved, []), key
         checked += 1
     assert checked == 427 + len(SEEDS) * TRIALS * 3 * len(KINDS)
 

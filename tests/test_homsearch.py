@@ -21,6 +21,7 @@ from facetcx import (
 )
 from facetcx.complexes import _bits
 from facetcx.homsearch import DEPTH_EXHAUSTED, TIME_EXHAUSTED, _Budget
+from facetcx.maps import _classify_masks, _meets
 from facetcx.scx import serialize_scx
 
 PINS = Path(__file__).with_name("homsearch_pins.json")
@@ -185,12 +186,15 @@ def test_cache_counts_probes_by_rule(bowtie, tailed):
     # a certificate for a group answered without its own search runs one
     assert cache.certificate(ce | de).source == closure(bowtie, [("c", "e"), ("d", "e")])
     assert cache.searches == 3
-    # c -> d', d -> c', e -> d' grows over abc: a -> c' and b folds onto c'
+    # c -> d', d -> c', e -> d' places no more vertices, so abc, whose a
+    # and b it leaves out, does not join, and neither does ce, which it
+    # folds onto d'
     assert cache.feasible(cd | de)  # search
-    assert cache.feasible(abc | cd)  # below abc + cd + de
+    assert cache._feasible_max[-1] == cd | de
+    assert cache.feasible(abc | cd)  # search
     assert cache.answered_by == {
-        "one_facet": 1, "below_feasible": 3, "above_infeasible": 1,
-        "pigeonhole": 0, "search": 3,
+        "one_facet": 1, "below_feasible": 2, "above_infeasible": 1,
+        "pigeonhole": 0, "search": 4,
     }
 
     injective = FeasibilityCache(bowtie, tailed, "facet", True)
@@ -260,9 +264,11 @@ def test_one_facet_verdict_matches_search(kind, injective):
 def test_witness_closure_records_only_mappable_groups(kind, injective):
     """Soundness of the recorded verdicts: a fresh search confirms every
     mask a found map records as feasible, grown groups included, and
-    every mask a failed search or a local nogood records as infeasible."""
+    every mask a failed search or a local nogood records as infeasible.
+    Growth is exact: a searched group grows by every facet on its
+    vertices that the group's first map makes good, and by no other."""
     rng = random.Random(f"witness closure {kind}-{injective}")
-    grown = new_vertices = cores = 0
+    grown = cores = 0
     for _ in range(300):
         source, target = _random_pair(rng)
         if len(source.facets) > 8:
@@ -279,21 +285,29 @@ def test_witness_closure_records_only_mappable_groups(kind, injective):
             if cache.searches == searched:
                 continue
             recorded = cache._feasible_max[-1]
-            if recorded == group:
-                continue
-            grown += 1
             vertices = 0
             for i in _bits(group):
                 vertices |= source.facets[i]
-            assert recorded & group == group
-            new_vertices += any(source.facets[i] & ~vertices for i in _bits(recorded & ~group))
+            images = find_map(SearchProblem(source, target, kind, injective, group=group)).images
+            assign = [-1] * source.n
+            for v, u in zip(_bits(vertices), images):
+                assign[v] = u
+            good = group
+            for i, f in enumerate(source.facets):
+                if not f & ~vertices:
+                    flags = _classify_masks((f,), assign, target, frozenset(target.facets))[1:4]
+                    good |= _meets(kind, injective, *flags) << i
+            assert recorded == good
+            assert all(not source.facets[i] & ~vertices for i in _bits(recorded & ~group))
+            if recorded == group:
+                continue
+            grown += 1
             assert find_map(SearchProblem(source, target, kind, injective, group=recorded)).found
         for mask, found in [(m, True) for m in cache._feasible_max] + [
                 (m, False) for m in cache._infeasible_min]:
             problem = SearchProblem(source, target, kind, injective, group=mask)
             assert find_map(problem).found == found
     assert grown >= 10
-    assert new_vertices >= 10  # growth placed vertices the search had not
     assert cores >= 10  # a local nogood recorded a smaller infeasible group
 
 

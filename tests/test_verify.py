@@ -44,6 +44,21 @@ def test_unknown_suite_rejected():
         run_verify(small_cfg(suites=("nope",)))
 
 
+@pytest.mark.parametrize(
+    "suites, message", [((), "no suites selected"), (("fixtures", ""), "empty suite name")],
+)
+def test_selection_without_a_suite_rejected(suites, message):
+    with pytest.raises(ValueError, match=message):
+        run_verify(small_cfg(suites=suites))
+
+
+@pytest.mark.parametrize("arg", ["", "fixtures,"])
+def test_cli_suites_without_a_name_rejected(capsys, arg):
+    # an empty ``--suites`` is rejected, not read as absent
+    assert cli.run(["verify", "--suites", arg, "--trials", "1"]) == 2
+    assert "empty suite name" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_trials_below_one_rejected(capsys, trials):
     with pytest.raises(ValueError, match="trials"):
